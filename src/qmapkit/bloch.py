@@ -1,4 +1,5 @@
-"""Piecewise-constant RF rotation machinery and slice-profile integration.
+"""Piecewise-constant RF pulses, their Cayley-Klein spinor propagation and
+slice-profile integration.
 
 Conventions (fixed for the whole toolkit):
 
@@ -17,23 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MagVec:
-    """A single magnetization vector."""
-
-    mx: float = 0.0
-    my: float = 0.0
-    mz: float = 0.0
-
-    def as_array(self):
-        return np.array([self.mx, self.my, self.mz], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
 
 @dataclass(frozen=True)
@@ -67,10 +51,12 @@ class RfPulse:
         return self.samples.size * self.dt
 
 
-def hard_pulse(flip: float, duration: float = 1e-5) -> RfPulse:
-    """Single-piece pulse, no gradient: an ideal instantaneous rotation."""
+def hard_pulse(flip: float, duration: float = 1e-5,
+               phase: float = 0.0) -> RfPulse:
+    """Single-piece pulse, no gradient: an ideal instantaneous rotation,
+    with RF phase ``phase`` measured from +x."""
     return RfPulse(
-        samples=np.array([flip / duration], dtype=complex),
+        samples=np.array([flip / duration * np.exp(1j * phase)]),
         dt=duration,
         slice_gradient=0.0,
         nominal_flip=flip,
@@ -103,33 +89,6 @@ def hamming_sinc_pulse(flip: float, duration: float, slice_thickness: float,
                    nominal_flip=flip)
 
 
-def piece_rotation(amp: complex, dt: float, dw: float) -> np.ndarray:
-    """3x3 rotation for one constant piece of RF at off-resonance ``dw``.
-
-    Rodrigues rotation by ``sqrt(|amp|^2 + dw^2)*dt`` about the unit axis
-    ``(-Re(amp), -Im(amp), dw)``; identity when the effective field is zero.
-    """
-    ax = -np.real(amp)
-    ay = -np.imag(amp)
-    omega = np.sqrt(ax * ax + ay * ay + dw * dw)
-    if omega == 0.0:
-        return np.eye(3)
-    nx, ny, nz = ax / omega, ay / omega, dw / omega
-    theta = omega * dt
-    return _rodrigues(nx, ny, nz, theta)
-
-
-def _rodrigues(nx, ny, nz, theta):
-    c = np.cos(theta)
-    s = np.sin(theta)
-    one_c = 1.0 - c
-    return np.array([
-        [c + nx * nx * one_c, nx * ny * one_c - nz * s, nx * nz * one_c + ny * s],
-        [ny * nx * one_c + nz * s, c + ny * ny * one_c, ny * nz * one_c - nx * s],
-        [nz * nx * one_c - ny * s, nz * ny * one_c + nx * s, c + nz * nz * one_c],
-    ])
-
-
 @dataclass(frozen=True)
 class SliceProfile:
     """Composite rotation per through-slice position."""
@@ -153,98 +112,78 @@ def default_z_grid(slice_thickness: float, n: int = 129,
     return np.linspace(-span, span, n)
 
 
+def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
+    """Cayley-Klein parameters ``(alpha, beta)`` of a scaled pulse.
+
+    Returns two complex arrays of shape ``np.shape(b1_scales) + (nz,)``:
+    the composite spin-1/2 rotation ``[[alpha, -conj(beta)], [beta,
+    conj(alpha)]]`` at every transmit scale and slice position (Pauly et
+    al., IEEE TMI 10:53, 1991).  A piece with effective field ``omega`` and
+    angle ``phi = omega*dt`` contributes ``alpha_p = cos(phi/2) -
+    i*(dw/omega)*sin(phi/2)`` and ``beta_p = i*(amp/omega)*sin(phi/2)``.
+    A piece whose scaled amplitude is zero is the identity: the slice
+    gradient alone does not rotate.
+    """
+    ks = np.asarray(b1_scales, dtype=float)[..., None]
+    z = np.atleast_1d(np.asarray(z_samples, dtype=float))
+    dw = np.where(ks != 0.0, pulse.slice_gradient * z, 0.0)
+    alpha = np.ones(dw.shape, dtype=complex)
+    beta = np.zeros(dw.shape, dtype=complex)
+    half_dt = pulse.dt / 2.0
+    for sample in pulse.samples[pulse.samples != 0.0]:
+        omega = np.sqrt((ks * abs(sample)) ** 2 + dw * dw)
+        sin_over = np.sin(omega * half_dt) / np.where(omega == 0.0, 1.0, omega)
+        a_p = np.cos(omega * half_dt) - 1j * dw * sin_over
+        b_p = (1j * sample) * ks * sin_over
+        alpha, beta = (a_p * alpha - b_p.conj() * beta,
+                       b_p * alpha + a_p.conj() * beta)
+    return alpha, beta
+
+
+def transverse(pulse: RfPulse, alpha, beta, z_samples) -> np.ndarray:
+    """Rephased transverse response ``2*conj(alpha)*beta`` per unit +z
+    magnetization, with the refocusing lobe's ``exp(-i*g*z*tau/2)``."""
+    z = np.asarray(z_samples, dtype=float)
+    phi = -pulse.slice_gradient * z * (pulse.duration / 2.0)
+    return 2.0 * alpha.conj() * beta * np.exp(1j * phi)
+
+
+def longitudinal(alpha, beta) -> np.ndarray:
+    """Remaining +z fraction ``|alpha|^2 - |beta|^2``."""
+    return np.abs(alpha) ** 2 - np.abs(beta) ** 2
+
+
+def refocusing_angle(alpha) -> np.ndarray:
+    """Rotation angle in [0, pi] of the composite rotation,
+    ``2*arccos|Re(alpha)|``; accurate near pi, unlike the trace."""
+    return 2.0 * np.arccos(np.minimum(np.abs(alpha.real), 1.0))
+
+
 def slice_profile(pulse: RfPulse, b1_scale: float,
                   z_samples: np.ndarray) -> SliceProfile:
-    """Composite rotation R(z) = R_M ... R_1 for a scaled pulse.
-
-    Each non-zero piece contributes ``piece_rotation(b1_scale * sample, dt,
-    slice_gradient * z)``; zero-amplitude pieces are skipped entirely (so
-    ``b1_scale = 0`` yields the identity at every z).
-    """
+    """Composite 3x3 rotation R(z) of a scaled pulse, from its Cayley-Klein
+    parameters: column j is the image of the unit vector e_j."""
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    nz = z.size
-    rot = np.broadcast_to(np.eye(3), (nz, 3, 3)).copy()
-    if b1_scale == 0.0:
-        return SliceProfile(z, rot)
-    dw = pulse.slice_gradient * z
-    for sample in pulse.samples:
-        amp = b1_scale * sample
-        if amp == 0.0:
-            continue
-        ax = -np.real(amp)
-        ay = -np.imag(amp)
-        omega = np.sqrt(ax * ax + ay * ay + dw * dw)
-        theta = omega * pulse.dt
-        c = np.cos(theta)
-        s = np.sin(theta)
-        one_c = 1.0 - c
-        nx = ax / omega
-        ny = ay / omega
-        nz_ax = dw / omega
-        piece = np.empty((nz, 3, 3))
-        piece[:, 0, 0] = c + nx * nx * one_c
-        piece[:, 0, 1] = nx * ny * one_c - nz_ax * s
-        piece[:, 0, 2] = nx * nz_ax * one_c + ny * s
-        piece[:, 1, 0] = ny * nx * one_c + nz_ax * s
-        piece[:, 1, 1] = c + ny * ny * one_c
-        piece[:, 1, 2] = ny * nz_ax * one_c - nx * s
-        piece[:, 2, 0] = nz_ax * nx * one_c - ny * s
-        piece[:, 2, 1] = nz_ax * ny * one_c + nx * s
-        piece[:, 2, 2] = c + nz_ax * nz_ax * one_c
-        rot = np.einsum("zij,zjk->zik", piece, rot, optimize=False)
+    a, b = cayley_klein(pulse, b1_scale, z)
+    mxy = (a.conj() ** 2 - b ** 2, 1j * (a.conj() ** 2 + b ** 2),
+           2.0 * a.conj() * b)
+    ab = a * b
+    mz = (-2.0 * ab.real, -2.0 * ab.imag, longitudinal(a, b))
+    rot = np.stack([np.stack([m.real for m in mxy], axis=-1),
+                    np.stack([m.imag for m in mxy], axis=-1),
+                    np.stack(mz, axis=-1)], axis=-2)
     return SliceProfile(z, rot)
 
 
 def integrated_transverse_curve(pulse: RfPulse, b1_scales,
                                 z_samples) -> np.ndarray:
-    """Slice-integrated rephased transverse response at many transmit scales.
-
-    Returns one complex value per entry of ``b1_scales``: the integral over
-    z of the rephased transverse response, i.e. what a readout of unit
-    longitudinal magnetization through this pulse would measure.  Equivalent
-    to running slice_profile / rephased / transverse_response /
-    integrate_slice per scale, but vectorized over the scale axis.
-    """
+    """Slice-integrated rephased transverse response, one complex value per
+    entry of ``b1_scales``: what a readout of unit longitudinal
+    magnetization through this pulse would measure."""
     ks = np.atleast_1d(np.asarray(b1_scales, dtype=float))
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    nk, nz = ks.size, z.size
-    dw = pulse.slice_gradient * z                      # (nz,)
-    rot = np.broadcast_to(np.eye(3), (nk * nz, 3, 3)).copy()
-    for sample in pulse.samples:
-        if sample == 0.0:
-            continue
-        amps = ks * sample                             # (nk,)
-        ax = -np.real(amps)[:, None]
-        ay = -np.imag(amps)[:, None]
-        omega = np.sqrt(ax * ax + ay * ay + dw * dw)   # (nk, nz)
-        # A zero scale leaves an identity rotation, like slice_profile.
-        safe = np.where(omega == 0.0, 1.0, omega)
-        theta = omega * pulse.dt
-        c = np.cos(theta)
-        s = np.sin(theta)
-        one_c = 1.0 - c
-        nx = np.broadcast_to(ax / safe, (nk, nz))
-        ny = np.broadcast_to(ay / safe, (nk, nz))
-        nz_ax = np.broadcast_to(dw / safe, (nk, nz))
-        piece = np.empty((nk, nz, 3, 3))
-        piece[..., 0, 0] = c + nx * nx * one_c
-        piece[..., 0, 1] = nx * ny * one_c - nz_ax * s
-        piece[..., 0, 2] = nx * nz_ax * one_c + ny * s
-        piece[..., 1, 0] = ny * nx * one_c + nz_ax * s
-        piece[..., 1, 1] = c + ny * ny * one_c
-        piece[..., 1, 2] = ny * nz_ax * one_c - nx * s
-        piece[..., 2, 0] = nz_ax * nx * one_c - ny * s
-        piece[..., 2, 1] = nz_ax * ny * one_c + nx * s
-        piece[..., 2, 2] = c + nz_ax * nz_ax * one_c
-        rot = np.einsum("zij,zjk->zik", piece.reshape(nk * nz, 3, 3), rot,
-                        optimize=False)
-    rot = rot.reshape(nk, nz, 3, 3)
-    txr = rot[..., 0, 2] + 1j * rot[..., 1, 2]
-    if pulse.slice_gradient != 0.0:
-        phi = -pulse.slice_gradient * z * (pulse.duration / 2.0)
-        txr = txr * np.exp(1j * phi)
-    h = 1.0 if nz == 1 else (z[-1] - z[0]) / (nz - 1)
-    return txr.sum(axis=1) * h
+    return integrate_slice(transverse(pulse, *cayley_klein(pulse, ks, z), z),
+                           z)
 
 
 def rephased(profile: SliceProfile, pulse: RfPulse) -> SliceProfile:
@@ -284,57 +223,18 @@ def longitudinal_response(profile: SliceProfile) -> np.ndarray:
     return profile.rotations[:, 2, 2]
 
 
-def rotation_angle(rotations: np.ndarray) -> np.ndarray:
-    """Rotation angle theta in [0, pi] from trace(R) = 1 + 2*cos(theta)."""
-    rot = np.asarray(rotations)
-    tr = np.trace(rot, axis1=-2, axis2=-1)
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-
-
-def relax_recover(m, dt: float, t1: float, t2: float, m0: float):
-    """Free relaxation for ``dt``: transverse decays with T2, longitudinal
-    recovers toward ``m0`` with T1."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("t1 and t2 must be positive")
-    was_magvec = isinstance(m, MagVec)
-    arr = m.as_array() if was_magvec else np.array(m, dtype=float)
-    e2 = np.exp(-dt / t2)
-    e1 = np.exp(-dt / t1)
-    out = arr.copy()
-    out[..., 0] *= e2
-    out[..., 1] *= e2
-    out[..., 2] = arr[..., 2] * e1 + m0 * (1.0 - e1)
-    return MagVec.from_array(out) if was_magvec else out
-
-
-def precess(mxy, dt: float, dw: float):
-    """Transverse phase evolution: multiply by exp(+i*dw*dt)."""
-    return np.asarray(mxy) * np.exp(1j * dw * dt)
-
-
-def spoil(m):
-    """Ideal spoiler: zero the transverse components, keep mz."""
-    was_magvec = isinstance(m, MagVec)
-    arr = m.as_array() if was_magvec else np.array(m, dtype=float)
-    arr[..., 0] = 0.0
-    arr[..., 1] = 0.0
-    return MagVec.from_array(arr) if was_magvec else arr
-
-
 def integrate_slice(values, z_samples) -> complex:
-    """Uniform Riemann sum: each sample is the value of a cell of width equal
-    to the grid spacing, so a constant c over n samples spaced h apart
-    integrates to ``c * n * h``.  A single sample integrates with unit
-    weight."""
+    """Uniform Riemann sum over the last axis: each sample is the value of a
+    cell of width equal to the grid spacing, so a constant c over n samples
+    spaced h apart integrates to ``c * n * h``.  A single sample integrates
+    with unit weight."""
     values = np.atleast_1d(np.asarray(values))
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    if values.size != z.size:
+    if values.shape[-1] != z.size:
         raise ValueError(
-            f"length mismatch: {values.size} values, {z.size} z samples"
+            f"length mismatch: {values.shape[-1]} values, {z.size} z samples"
         )
     if z.size == 1:
-        return values.sum()
+        return values.sum(axis=-1)
     h = (z[-1] - z[0]) / (z.size - 1)
-    return values.sum() * h
+    return values.sum(axis=-1) * h

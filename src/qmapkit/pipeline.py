@@ -72,7 +72,9 @@ _table_cache = {}
 
 
 def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
-    key = (pulses.params, opts.b1_k_min, opts.b1_k_max, opts.b1_step)
+    # The imaging waveform is fixed by the pulse geometry and its flip.
+    key = (pulses.params, pulses.imaging.nominal_flip, opts.b1_k_min,
+           opts.b1_k_max, opts.b1_step)
     table = _table_cache.get(key)
     if table is None:
         table = b1map.build_ratio_table(pulses, opts.b1_k_min, opts.b1_k_max,
@@ -82,8 +84,8 @@ def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
 
 
 def _quantize(k: float, opts: EstimateOptions) -> float:
-    """Snap an estimated scale to the table grid so slice profiles can be
-    cached across pixels."""
+    """Snap an estimated scale to the table grid so pixels share slice
+    profiles."""
     k = min(max(k, opts.b1_k_min), opts.b1_k_max)
     steps = round((k - opts.b1_k_min) / opts.b1_step)
     return round(opts.b1_k_min + steps * opts.b1_step, 9)
@@ -119,65 +121,56 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         t2s_points=opts.t2s_points, d_omega_step=opts.d_omega_step,
         omega_bound=opts.omega_bound)
 
-    prof_cache = {}
     t6, t7, t8 = images.timing.acq_times[5:8]
     te = timing.echo_time
-    for r in range(h):
-        for c in range(w):
-            if not inside[r, c]:
-                continue
-            k_q = _quantize(k_all[r, c], opts)
-            cached = prof_cache.get(k_q)
-            if cached is None:
-                prof = pixel_profiles(pulses, k_q)
-                ectx = tuple(
-                    t2fit.EchoModelContext(
-                        weights=prof.txr_imaging[seg],
-                        theta_z=prof.theta_inv,
-                        echo_times=timing.echo_offsets,
-                        z_samples=prof.z, k=k_q)
-                    for seg in (0, 1))
-                cached = (prof, ectx)
-                prof_cache[k_q] = cached
-            prof, ectx = cached
+    rows, cols = np.nonzero(inside)
+    k_q = [_quantize(k, opts) for k in k_all[rows, cols]]
+    ks, which = np.unique(k_q, return_inverse=True)
+    profs = pixel_profiles(pulses, ks)
+    for r, c, i in zip(rows, cols, which):
+        prof = profs.at(i)
+        ectx = tuple(
+            t2fit.EchoModelContext(
+                weights=prof.txr_imaging[seg], theta_z=prof.theta_inv,
+                echo_times=timing.echo_offsets, z_samples=prof.z, k=prof.k)
+            for seg in (0, 1))
+        fit2 = t2fit.fit_t2(
+            np.abs(data[0, 8:11, r, c]), np.abs(data[1, 8:11, r, c]),
+            ectx[0], ectx[1], t2_bounds=opts.t2_bounds)
+        if fit2.valid:
+            out.t2[r, c] = fit2.t2
+            out.valid["t2"][r, c] = True
 
-            fit2 = t2fit.fit_t2(
-                np.abs(data[0, 8:11, r, c]), np.abs(data[1, 8:11, r, c]),
-                ectx[0], ectx[1], t2_bounds=opts.t2_bounds)
-            if fit2.valid:
-                out.t2[r, c] = fit2.t2
-                out.valid["t2"][r, c] = True
+        fid = 0.5 * (data[0, 0:5, r, c] + data[1, 0:5, r, c])
+        wf = waterfat.fit_waterfat(fid, wf_cfg)
+        if wf.valid:
+            out.t2s_water[r, c] = wf.t2s_water
+            out.t2s_fat[r, c] = wf.t2s_fat
+            out.d_omega0[r, c] = wf.d_omega0
+            out.delta_b0[r, c] = waterfat.delta_b0(wf.d_omega0)
+            out.fat_fraction[r, c] = wf.fat_fraction
+            for name in ("t2s_water", "t2s_fat", "d_omega0", "delta_b0",
+                         "fat_fraction"):
+                out.valid[name][r, c] = True
 
-            fid = 0.5 * (data[0, 0:5, r, c] + data[1, 0:5, r, c])
-            wf = waterfat.fit_waterfat(fid, wf_cfg)
-            if wf.valid:
-                out.t2s_water[r, c] = wf.t2s_water
-                out.t2s_fat[r, c] = wf.t2s_fat
-                out.d_omega0[r, c] = wf.d_omega0
-                out.delta_b0[r, c] = waterfat.delta_b0(wf.d_omega0)
-                out.fat_fraction[r, c] = wf.fat_fraction
-                for name in ("t2s_water", "t2s_fat", "d_omega0", "delta_b0",
-                             "fat_fraction"):
-                    out.valid[name][r, c] = True
-
-            echo_scale = waterfat.echo_time_scale(
-                wf.w, wf.f, wf.t2s_water, wf.t2s_fat, te,
-                images.omega_cs) if wf.valid else 1.0
-            mz0 = t1fit.residual_mz0(abs(wf.w), abs(wf.f), k_all[r, c],
-                                     timing.sat_flip) if wf.valid else 0.0
-            ctx1 = t1fit.T1Context(
-                probe_txr=prof.txr_probe, probe_mzf=prof.mzf_probe,
-                imaging_txr=prof.txr_imaging[0], z_samples=prof.z,
-                times=(t6, t7, t8), echo_time=te, mz0=mz0,
-                echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
-            probes = np.abs(0.5 * (data[0, 5:7, r, c] + data[1, 5:7, r, c]))
-            meas = np.array([probes[0], probes[1],
-                             np.abs(data[0, 7, r, c])])
-            fit1 = t1fit.fit_t1_m0(meas, ctx1, starts=opts.t1_starts)
-            if fit1.valid:
-                out.t1[r, c] = fit1.t1
-                out.m0[r, c] = fit1.m0
-                out.t1_over_m0[r, c] = fit1.t1_over_m0
-                for name in ("t1", "m0", "t1_over_m0"):
-                    out.valid[name][r, c] = True
+        echo_scale = waterfat.echo_time_scale(
+            wf.w, wf.f, wf.t2s_water, wf.t2s_fat, te,
+            images.omega_cs) if wf.valid else 1.0
+        mz0 = t1fit.residual_mz0(abs(wf.w), abs(wf.f), k_all[r, c],
+                                 timing.sat_flip) if wf.valid else 0.0
+        ctx1 = t1fit.T1Context(
+            probe_txr=prof.txr_probe, probe_mzf=prof.mzf_probe,
+            imaging_txr=prof.txr_imaging[0], z_samples=prof.z,
+            times=(t6, t7, t8), echo_time=te, mz0=mz0,
+            echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
+        probes = np.abs(0.5 * (data[0, 5:7, r, c] + data[1, 5:7, r, c]))
+        meas = np.array([probes[0], probes[1],
+                         np.abs(data[0, 7, r, c])])
+        fit1 = t1fit.fit_t1_m0(meas, ctx1, starts=opts.t1_starts)
+        if fit1.valid:
+            out.t1[r, c] = fit1.t1
+            out.m0[r, c] = fit1.m0
+            out.t1_over_m0[r, c] = fit1.t1_over_m0
+            for name in ("t1", "m0", "t1_over_m0"):
+                out.valid[name][r, c] = True
     return out

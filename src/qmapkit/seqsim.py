@@ -151,9 +151,7 @@ def build_pulses(params: PulseParams = PulseParams(),
     real-positive."""
     flips = timing or SequenceTiming()
     if params.hard:
-        mk = lambda flip, phase: bloch.RfPulse(
-            samples=np.array([flip / 1e-5 * np.exp(1j * phase)]),
-            dt=1e-5, slice_gradient=0.0, nominal_flip=flip)
+        mk = lambda flip, phase: bloch.hard_pulse(flip, phase=phase)
     else:
         mk = lambda flip, phase: bloch.hamming_sinc_pulse(
             flip, params.duration, params.slice_thickness,
@@ -175,9 +173,10 @@ def build_pulses(params: PulseParams = PulseParams(),
 
 @dataclass(frozen=True)
 class PixelProfiles:
-    """Slice responses of the pulse set at one B1 scale."""
+    """Slice responses of the pulse set at one B1 scale, or at an array of
+    scales: every per-z array then has shape ``k.shape + (nz,)``."""
 
-    k: float
+    k: float                   # or an array of scales
     z: np.ndarray
     txr_sat: np.ndarray        # rephased transverse response, per z
     txr_probe: np.ndarray
@@ -185,28 +184,32 @@ class PixelProfiles:
     txr_imaging: tuple         # one complex array per segment
     theta_inv: np.ndarray      # refocusing rotation angle, per z
 
+    def at(self, i) -> "PixelProfiles":
+        """The profiles at entry ``i`` of an array of scales."""
+        return PixelProfiles(
+            k=float(self.k[i]), z=self.z, txr_sat=self.txr_sat[i],
+            txr_probe=self.txr_probe[i], mzf_probe=self.mzf_probe[i],
+            txr_imaging=tuple(t[i] for t in self.txr_imaging),
+            theta_inv=self.theta_inv[i])
 
-def pixel_profiles(pulses: SequencePulses, k: float,
-                   z: np.ndarray = None) -> PixelProfiles:
-    if z is None:
-        z = pulses.z_grid()
-    sat = bloch.rephased(bloch.slice_profile(pulses.sat, k, z), pulses.sat)
-    probe = bloch.rephased(bloch.slice_profile(pulses.probe, k, z),
-                           pulses.probe)
-    img1 = bloch.rephased(bloch.slice_profile(pulses.imaging, k, z),
-                          pulses.imaging)
-    img2 = bloch.rephased(
-        bloch.slice_profile(pulses.imaging_double, k, z),
-        pulses.imaging_double)
-    inv = bloch.slice_profile(pulses.inversion, k, z)
+
+def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
+    """Slice responses of all five pulses at transmit scale(s) ``k``."""
+    z = pulses.z_grid()
+    ks = np.asarray(k, dtype=float)
+
+    def excite(pulse):
+        return bloch.transverse(pulse, *bloch.cayley_klein(pulse, ks, z), z)
+
+    probe = bloch.cayley_klein(pulses.probe, ks, z)
+    inv_alpha, _ = bloch.cayley_klein(pulses.inversion, ks, z)
     return PixelProfiles(
-        k=float(k), z=z,
-        txr_sat=bloch.transverse_response(sat),
-        txr_probe=bloch.transverse_response(probe),
-        mzf_probe=bloch.longitudinal_response(probe),
-        txr_imaging=(bloch.transverse_response(img1),
-                     bloch.transverse_response(img2)),
-        theta_inv=bloch.rotation_angle(inv.rotations),
+        k=float(k) if ks.ndim == 0 else ks, z=z,
+        txr_sat=excite(pulses.sat),
+        txr_probe=bloch.transverse(pulses.probe, *probe, z),
+        mzf_probe=bloch.longitudinal(*probe),
+        txr_imaging=(excite(pulses.imaging), excite(pulses.imaging_double)),
+        theta_inv=bloch.refocusing_angle(inv_alpha),
     )
 
 
@@ -307,17 +310,12 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
         pulses = build_pulses(timing=timing)
     h, w = pm.shape
     data = np.zeros((2, 11, h, w), dtype=complex)
-    cache = {}
-    for r in range(h):
-        for c in range(w):
-            if pm.water_amp[r, c] + pm.fat_amp[r, c] == 0.0:
-                continue
-            p = pm.params_at(r, c)
-            prof = cache.get(p.b1_scale)
-            if prof is None:
-                prof = pixel_profiles(pulses, p.b1_scale)
-                cache[p.b1_scale] = prof
-            data[:, :, r, c] = simulate_pixel(p, timing, prof, omega_cs)
+    rows, cols = np.nonzero(pm.water_amp + pm.fat_amp != 0.0)
+    ks, which = np.unique(pm.b1_scale[rows, cols], return_inverse=True)
+    profs = pixel_profiles(pulses, ks)
+    for r, c, i in zip(rows, cols, which):
+        data[:, :, r, c] = simulate_pixel(pm.params_at(r, c), timing,
+                                          profs.at(i), omega_cs)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((2, 11, h, w, 2))

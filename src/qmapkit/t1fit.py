@@ -67,29 +67,6 @@ class T1Context:
         object.__setattr__(self, "times", times)
 
 
-def build_t1_context(probe_profile: bloch.SliceProfile,
-                     imaging_profile: bloch.SliceProfile,
-                     probe_pulse: bloch.RfPulse,
-                     imaging_pulse: bloch.RfPulse,
-                     times, echo_time: float, mz0: float,
-                     echo_scale: float = 1.0,
-                     t1_bounds=(0.05, 5.0), m0_bounds=(0.0, np.inf)):
-    probe = bloch.rephased(probe_profile, probe_pulse)
-    imaging = bloch.rephased(imaging_profile, imaging_pulse)
-    return T1Context(
-        probe_txr=bloch.transverse_response(probe),
-        probe_mzf=bloch.longitudinal_response(probe),
-        imaging_txr=bloch.transverse_response(imaging),
-        z_samples=probe.z_samples,
-        times=tuple(times),
-        echo_time=echo_time,
-        mz0=mz0,
-        echo_scale=echo_scale,
-        t1_bounds=tuple(t1_bounds),
-        m0_bounds=tuple(m0_bounds),
-    )
-
-
 def residual_mz0(w_mag: float, f_mag: float, k: float,
                  sat_flip: float = np.pi / 2.0) -> float:
     """Longitudinal magnetization left by the saturation pulse,

@@ -45,11 +45,6 @@ def echo_attenuation(n: int, theta):
     return out if out.ndim else float(out)
 
 
-def rotation_angle(rotations):
-    """Rotation angle of composite rotation matrices (delegates to bloch)."""
-    return bloch.rotation_angle(rotations)
-
-
 @dataclass(frozen=True)
 class EchoModelContext:
     """Per-segment geometry of the echo train at a given B1 scale.
@@ -83,21 +78,6 @@ class EchoModelContext:
         object.__setattr__(self, "theta_z", th)
         object.__setattr__(self, "z_samples", z)
         object.__setattr__(self, "echo_times", et)
-
-
-def echo_context(excitation_profile: bloch.SliceProfile,
-                 inversion_profile: bloch.SliceProfile,
-                 excitation_pulse: bloch.RfPulse,
-                 echo_times, k: float = 1.0) -> EchoModelContext:
-    """Build the echo-train context from slice profiles."""
-    exc = bloch.rephased(excitation_profile, excitation_pulse)
-    return EchoModelContext(
-        weights=bloch.transverse_response(exc),
-        theta_z=bloch.rotation_angle(inversion_profile.rotations),
-        echo_times=tuple(echo_times),
-        z_samples=exc.z_samples,
-        k=k,
-    )
 
 
 def echo_basis(ctx: EchoModelContext) -> np.ndarray:

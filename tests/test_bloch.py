@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from qmapkit import bloch
+from qmapkit import bloch, seqsim
 
 
 def test_hard_pulse_tips_by_flip():
@@ -84,13 +84,6 @@ def test_rephased_removes_linear_phase():
         bloch.transverse_response(raw)[center]))) > 1.0
 
 
-def test_rotation_angle_recovers_theta():
-    theta = np.array([0.0, 0.3, np.pi / 2, np.pi])
-    rots = np.stack([bloch.piece_rotation(t / 1e-5, 1e-5, 0.0)
-                     for t in theta])
-    npt.assert_allclose(bloch.rotation_angle(rots), theta, atol=1e-9)
-
-
 def test_riemann_sum_linear_ramp():
     z = np.linspace(-0.008, 0.008, 129)
     h = z[1] - z[0]
@@ -112,21 +105,6 @@ def test_integrate_slice_constant_and_single_sample():
         bloch.integrate_slice(np.ones(3), z)
 
 
-def test_relax_recover_and_spoil():
-    m = np.array([1.0, -0.5, 0.2])
-    out = bloch.relax_recover(m, 0.01, t1=0.5, t2=0.05, m0=1.0)
-    e2, e1 = np.exp(-0.2), np.exp(-0.02)
-    npt.assert_allclose(out, [e2, -0.5 * e2, 0.2 * e1 + (1 - e1)])
-    npt.assert_allclose(bloch.spoil(out), [0.0, 0.0, out[2]])
-    with pytest.raises(ValueError):
-        bloch.relax_recover(m, -1.0, 0.5, 0.05, 1.0)
-
-
-def test_precess_sign_convention():
-    npt.assert_allclose(bloch.precess(1.0 + 0j, 0.25, 2.0),
-                        np.exp(0.5j), atol=1e-15)
-
-
 def test_pulse_validation():
     with pytest.raises(ValueError):
         bloch.RfPulse(samples=np.array([]), dt=1e-5)
@@ -136,10 +114,58 @@ def test_pulse_validation():
         bloch.hamming_sinc_pulse(np.pi / 2, -1e-3, 4e-3)
 
 
+def _rodrigues_profile(pulse, k, z):
+    """Reference: the per-piece 3x3 Rodrigues product, rotating by
+    ``omega*dt`` about ``(-Re(amp), -Im(amp), dw)/omega``; pieces with zero
+    scaled amplitude are skipped."""
+    rot = np.broadcast_to(np.eye(3), (z.size, 3, 3)).copy()
+    dw = pulse.slice_gradient * z
+    for sample in pulse.samples:
+        amp = k * sample
+        if amp == 0.0:
+            continue
+        omega = np.sqrt(abs(amp) ** 2 + dw ** 2)
+        n = np.stack([np.full_like(dw, -amp.real), np.full_like(dw, -amp.imag),
+                      dw]) / omega
+        c, s = np.cos(omega * pulse.dt), np.sin(omega * pulse.dt)
+        cross = np.array([[0 * n[0], -n[2], n[1]],
+                          [n[2], 0 * n[0], -n[0]],
+                          [-n[1], n[0], 0 * n[0]]])
+        piece = (c * np.eye(3)[:, :, None] + s * cross
+                 + (1 - c) * n[:, None] * n[None, :])
+        rot = np.einsum("ijz,zjk->zik", piece, rot)
+    return rot
+
+
+@pytest.mark.parametrize("k", [0.0, 0.3, 0.85, 1.0, 1.37])
+def test_kernel_matches_rodrigues_product(k):
+    pulses = seqsim.build_pulses()
+    z = pulses.z_grid()
+    for pulse in (pulses.sat, pulses.probe, pulses.imaging,
+                  pulses.imaging_double, pulses.inversion):
+        ref = _rodrigues_profile(pulse, k, z)
+        phi = -pulse.slice_gradient * z * pulse.duration / 2.0
+        ref_txr = (ref[:, 0, 2] + 1j * ref[:, 1, 2]) * np.exp(1j * phi)
+        # The angle from sin and cos together, precise near pi.
+        axis = np.stack([ref[:, 2, 1] - ref[:, 1, 2],
+                         ref[:, 0, 2] - ref[:, 2, 0],
+                         ref[:, 1, 0] - ref[:, 0, 1]])
+        ref_theta = np.arctan2(np.linalg.norm(axis, axis=0) / 2.0,
+                               (np.trace(ref, axis1=1, axis2=2) - 1.0) / 2.0)
+        alpha, beta = bloch.cayley_klein(pulse, k, z)
+        npt.assert_allclose(bloch.transverse(pulse, alpha, beta, z), ref_txr,
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(bloch.longitudinal(alpha, beta), ref[:, 2, 2],
+                            rtol=0, atol=1e-12)
+        npt.assert_allclose(bloch.refocusing_angle(alpha), ref_theta,
+                            rtol=0, atol=1e-6)
+
+
 @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
-       st.floats(0.1, 3.0), st.floats(-0.9, 0.9))
-def test_piece_rotation_preserves_norm(re, im, dw, mz, mx):
-    rot = bloch.piece_rotation(re + 1j * im, 1e-4, dw)
-    v = np.array([mx, 0.3, mz])
-    npt.assert_allclose(np.linalg.norm(rot @ v), np.linalg.norm(v),
-                        rtol=1e-12, atol=1e-12)
+       st.floats(-2.0, 2.0))
+def test_single_piece_is_unitary(re, im, gradient, k):
+    pulse = bloch.RfPulse(samples=np.array([re + 1j * im]), dt=1e-4,
+                          slice_gradient=gradient)
+    alpha, beta = bloch.cayley_klein(pulse, k, np.array([-1.0, 0.0, 0.7]))
+    npt.assert_allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0,
+                        rtol=0, atol=1e-12)

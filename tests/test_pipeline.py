@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import maskgen, phantom, pipeline
+from qmapkit import maskgen, phantom, pipeline, seqsim
 
 from conftest import WATER
 
@@ -58,3 +60,42 @@ def test_quantize_snaps_to_table_grid():
     assert pipeline._quantize(1.0012, opts) == 1.002
     assert pipeline._quantize(0.05, opts) == opts.b1_k_min
     assert pipeline._quantize(7.0, opts) == opts.b1_k_max
+
+
+def test_ratio_table_cache_keys_on_imaging_flip(monkeypatch):
+    # A table built for the 60-degree scan must not serve a 45-degree one.
+    monkeypatch.setattr(pipeline, "_table_cache", {})
+    pm = phantom.make_disc_phantom(32, 32, replace(WATER, b1_scale=1.1),
+                                   radius_frac=0.25)
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
+    bits = np.zeros(pm.shape, dtype=bool)
+    bits[16, 15:18] = True
+    mask = maskgen.Mask(bits=bits)
+    for flips in ((np.pi / 3.0, 2.0 * np.pi / 3.0), (np.pi / 4.0, np.pi / 2.0)):
+        timing = replace(seqsim.default_timing(), imaging_flips=flips)
+        maps = pipeline.estimate_all(seqsim.simulate_scan(pm, timing),
+                                     mask, opts)
+        assert abs(np.median(maps.b1[mask.bits]) - 1.1) < 0.01
+
+
+def test_estimate_all_computes_profiles_once(monkeypatch):
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
+    pm.b1_scale[:, :16] = 0.9
+    images = seqsim.simulate_scan(pm)
+    calls = []
+
+    def counted(pulses, k):
+        calls.append(np.asarray(k).copy())
+        return seqsim.pixel_profiles(pulses, k)
+
+    monkeypatch.setattr(pipeline, "pixel_profiles", counted)
+    bits = np.zeros(pm.shape, dtype=bool)
+    bits[16, 12:20] = True
+    maps = pipeline.estimate_all(images, maskgen.Mask(bits=bits),
+                                 pipeline.EstimateOptions(b1_k_min=0.7,
+                                                          b1_k_max=1.3))
+    # One call, on the two distinct quantized scales.
+    assert len(calls) == 1
+    npt.assert_allclose(calls[0], [0.9, 1.0], atol=0.005)
+    npt.assert_allclose(maps.b1[bits], np.where(np.arange(8) < 4, 0.9, 1.0),
+                        atol=0.005)

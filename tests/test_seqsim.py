@@ -132,3 +132,45 @@ def test_scan_shape_and_metadata(water_scan):
     assert water_scan.height == 32 and water_scan.width == 32
     assert water_scan.noise_sigma == 0.0
     assert np.all(water_scan.data[:, :, 0, 0] == 0.0)   # background pixel
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
+def test_vectorised_profiles_equal_scalar_calls(hard):
+    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))
+    ks = np.array([[0.0, 0.45], [1.0, 1.37]])
+    stacked = seqsim.pixel_profiles(pulses, ks)
+    npt.assert_array_equal(stacked.k, ks)
+    for idx in np.ndindex(ks.shape):
+        one = seqsim.pixel_profiles(pulses, ks[idx])
+        assert one.k == ks[idx] and one.txr_sat.shape == one.z.shape
+        picked = stacked.at(idx)
+        for name in ("txr_sat", "txr_probe", "mzf_probe", "theta_inv"):
+            npt.assert_array_equal(getattr(picked, name), getattr(one, name))
+        for seg in (0, 1):
+            npt.assert_array_equal(picked.txr_imaging[seg],
+                                   one.txr_imaging[seg])
+
+
+def test_simulate_scan_computes_profiles_once(monkeypatch):
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
+    pm.b1_scale[:, :16] = 0.8
+    pm.b1_scale[:, 20:] = 1.2
+    plain = seqsim.simulate_scan(pm)
+    calls = []
+    original = seqsim.pixel_profiles
+
+    def counted(pulses, k):
+        calls.append(np.asarray(k).copy())
+        return original(pulses, k)
+
+    monkeypatch.setattr(seqsim, "pixel_profiles", counted)
+    counted_scan = seqsim.simulate_scan(pm)
+    assert len(calls) == 1
+    npt.assert_array_equal(calls[0], [0.8, 1.0, 1.2])
+    npt.assert_array_equal(counted_scan.data, plain.data)
+    pulses = seqsim.build_pulses()
+    for r, c in ((16, 10), (16, 18), (16, 22)):
+        ref = seqsim.simulate_pixel(
+            pm.params_at(r, c), seqsim.SequenceTiming(),
+            original(pulses, pm.b1_scale[r, c]))
+        npt.assert_array_equal(plain.data[:, :, r, c], ref)

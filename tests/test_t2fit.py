@@ -96,7 +96,3 @@ def test_fit_t2_zero_data_invalid():
     with pytest.raises(ValueError):
         t2fit.fit_t2(np.zeros(4), np.zeros(3), ctx, ctx)
 
-
-def test_rotation_angle_passthrough():
-    rot = np.eye(3)[None]
-    npt.assert_allclose(t2fit.rotation_angle(rot), [0.0])
