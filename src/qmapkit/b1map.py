@@ -43,24 +43,19 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
                       k_max: float = 1.8, step: float = 0.002) -> RatioTable:
     """Tabulate the readout ratio over a transmit-scale grid.
 
-    The double pulse must be exactly the single pulse at twice the
-    amplitude; anything else breaks the one-parameter inversion.  The raw
-    curve is non-monotone once the doubled flip passes the signal null, so
-    the table keeps only the initial decreasing branch.
+    The double pulse is the single pulse at twice the amplitude, so its
+    curve is the single pulse's at twice the scale.  The raw curve is
+    non-monotone once the doubled flip passes the signal null, so the table
+    keeps only the initial decreasing branch.
     """
-    single, double = pulses.imaging, pulses.imaging_double
-    if single.dt != double.dt or \
-            single.slice_gradient != double.slice_gradient or \
-            not np.allclose(double.samples, 2.0 * single.samples,
-                            rtol=1e-12, atol=0):
-        raise ValueError("double pulse is not twice the single pulse")
     if not (0 < k_min < k_max) or step <= 0:
         raise ValueError("need 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
     z = pulses.z_grid()
+    single = pulses.imaging
     lo = np.abs(bloch.integrated_transverse_curve(single, k_axis, z))
-    hi = np.abs(bloch.integrated_transverse_curve(double, k_axis, z))
+    hi = np.abs(bloch.integrated_transverse_curve(single, 2.0 * k_axis, z))
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo
@@ -95,17 +90,3 @@ def estimate_b1(mag_single, mag_double, table: RatioTable):
         return float(k), bool(valid)
     return k, valid
 
-
-def b1_corrected_mean(mag_single, k, flip: float):
-    """Divide out the hard-pulse excitation efficiency ``sin(k*flip)`` so a
-    magnitude image reflects available magnetization rather than tip angle.
-    Pixels where the efficiency is below 5% of the nominal one are left
-    uncorrected (the division would explode)."""
-    mag = np.asarray(mag_single, dtype=float)
-    k = np.asarray(k, dtype=float)
-    nominal = np.sin(flip)
-    if nominal <= 1e-6:
-        raise ValueError("flip must have positive excitation efficiency")
-    eff = np.sin(np.clip(k, 0.0, None) * flip) / nominal
-    safe = eff > 0.05
-    return np.where(safe, mag / np.where(safe, eff, 1.0), mag)

@@ -1,5 +1,5 @@
 """Shared fitting machinery: linear least squares, box-constrained
-Gauss-Newton, multi-start, and exhaustive grid search.
+Gauss-Newton, and multi-start.
 
 All solvers here are deterministic: no randomness, no threading, and
 tie-breaking rules that do not depend on evaluation schedule.
@@ -7,7 +7,7 @@ tie-breaking rules that do not depend on evaluation schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -176,66 +176,3 @@ def multi_start(problem: BoxedProblem, starts: Sequence[np.ndarray],
             best = res
     return best
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axes of an exhaustive search grid, in tie-break priority order."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
-        if not axes:
-            raise ValueError("GridSpec needs at least one axis")
-        for ax in axes:
-            if ax.ndim != 1 or ax.size == 0:
-                raise ValueError("each axis must be a non-empty 1-D array")
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def shape(self):
-        return tuple(ax.size for ax in self.axes)
-
-
-class GridResult(NamedTuple):
-    point: tuple
-    indices: tuple
-    cost: float
-
-
-def grid_minimize(spec: GridSpec, cost, vectorized: bool = False):
-    """Exhaustive minimization of ``cost`` over the cartesian grid.
-
-    ``cost(point)`` is called once per grid point (a tuple of floats) unless
-    ``vectorized`` is set, in which case ``cost`` receives one flattened
-    coordinate array per axis and must return the flat cost array.  Non-finite
-    costs are skipped; ties are broken by the first point in lexicographic
-    axis-index order (identical in both evaluation modes).
-    """
-    shape = spec.shape
-    if vectorized:
-        mesh = np.meshgrid(*spec.axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        values = np.asarray(cost(*flat), dtype=float).reshape(-1)
-        if values.size != int(np.prod(shape)):
-            raise ValueError("vectorized cost returned wrong number of values")
-        values = np.where(np.isfinite(values), values, np.inf)
-        flat_idx = int(np.argmin(values))
-        best_cost = float(values[flat_idx])
-        if not np.isfinite(best_cost):
-            raise ValueError("cost was non-finite over the entire grid")
-        idx = np.unravel_index(flat_idx, shape)
-    else:
-        best_cost = np.inf
-        idx = None
-        for flat_idx in range(int(np.prod(shape))):
-            i = np.unravel_index(flat_idx, shape)
-            point = tuple(spec.axes[d][i[d]] for d in range(len(shape)))
-            c = float(cost(point))
-            if np.isfinite(c) and c < best_cost:
-                best_cost = c
-                idx = i
-        if idx is None:
-            raise ValueError("cost was non-finite over the entire grid")
-    point = tuple(float(spec.axes[d][idx[d]]) for d in range(len(shape)))
-    return GridResult(point, tuple(int(j) for j in idx), best_cost)

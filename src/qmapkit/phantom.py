@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,10 +190,6 @@ def validate_phantom(pm: PhantomMap):
         raise ValueError("background pixels must have zero signal")
     if np.any(pm.t2s_water > pm.t2):
         raise ValueError("t2s_water cannot exceed t2")
-
-
-def bottle_to_dict(params: TissueParams) -> dict:
-    return asdict(params)
 
 
 def bottle_from_dict(d: dict) -> TissueParams:

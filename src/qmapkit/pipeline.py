@@ -111,7 +111,9 @@ def estimate_all(images: ImageSet, mask: Mask = None,
 
     k_all, k_ok = b1map.estimate_b1(np.abs(data[0, 7]), np.abs(data[1, 7]),
                                     ratio_table)
-    inside = mask.bits
+    # A pixel with any non-finite sample stays in the mask but reads 0 and
+    # invalid in every map; no solver sees it.
+    inside = mask.bits & np.all(np.isfinite(data), axis=(0, 1))
     out.b1 = np.where(inside, k_all, 0.0)
     out.valid["b1"] = inside & k_ok
 
@@ -132,7 +134,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         ectx = tuple(
             t2fit.EchoModelContext(
                 weights=prof.txr_imaging[seg], theta_z=prof.theta_inv,
-                echo_times=timing.echo_offsets, z_samples=prof.z, k=prof.k)
+                echo_times=timing.echo_offsets, z_samples=prof.z)
             for seg in (0, 1))
         fit2 = t2fit.fit_t2(
             np.abs(data[0, 8:11, r, c]), np.abs(data[1, 8:11, r, c]),

@@ -14,17 +14,18 @@ Spoilers and crushers are ideal, so transverse magnetization never survives
 between blocks.  The longitudinal bookkeeping between saturation and the
 imaging pulse is the exact walk the T1 fitter uses (shared implementation);
 the echo train reuses the T2 fitter's prediction kernel sourced by the
-imaging-pulse signal.  Both repetitions start from thermal equilibrium, so
+imaging-pulse signal, and the two-species FID kernel is the water/fat
+fitter's design matrix.  Both repetitions start from thermal equilibrium, so
 the segments' I1-I7 are identical by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import bloch, t1fit, t2fit
+from . import bloch, t1fit, t2fit, waterfat
 from .constants import OMEGA_CS
 from .phantom import PhantomMap, TissueParams
 
@@ -64,6 +65,12 @@ class SequenceTiming:
             raise ValueError("need three inversions and three echo offsets")
         if len(self.imaging_flips) != 2:
             raise ValueError("need one imaging flip per segment")
+        # Segment 2 plays segment 1's waveform at twice the amplitude.
+        single, double = self.imaging_flips
+        if not np.isclose(double, 2.0 * single, rtol=1e-9, atol=0.0):
+            raise ValueError(
+                f"imaging_flips {self.imaging_flips}: the second flip must "
+                "be twice the first")
         # Echo centers must be where the refocusing placement puts them.
         implied = []
         prev = 0.0
@@ -127,13 +134,12 @@ class PulseParams:
 
 @dataclass(frozen=True)
 class SequencePulses:
-    """The five waveforms; the 120-degree pulse is the 60-degree pulse at
-    twice the amplitude (same shape and duration)."""
+    """The four waveforms.  Segment 2's imaging pulse is ``imaging`` at twice
+    the amplitude, i.e. ``imaging`` at twice the transmit scale."""
 
     sat: bloch.RfPulse
     probe: bloch.RfPulse
     imaging: bloch.RfPulse
-    imaging_double: bloch.RfPulse
     inversion: bloch.RfPulse
     params: PulseParams
 
@@ -156,16 +162,10 @@ def build_pulses(params: PulseParams = PulseParams(),
         mk = lambda flip, phase: bloch.hamming_sinc_pulse(
             flip, params.duration, params.slice_thickness,
             params.time_bandwidth, params.n_pieces, phase=phase)
-    imaging = mk(flips.imaging_flips[0], -np.pi / 2.0)
-    imaging_double = bloch.RfPulse(
-        samples=2.0 * imaging.samples, dt=imaging.dt,
-        slice_gradient=imaging.slice_gradient,
-        nominal_flip=2.0 * imaging.nominal_flip)
     return SequencePulses(
         sat=mk(flips.sat_flip, -np.pi / 2.0),
         probe=mk(flips.probe_flip, -np.pi / 2.0),
-        imaging=imaging,
-        imaging_double=imaging_double,
+        imaging=mk(flips.imaging_flips[0], -np.pi / 2.0),
         inversion=mk(flips.inversion_flip, 0.0),
         params=params,
     )
@@ -194,12 +194,14 @@ class PixelProfiles:
 
 
 def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
-    """Slice responses of all five pulses at transmit scale(s) ``k``."""
+    """Slice responses of the pulse set at transmit scale(s) ``k``; segment
+    2's imaging response is the imaging pulse's at ``2 k``."""
     z = pulses.z_grid()
     ks = np.asarray(k, dtype=float)
 
-    def excite(pulse):
-        return bloch.transverse(pulse, *bloch.cayley_klein(pulse, ks, z), z)
+    def excite(pulse, scale=ks):
+        return bloch.transverse(pulse, *bloch.cayley_klein(pulse, scale, z),
+                                z)
 
     probe = bloch.cayley_klein(pulses.probe, ks, z)
     inv_alpha, _ = bloch.cayley_klein(pulses.inversion, ks, z)
@@ -208,21 +210,10 @@ def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
         txr_sat=excite(pulses.sat),
         txr_probe=bloch.transverse(pulses.probe, *probe, z),
         mzf_probe=bloch.longitudinal(*probe),
-        txr_imaging=(excite(pulses.imaging), excite(pulses.imaging_double)),
+        txr_imaging=(excite(pulses.imaging),
+                     excite(pulses.imaging, 2.0 * ks)),
         theta_inv=bloch.refocusing_angle(inv_alpha),
     )
-
-
-def species_kernel(t, p: TissueParams, omega_cs: float = OMEGA_CS):
-    """Normalized two-species FID kernel at times t since a tip of the full
-    magnetization: off-resonance phase times the water/fat T2*-decay mix."""
-    t = np.asarray(t, dtype=float)
-    total = p.water_amp + p.fat_amp
-    w_frac = p.water_amp / total
-    f_frac = p.fat_amp / total
-    mix = (w_frac * np.exp(-t / p.t2s_water)
-           + f_frac * np.exp((1j * omega_cs - 1.0 / p.t2s_fat) * t))
-    return np.exp(1j * p.d_omega0 * t) * mix
 
 
 def simulate_pixel(p: TissueParams, timing: SequenceTiming,
@@ -234,15 +225,22 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
     if m0 == 0.0:
         return out
     z = profiles.z
+    fracs = np.array([p.water_amp, p.fat_amp]) / m0
+
+    def kernel(t):
+        # Two-species FID kernel after a tip of the full magnetization.
+        cols = waterfat.wf_design(t, p.t2s_water, p.t2s_fat, p.d_omega0,
+                                  omega_cs)
+        return np.sum(cols * fracs, axis=-1)
+
     # Saturation FID: slice-integrated transverse response applied to the
     # equilibrium magnetization, evolving with the two-species kernel.
     c_sat = bloch.integrate_slice(profiles.txr_sat, z)
-    fid = m0 * c_sat * species_kernel(np.asarray(timing.fid_times), p,
-                                      omega_cs)
+    fid = m0 * c_sat * kernel(timing.fid_times)
     # Saturation leaves the hard-pulse-equivalent scalar residual.
     mz0 = m0 * float(np.cos(p.b1_scale * timing.sat_flip))
     te = timing.echo_time
-    te_kernel = complex(species_kernel(te, p, omega_cs))
+    te_kernel = complex(kernel(te))
     ctx = t1fit.T1Context(
         probe_txr=profiles.txr_probe,
         probe_mzf=profiles.mzf_probe,
@@ -269,7 +267,7 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
         if gain > 0 and abs(a_src) > 0:
             ectx = t2fit.EchoModelContext(
                 weights=txr_img, theta_z=profiles.theta_inv,
-                echo_times=timing.echo_offsets, z_samples=z, k=profiles.k)
+                echo_times=timing.echo_offsets, z_samples=z)
             mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2, ectx)
             out[seg, 8:11] = (a_src / abs(a_src)) * mags
     return out

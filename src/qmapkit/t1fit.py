@@ -44,7 +44,6 @@ class T1Context:
     mz0: float
     echo_scale: float = 1.0
     t1_bounds: tuple = (0.05, 5.0)
-    m0_bounds: tuple = (0.0, np.inf)
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.z_samples, dtype=float))
@@ -119,10 +118,11 @@ class T1Fit(NamedTuple):
 
 
 DEFAULT_T1_STARTS = (0.1, 0.3, 0.8, 1.5, 3.0)
+_MAX_ITER = 60      # Gauss-Newton iterations per start
+_TOL = 1e-12        # projected-gradient convergence threshold
 
 
-def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS,
-              max_iter: int = 60, tol: float = 1e-12) -> T1Fit:
+def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS) -> T1Fit:
     """Multi-start box-constrained fit of (t1, m0) to three magnitudes."""
     data = np.asarray(measured, dtype=float)
     if data.shape != (3,):
@@ -142,9 +142,7 @@ def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS,
     else:
         m0_scale = max(float(data.max()), 1e-12)
     t1_lo, t1_hi = ctx.t1_bounds
-    m0_lo, m0_hi = ctx.m0_bounds
-    if not np.isfinite(m0_hi):
-        m0_hi = 1e6 * max(m0_scale, 1e-12)
+    m0_hi = 1e6 * max(m0_scale, 1e-12)
     start_list = []
     for t1s in starts:
         t1s = min(max(t1s, t1_lo * 1.001), t1_hi * 0.999)
@@ -154,10 +152,11 @@ def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS,
     problem = fitcore.BoxedProblem(
         residual,
         x0=start_list[0],
-        lower=np.array([t1_lo, m0_lo]),
+        lower=np.array([t1_lo, 0.0]),
         upper=np.array([t1_hi, m0_hi]),
     )
-    res = fitcore.multi_start(problem, start_list, max_iter=max_iter, tol=tol)
+    res = fitcore.multi_start(problem, start_list, max_iter=_MAX_ITER,
+                              tol=_TOL)
     t1, m0 = res.x
     ratio = t1 / m0 if m0 > 0 else 0.0
     return T1Fit(t1=float(t1), m0=float(m0), t1_over_m0=float(ratio),

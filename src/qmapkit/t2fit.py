@@ -54,14 +54,12 @@ class EchoModelContext:
     theta_z : rotation angle of the refocusing pulse per z.
     echo_times : the three echo times dt_n since excitation, seconds.
     z_samples : through-slice grid, m.
-    k : B1 scale the profiles were computed at.
     """
 
     weights: np.ndarray
     theta_z: np.ndarray
     echo_times: tuple
     z_samples: np.ndarray
-    k: float = 1.0
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
@@ -121,6 +119,10 @@ def loglinear_init(echoes, ctx: EchoModelContext,
     return amp, t2
 
 
+_MAX_ITER = 200     # Gauss-Newton iterations
+_TOL = 1e-10        # projected-gradient convergence threshold
+
+
 class T2Fit(NamedTuple):
     t2: float
     amp: float
@@ -130,8 +132,7 @@ class T2Fit(NamedTuple):
 
 
 def fit_t2(echoes_seg1, echoes_seg2, ctx1: EchoModelContext,
-           ctx2: EchoModelContext, t2_bounds=(0.005, 3.0),
-           max_iter: int = 200, tol: float = 1e-10) -> T2Fit:
+           ctx2: EchoModelContext, t2_bounds=(0.005, 3.0)) -> T2Fit:
     """Joint two-segment fit of (amp, t2) to six echo magnitudes.
 
     One source amplitude is shared: the two segments tip the same
@@ -166,7 +167,7 @@ def fit_t2(echoes_seg1, echoes_seg2, ctx1: EchoModelContext,
         lower=np.array([0.0, t2_bounds[0]]),
         upper=np.array([amp_hi, t2_bounds[1]]),
     )
-    res = fitcore.solve_boxed(problem, max_iter=max_iter, tol=tol)
+    res = fitcore.solve_boxed(problem, max_iter=_MAX_ITER, tol=_TOL)
     amp, t2 = res.x
     edge = 1e-9 * (t2_bounds[1] - t2_bounds[0])
     at_bound = t2 <= t2_bounds[0] + edge or t2 >= t2_bounds[1] - edge

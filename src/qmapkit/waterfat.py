@@ -75,12 +75,13 @@ def init_offres(i1: complex, i3: complex, dt13: float) -> float:
 
 def wf_design(times, t2s_water: float, t2s_fat: float, d_omega0: float,
               omega_cs: float = OMEGA_CS) -> np.ndarray:
-    """Five-row, two-column complex design matrix at a candidate triple."""
+    """Two-column (water, fat) complex design matrix at a candidate triple:
+    one row per time, or one (water, fat) pair for a scalar time."""
     t = np.asarray(times, dtype=float)
     phase = np.exp(1j * d_omega0 * t)
     col_w = phase * np.exp(-t / t2s_water)
     col_f = phase * np.exp((1j * omega_cs - 1.0 / t2s_fat) * t)
-    return np.stack([col_w, col_f], axis=1)
+    return np.stack([col_w, col_f], axis=-1)
 
 
 class WfSolve(NamedTuple):
@@ -141,6 +142,15 @@ def _pair_decomposition(cfg: WfConfig):
     return qs, offsets, demod
 
 
+def _estimate_at(b, t, tw: float, tf: float, dw: float,
+                 omega_cs: float) -> WfEstimate:
+    """Amplitudes and fat fraction at the chosen candidate."""
+    sol = wf_design_solve(b, t, tw, tf, dw, omega_cs)
+    total = abs(sol.w) + abs(sol.f)
+    ff = abs(sol.f) / total if total > 0 else 0.0
+    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
+
+
 def fit_waterfat(data, cfg: WfConfig) -> WfEstimate:
     """Exhaustive-search water/fat fit for one pixel.
 
@@ -169,15 +179,12 @@ def fit_waterfat(data, cfg: WfConfig) -> WfEstimate:
     tw = float(axis[pair_idx // axis.size])
     tf = float(axis[pair_idx % axis.size])
     dw = float(init + offsets[off_idx])
-    sol = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs)
-    wmag, fmag = abs(sol.w), abs(sol.f)
-    total = wmag + fmag
-    ff = fmag / total if total > 0 else 0.0
-    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
+    return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
 
 
 def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
-    """Reference path through :func:`fitcore.grid_minimize` (scalar cost).
+    """Brute-force reference: one linear solve per candidate in
+    (t2s_water, t2s_fat, d_omega0) axis order, keeping the first minimum.
 
     Slow; used to cross-check the production path on sampled pixels.
     """
@@ -187,19 +194,16 @@ def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
     t = np.asarray(cfg.times)
     init = init_offres(b[0], b[2], t[2] - t[0])
     axis = cfg.t2s_axis()
-    spec = fitcore.GridSpec((axis, axis, init + cfg.offset_axis()))
-
-    def cost(point):
-        tw, tf, dw = point
-        return wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs).residual
-
-    best = fitcore.grid_minimize(spec, cost)
-    tw, tf, dw = best.point
-    sol = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs)
-    wmag, fmag = abs(sol.w), abs(sol.f)
-    total = wmag + fmag
-    ff = fmag / total if total > 0 else 0.0
-    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
+    offsets = init + cfg.offset_axis()
+    best = (np.inf,)
+    for tw in axis:
+        for tf in axis:
+            for dw in offsets:
+                res = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs).residual
+                if res < best[0]:
+                    best = (res, float(tw), float(tf), float(dw))
+    _, tw, tf, dw = best
+    return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
 
 
 def echo_time_scale(w, f, t2s_water: float, t2s_fat: float, echo_time: float,
@@ -212,10 +216,9 @@ def echo_time_scale(w, f, t2s_water: float, t2s_fat: float, echo_time: float,
     fraction |f|.  Freshly tipped species start phase-aligned (longitudinal
     storage keeps no transverse phase), so only the magnitudes enter.
     """
-    wmag, fmag = abs(w), abs(f)
-    total = wmag + fmag
+    amps = np.array([abs(w), abs(f)])
+    total = amps[0] + amps[1]
     if total == 0:
         return 1.0
-    mix = (wmag * np.exp(-echo_time / t2s_water)
-           + fmag * np.exp(1j * omega_cs * echo_time - echo_time / t2s_fat))
-    return float(abs(mix) / total)
+    cols = wf_design(echo_time, t2s_water, t2s_fat, 0.0, omega_cs)
+    return float(abs(np.sum(cols * amps, axis=-1)) / total)

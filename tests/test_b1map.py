@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import b1map, bloch, seqsim
+from qmapkit import b1map
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +31,7 @@ def test_table_is_monotone(hard_table):
 
 
 def test_build_table_rejects_mismatched_pair(hard_pulses):
-    import dataclasses
-    broken = dataclasses.replace(
-        hard_pulses, imaging_double=bloch.hard_pulse(1.9 * np.pi / 3.0))
-    with pytest.raises(ValueError):
-        b1map.build_ratio_table(broken)
+    # The pair is one waveform at k and 2k now; only the k range can be bad.
     with pytest.raises(ValueError):
         b1map.build_ratio_table(hard_pulses, k_min=1.0, k_max=0.5)
 
@@ -81,15 +77,3 @@ def test_estimate_b1_array_shapes(hard_table):
     with pytest.raises(ValueError):
         b1map.estimate_b1(np.ones(3), np.ones(4), hard_table)
 
-
-def test_corrected_mean_divides_excitation_efficiency():
-    mag = np.array([1.0, 1.0])
-    k = np.array([1.0, 2.0 / 3.0])
-    out = b1map.b1_corrected_mean(mag, k, np.pi / 2.0)
-    npt.assert_allclose(out, [1.0, 1.0 / np.sin(np.pi / 3.0)])
-    # Tiny efficiency: left uncorrected rather than exploding.
-    small = b1map.b1_corrected_mean(np.array([0.5]), np.array([0.01]),
-                                    np.pi / 2.0)
-    npt.assert_allclose(small, [0.5])
-    with pytest.raises(ValueError):
-        b1map.b1_corrected_mean(mag, k, np.pi)

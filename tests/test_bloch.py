@@ -141,8 +141,10 @@ def _rodrigues_profile(pulse, k, z):
 def test_kernel_matches_rodrigues_product(k):
     pulses = seqsim.build_pulses()
     z = pulses.z_grid()
-    for pulse in (pulses.sat, pulses.probe, pulses.imaging,
-                  pulses.imaging_double, pulses.inversion):
+    img = pulses.imaging
+    doubled = bloch.RfPulse(samples=2.0 * img.samples, dt=img.dt,
+                            slice_gradient=img.slice_gradient)
+    for pulse in (pulses.sat, pulses.probe, img, doubled, pulses.inversion):
         ref = _rodrigues_profile(pulse, k, z)
         phi = -pulse.slice_gradient * z * pulse.duration / 2.0
         ref_txr = (ref[:, 0, 2] + 1j * ref[:, 1, 2]) * np.exp(1j * phi)

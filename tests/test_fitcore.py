@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
 
 from qmapkit import fitcore
 
@@ -107,68 +106,3 @@ def test_multi_start_clips_out_of_box_starts():
     res = fitcore.multi_start(problem, [np.array([50.0])])
     npt.assert_allclose(res.x, [0.9], atol=1e-6)
 
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        fitcore.GridSpec(())
-    with pytest.raises(ValueError):
-        fitcore.GridSpec((np.array([]),))
-    spec = fitcore.GridSpec((np.array([1.0, 2.0]), np.array([3.0])))
-    assert spec.shape == (2, 1)
-
-
-def test_grid_minimize_scalar_matches_vectorized():
-    spec = fitcore.GridSpec((np.linspace(-1, 1, 7), np.linspace(0, 2, 5)))
-
-    def cost(point):
-        x, y = point
-        return (x - 0.3) ** 2 + (y - 1.1) ** 2
-
-    def vcost(x, y):
-        return (x - 0.3) ** 2 + (y - 1.1) ** 2
-
-    a = fitcore.grid_minimize(spec, cost)
-    b = fitcore.grid_minimize(spec, vcost, vectorized=True)
-    assert a.indices == b.indices
-    assert a.point == b.point
-    npt.assert_allclose(a.cost, b.cost)
-
-
-def test_grid_minimize_tie_breaks_lexicographic():
-    spec = fitcore.GridSpec((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
-    a = fitcore.grid_minimize(spec, lambda p: 7.0)
-    b = fitcore.grid_minimize(spec, lambda x, y: np.full_like(x, 7.0),
-                              vectorized=True)
-    assert a.indices == b.indices == (0, 0)
-
-
-def test_grid_minimize_skips_non_finite():
-    spec = fitcore.GridSpec((np.array([0.0, 1.0, 2.0]),))
-
-    def cost(point):
-        return np.nan if point[0] < 2.0 else 5.0
-
-    res = fitcore.grid_minimize(spec, cost)
-    assert res.indices == (2,)
-    with pytest.raises(ValueError):
-        fitcore.grid_minimize(spec, lambda p: np.inf)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-def test_grid_minimize_modes_agree_on_random_costs(seed):
-    rng = np.random.default_rng(seed)
-    spec = fitcore.GridSpec((rng.standard_normal(4), rng.standard_normal(3),
-                             rng.standard_normal(2)))
-    table = rng.standard_normal(spec.shape)
-
-    def cost(point):
-        idx = tuple(int(np.nonzero(spec.axes[d] == point[d])[0][0])
-                    for d in range(3))
-        return table[idx]
-
-    def vcost(x, y, z):
-        return table.reshape(-1)
-
-    a = fitcore.grid_minimize(spec, cost)
-    b = fitcore.grid_minimize(spec, vcost, vectorized=True)
-    assert a.indices == b.indices

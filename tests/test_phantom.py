@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -95,7 +97,7 @@ def test_truth_arrays_formulas():
 
 def test_bottle_dict_round_trip():
     p = phantom.DEFAULT_BOTTLES[4]
-    assert phantom.bottle_from_dict(phantom.bottle_to_dict(p)) == p
+    assert phantom.bottle_from_dict(dataclasses.asdict(p)) == p
     with pytest.raises(ValueError):
         phantom.bottle_from_dict({"t2star": 0.05})
 

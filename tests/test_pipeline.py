@@ -99,3 +99,24 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
     npt.assert_allclose(calls[0], [0.9, 1.0], atol=0.005)
     npt.assert_allclose(maps.b1[bits], np.where(np.arange(8) < 4, 0.9, 1.0),
                         atol=0.005)
+
+
+def test_non_finite_pixel_is_invalid_and_isolated(water_scan):
+    bits = np.zeros(water_scan.data.shape[2:], dtype=bool)
+    bits[16, 12:20] = True
+    mask = maskgen.Mask(bits=bits)
+    clean = pipeline.estimate_all(water_scan, mask)
+    others = bits.copy()
+    others[16, 15] = False
+    for seg, acq in ((0, 2), (1, 6), (0, 9)):       # I3, I7, I10
+        data = water_scan.data.copy()
+        data[seg, acq, 16, 15] = np.nan
+        maps = pipeline.estimate_all(replace(water_scan, data=data), mask)
+        npt.assert_array_equal(maps.mask, bits)
+        for name in pipeline.MAP_NAMES:
+            got = getattr(maps, name)
+            assert np.all(np.isfinite(got))
+            assert got[16, 15] == 0.0 and not maps.valid[name][16, 15]
+            npt.assert_array_equal(got[others], getattr(clean, name)[others])
+            npt.assert_array_equal(maps.valid[name], clean.valid[name]
+                                   & others)

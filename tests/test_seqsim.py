@@ -32,13 +32,36 @@ def test_timing_validation():
         seqsim.SequenceTiming(fid_times=(0.002, 0.004))
 
 
-def test_double_pulse_is_twice_the_single():
-    pulses = seqsim.build_pulses(timing=seqsim.default_timing())
-    npt.assert_allclose(pulses.imaging_double.samples,
-                        2.0 * pulses.imaging.samples, rtol=1e-15)
-    assert pulses.imaging_double.dt == pulses.imaging.dt
-    assert pulses.imaging_double.nominal_flip == pytest.approx(
-        2.0 * pulses.imaging.nominal_flip)
+def test_second_imaging_flip_must_double_the_first():
+    # Segment 2 plays segment 1's imaging waveform at twice the amplitude,
+    # so no other second flip can be simulated.
+    with pytest.raises(ValueError):
+        seqsim.SequenceTiming(imaging_flips=(np.pi / 3.0, np.pi / 2.0))
+    with pytest.raises(ValueError):
+        seqsim.SequenceTiming(
+            imaging_flips=(np.pi / 3.0, 2.0 * np.pi / 3.0 * (1 + 1e-8)))
+    t = seqsim.SequenceTiming(imaging_flips=(np.pi / 4.0, np.pi / 2.0))
+    assert t.imaging_flips == (np.pi / 4.0, np.pi / 2.0)
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
+def test_imaging_at_twice_the_scale_is_the_doubled_pulse(hard):
+    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))
+    img = pulses.imaging
+    doubled = bloch.RfPulse(samples=2.0 * img.samples, dt=img.dt,
+                            slice_gradient=img.slice_gradient,
+                            nominal_flip=2.0 * img.nominal_flip)
+    z = pulses.z_grid()
+    ks = np.array([0.0, 0.2, 0.45, 0.85, 1.0, 1.37, 1.8])
+    for got, want in zip(bloch.cayley_klein(img, 2.0 * ks, z),
+                         bloch.cayley_klein(doubled, ks, z)):
+        npt.assert_array_equal(got, want)
+    npt.assert_array_equal(
+        seqsim.pixel_profiles(pulses, ks).txr_imaging[1],
+        bloch.transverse(doubled, *bloch.cayley_klein(doubled, ks, z), z))
+    npt.assert_array_equal(
+        bloch.integrated_transverse_curve(img, 2.0 * ks, z),
+        bloch.integrated_transverse_curve(doubled, ks, z))
 
 
 def test_segments_share_all_pre_imaging_acquisitions(water_scan):
