@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import b1map, formats, maskgen, phantom, pipeline, seqsim
+from . import formats, maskgen, phantom, pipeline, seqsim
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,9 +48,6 @@ def _timing_from_config(cfg: dict, t_sat=None, tr=None) -> seqsim.SequenceTiming
         if key not in base:
             raise ValueError(f"unknown timing key {key!r}")
         base[key] = value
-    for key in ("fid_times", "probe_times", "inversion_offsets",
-                "echo_offsets", "imaging_flips"):
-        base[key] = tuple(base[key])
     return seqsim.SequenceTiming(**base)
 
 
@@ -70,10 +67,6 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
                      ("step", "b1_step")):
         if src in b1:
             kw[dst] = float(b1[src])
-    t2 = cfg.get("t2", {})
-    if t2:
-        kw["t2_bounds"] = (float(t2.get("min", 0.005)),
-                           float(t2.get("max", 3.0)))
     wf = cfg.get("wf", {})
     for key in ("t2s_min", "t2s_max", "d_omega_step", "omega_bound"):
         if key in wf:
@@ -83,9 +76,13 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
     t1 = cfg.get("t1", {})
     if "starts" in t1:
         kw["t1_starts"] = tuple(float(v) for v in t1["starts"])
-    if "min" in t1 or "max" in t1:
-        kw["t1_bounds"] = (float(t1.get("min", 0.05)),
-                           float(t1.get("max", 5.0)))
+    defaults = pipeline.EstimateOptions()
+    for section, key in (("t2", "t2_bounds"), ("t1", "t1_bounds")):
+        bounds = cfg.get(section, {})
+        if "min" in bounds or "max" in bounds:
+            lo, hi = getattr(defaults, key)
+            kw[key] = (float(bounds.get("min", lo)),
+                       float(bounds.get("max", hi)))
     return pipeline.EstimateOptions(**kw)
 
 
@@ -163,12 +160,7 @@ def cmd_lut(args) -> int:
     cfg = _load_config(args.config)
     timing = _timing_from_config(cfg)
     pulses = seqsim.build_pulses(_pulse_params_from_config(cfg), timing)
-    b1_cfg = cfg.get("b1", {})
-    table = b1map.build_ratio_table(
-        pulses,
-        k_min=float(b1_cfg.get("k_min", 0.2)),
-        k_max=float(b1_cfg.get("k_max", 1.8)),
-        step=float(b1_cfg.get("step", 0.002)))
+    table = pipeline._ratio_table(pulses, _options_from_config(cfg))
     doc = {"k_values": [float(v) for v in table.k_values],
            "ratios": [float(v) for v in table.ratios]}
     if args.out:

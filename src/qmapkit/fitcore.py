@@ -7,8 +7,7 @@ tie-breaking rules that do not depend on evaluation schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,34 +42,6 @@ def lsq_solve(a, b):
     return LsqResult(x, residual_norm, int(rank), rank < a.shape[1])
 
 
-@dataclass
-class BoxedProblem:
-    """A residual-vector minimization over a box.
-
-    ``residual(x)`` returns a 1-D real array; the cost is its squared
-    Euclidean norm.  Bounds may be ``-inf``/``+inf`` on either side; ``x0``
-    must lie strictly inside every finite bound.
-    """
-
-    residual: Callable[[np.ndarray], np.ndarray]
-    x0: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        self.lower = np.broadcast_to(
-            np.asarray(self.lower, dtype=float), self.x0.shape
-        ).copy()
-        self.upper = np.broadcast_to(
-            np.asarray(self.upper, dtype=float), self.x0.shape
-        ).copy()
-        if np.any(self.lower >= self.upper):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        if np.any(self.x0 <= self.lower) or np.any(self.x0 >= self.upper):
-            raise ValueError("x0 must lie strictly inside the bounds")
-
-
 class BoxedResult(NamedTuple):
     x: np.ndarray
     cost: float
@@ -101,21 +72,30 @@ def _projected_gradient(g, x, lower, upper, eps=1e-12):
     return pg
 
 
-def solve_boxed(problem: BoxedProblem, max_iter: int = 200, tol: float = 1e-8):
+def solve_boxed(residual, x0, lower, upper, max_iter: int = 200,
+                tol: float = 1e-8):
     """Projected Gauss-Newton with backtracking line search.
 
-    Iterates are clipped to the box after each step; convergence is declared
-    when the sup-norm of the projected gradient of the cost drops below
-    ``tol``.  Deterministic for fixed inputs.
+    Minimizes the squared Euclidean norm of the 1-D real array
+    ``residual(x)`` over the box [lower, upper].  Bounds may be
+    ``-inf``/``+inf`` on either side; ``x0`` must lie strictly inside every
+    finite bound.  Iterates are clipped to the box after each step;
+    convergence is declared when the sup-norm of the projected gradient of
+    the cost drops below ``tol``.  Deterministic for fixed inputs.
     """
-    x = problem.x0.copy()
-    lower, upper = problem.lower, problem.upper
-    r = np.atleast_1d(np.asarray(problem.residual(x), dtype=float))
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
+    if np.any(lower >= upper):
+        raise ValueError("lower bounds must be strictly below upper bounds")
+    if np.any(x <= lower) or np.any(x >= upper):
+        raise ValueError("x0 must lie strictly inside the bounds")
+    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
     cost = float(r @ r)
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
-        jac = _fd_jacobian(problem.residual, x, r, lower, upper)
+        jac = _fd_jacobian(residual, x, r, lower, upper)
         g = 2.0 * (jac.T @ r)
         if np.max(np.abs(_projected_gradient(g, x, lower, upper))) < tol:
             converged = True
@@ -130,9 +110,7 @@ def solve_boxed(problem: BoxedProblem, max_iter: int = 200, tol: float = 1e-8):
             x_new = np.clip(x + alpha * step, lower, upper)
             direction = x_new - x
             slope = float(g @ direction)
-            r_new = np.atleast_1d(
-                np.asarray(problem.residual(x_new), dtype=float)
-            )
+            r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
             cost_new = float(r_new @ r_new)
             # Armijo on the actual (projected) displacement; for ascent-ish
             # directions just require plain decrease.
@@ -151,7 +129,7 @@ def solve_boxed(problem: BoxedProblem, max_iter: int = 200, tol: float = 1e-8):
     return BoxedResult(x, cost, n_iter, converged)
 
 
-def multi_start(problem: BoxedProblem, starts: Sequence[np.ndarray],
+def multi_start(residual, starts: Sequence[np.ndarray], lower, upper,
                 max_iter: int = 200, tol: float = 1e-8):
     """Run :func:`solve_boxed` from each start; return the lowest-cost result.
 
@@ -161,18 +139,16 @@ def multi_start(problem: BoxedProblem, starts: Sequence[np.ndarray],
     starts = list(starts)
     if not starts:
         raise ValueError("at least one start is required")
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    span = np.where(np.isfinite(upper - lower), upper - lower, 1.0)
+    nudge = 1e-9 * np.maximum(span, 1.0)
     best = None
     for x0 in starts:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        span = np.where(
-            np.isfinite(problem.upper - problem.lower),
-            problem.upper - problem.lower, 1.0,
-        )
-        nudge = 1e-9 * np.maximum(span, 1.0)
-        x0 = np.clip(x0, problem.lower + nudge, problem.upper - nudge)
-        sub = BoxedProblem(problem.residual, x0, problem.lower, problem.upper)
-        res = solve_boxed(sub, max_iter=max_iter, tol=tol)
+        x0 = np.clip(np.atleast_1d(np.asarray(x0, dtype=float)),
+                     lower + nudge, upper - nudge)
+        res = solve_boxed(residual, x0, lower, upper, max_iter=max_iter,
+                          tol=tol)
         if best is None or res.cost < best.cost:
             best = res
     return best
-

@@ -153,11 +153,7 @@ def read_imageset(in_dir) -> ImageSet:
         flat = _read_payload(src, entry, h * w * 2)
         pairs = flat.reshape(h, w, 2)
         data[idx // count, idx % count] = pairs[..., 0] + 1j * pairs[..., 1]
-    timing_dict = dict(manifest["timing"])
-    for key in ("fid_times", "probe_times", "inversion_offsets",
-                "echo_offsets", "imaging_flips"):
-        timing_dict[key] = tuple(timing_dict[key])
-    timing = SequenceTiming(**timing_dict)
+    timing = SequenceTiming(**manifest["timing"])
     return ImageSet(
         data=data,
         timing=timing,

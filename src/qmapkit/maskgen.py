@@ -58,6 +58,8 @@ def make_mask(mean: np.ndarray, threshold: float = 0.1,
               close_radius: int = 2, erode_radius: int = 1) -> Mask:
     """Threshold at ``threshold * max(mean)``, close, then erode.
 
+    Non-finite mean values count as no signal.
+
     The close runs on a zero-padded copy so structures touching the array
     edge are treated the same as interior ones.
     """
@@ -66,6 +68,8 @@ def make_mask(mean: np.ndarray, threshold: float = 0.1,
         raise ValueError("mean image must be 2-d and non-empty")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be a fraction in (0, 1)")
+    # One corrupt sample must not become a NaN peak and empty the mask.
+    mean = np.where(np.isfinite(mean), mean, 0.0)
     peak = float(mean.max())
     if peak <= 0.0:
         return Mask(bits=np.zeros(mean.shape, dtype=bool))

@@ -175,23 +175,6 @@ def make_disc_phantom(width: int, height: int, params: TissueParams,
     return pm
 
 
-def validate_phantom(pm: PhantomMap):
-    """Raise if any pixel violates the parameter invariants."""
-    inside = pm.label > 0
-    for name in ("t1", "t2", "t2s_water", "t2s_fat"):
-        if np.any(getattr(pm, name) <= 0):
-            raise ValueError(f"{name} must be strictly positive everywhere")
-    if np.any(pm.water_amp < 0) or np.any(pm.fat_amp < 0):
-        raise ValueError("species amplitudes must be non-negative")
-    total = pm.water_amp + pm.fat_amp
-    if np.any(total[inside] <= 0):
-        raise ValueError("in-phantom pixels need water_amp + fat_amp > 0")
-    if np.any(total[~inside] != 0):
-        raise ValueError("background pixels must have zero signal")
-    if np.any(pm.t2s_water > pm.t2):
-        raise ValueError("t2s_water cannot exceed t2")
-
-
 def bottle_from_dict(d: dict) -> TissueParams:
     base = {name: getattr(DEFAULT_BOTTLES[0], name) for name in _FIELDS}
     unknown = set(d) - set(base)

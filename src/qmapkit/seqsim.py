@@ -265,10 +265,9 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
         # chemical shift, so decay is pure T2 and the phase is the source's.
         gain = abs(bloch.integrate_slice(txr_img, z))
         if gain > 0 and abs(a_src) > 0:
-            ectx = t2fit.EchoModelContext(
-                weights=txr_img, theta_z=profiles.theta_inv,
-                echo_times=timing.echo_offsets, z_samples=z)
-            mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2, ectx)
+            basis = t2fit.echo_basis(txr_img, profiles.theta_inv, z)
+            mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2, basis,
+                                        timing.echo_offsets)
             out[seg, 8:11] = (a_src / abs(a_src)) * mags
     return out
 

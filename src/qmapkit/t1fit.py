@@ -149,14 +149,10 @@ def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS) -> T1Fit:
         recov = 1.0 - np.exp(-(ctx.times[2] - ctx.echo_time) / t1s)
         m0s = m0_scale / max(recov, 1e-3)
         start_list.append(np.array([t1s, m0s]))
-    problem = fitcore.BoxedProblem(
-        residual,
-        x0=start_list[0],
-        lower=np.array([t1_lo, 0.0]),
-        upper=np.array([t1_hi, m0_hi]),
-    )
-    res = fitcore.multi_start(problem, start_list, max_iter=_MAX_ITER,
-                              tol=_TOL)
+    res = fitcore.multi_start(residual, start_list,
+                              lower=np.array([t1_lo, 0.0]),
+                              upper=np.array([t1_hi, m0_hi]),
+                              max_iter=_MAX_ITER, tol=_TOL)
     t1, m0 = res.x
     ratio = t1 / m0 if m0 > 0 else 0.0
     return T1Fit(t1=float(t1), m0=float(m0), t1_over_m0=float(ratio),

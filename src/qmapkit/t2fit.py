@@ -12,7 +12,6 @@ pulse and dt_n the echo time measured from excitation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,57 +44,27 @@ def echo_attenuation(n: int, theta):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class EchoModelContext:
-    """Per-segment geometry of the echo train at a given B1 scale.
+def echo_basis(weights, theta, z) -> np.ndarray:
+    """|integral w(z) f_n(theta(z)) dz| for n = 1, 2, 3.
 
-    weights : complex transverse response w(z) of this segment's excitation
-        pulse (rephased), per z.
-    theta_z : rotation angle of the refocusing pulse per z.
-    echo_times : the three echo times dt_n since excitation, seconds.
-    z_samples : through-slice grid, m.
+    ``weights`` is the complex transverse response w(z) of a segment's
+    excitation pulse (rephased) and ``theta`` the refocusing rotation angle,
+    both over the z grid on the last axis; any leading axes are kept, so the
+    result has shape ``(..., 3)``.
     """
-
-    weights: np.ndarray
-    theta_z: np.ndarray
-    echo_times: tuple
-    z_samples: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
-        th = np.atleast_1d(np.asarray(self.theta_z, dtype=float))
-        z = np.atleast_1d(np.asarray(self.z_samples, dtype=float))
-        if not (w.size == th.size == z.size):
-            raise ValueError("weights, theta_z, z_samples must share length")
-        et = tuple(float(t) for t in self.echo_times)
-        if len(et) != 3 or any(t <= 0 for t in et):
-            raise ValueError("echo_times must be three positive offsets")
-        if list(et) != sorted(et):
-            raise ValueError("echo_times must increase")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "theta_z", th)
-        object.__setattr__(self, "z_samples", z)
-        object.__setattr__(self, "echo_times", et)
+    return np.stack([
+        np.abs(bloch.integrate_slice(weights * echo_attenuation(n, theta), z))
+        for n in (1, 2, 3)], axis=-1)
 
 
-def echo_basis(ctx: EchoModelContext) -> np.ndarray:
-    """|integral w(z) f_n(theta(z)) dz| for n = 1, 2, 3."""
-    out = np.empty(3)
-    for n in (1, 2, 3):
-        vals = ctx.weights * echo_attenuation(n, ctx.theta_z)
-        out[n - 1] = abs(bloch.integrate_slice(vals, ctx.z_samples))
-    return out
+def predict_echoes(amp: float, t2: float, basis, echo_times) -> np.ndarray:
+    """Predicted echo magnitudes for source amplitude ``amp`` and decay t2,
+    given the segment's echo basis and the three echo times since
+    excitation."""
+    return amp * basis * np.exp(-np.asarray(echo_times) / t2)
 
 
-def predict_echoes(amp: float, t2: float, ctx: EchoModelContext) -> np.ndarray:
-    """Predicted echo magnitudes for source amplitude ``amp`` and decay t2."""
-    basis = echo_basis(ctx)
-    dts = np.asarray(ctx.echo_times)
-    return amp * basis * np.exp(-dts / t2)
-
-
-def loglinear_init(echoes, ctx: EchoModelContext,
-                   t2_bounds=(0.005, 3.0)) -> tuple:
+def loglinear_init(echoes, basis, echo_times, t2_bounds) -> tuple:
     """Straight-line fit of log(echo / basis) against echo time.
 
     Equals the closed-form two-parameter exponential fit when the
@@ -103,12 +72,11 @@ def loglinear_init(echoes, ctx: EchoModelContext,
     mid-range defaults.
     """
     echoes = np.asarray(echoes, dtype=float)
-    basis = echo_basis(ctx)
     good = (echoes > 0) & (basis > 0)
     if good.sum() < 2:
         return 3.0 * max(echoes.max(), 1e-12), np.sqrt(
             t2_bounds[0] * t2_bounds[1])
-    dts = np.asarray(ctx.echo_times)[good]
+    dts = np.asarray(echo_times)[good]
     y = np.log(echoes[good] / basis[good])
     a = np.stack([np.ones_like(dts), -dts], axis=1)
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
@@ -131,13 +99,14 @@ class T2Fit(NamedTuple):
     valid: bool
 
 
-def fit_t2(echoes_seg1, echoes_seg2, ctx1: EchoModelContext,
-           ctx2: EchoModelContext, t2_bounds=(0.005, 3.0)) -> T2Fit:
+def fit_t2(echoes_seg1, echoes_seg2, basis1, basis2, echo_times,
+           t2_bounds) -> T2Fit:
     """Joint two-segment fit of (amp, t2) to six echo magnitudes.
 
     One source amplitude is shared: the two segments tip the same
     longitudinal magnetization, and their different excitation responses are
-    already carried by each context's weights.
+    already carried by each segment's echo basis.  Both segments share the
+    echo times.
     """
     e1 = np.asarray(echoes_seg1, dtype=float)
     e2 = np.asarray(echoes_seg2, dtype=float)
@@ -145,29 +114,25 @@ def fit_t2(echoes_seg1, echoes_seg2, ctx1: EchoModelContext,
         raise ValueError("each segment supplies three echo magnitudes")
     if not (np.any(e1 > 0) or np.any(e2 > 0)):
         return T2Fit(t2=0.0, amp=0.0, cost=0.0, at_bound=False, valid=False)
-    basis1 = echo_basis(ctx1)
-    basis2 = echo_basis(ctx2)
-    dts1 = np.asarray(ctx1.echo_times)
-    dts2 = np.asarray(ctx2.echo_times)
+    dts = np.asarray(echo_times)
     data = np.concatenate([e1, e2])
 
     def residual(x):
         amp, t2 = x
         pred = np.concatenate([
-            amp * basis1 * np.exp(-dts1 / t2),
-            amp * basis2 * np.exp(-dts2 / t2),
+            amp * basis1 * np.exp(-dts / t2),
+            amp * basis2 * np.exp(-dts / t2),
         ])
         return pred - data
 
-    amp0, t20 = loglinear_init(e1, ctx1, t2_bounds)
+    amp0, t20 = loglinear_init(e1, basis1, echo_times, t2_bounds)
     amp_hi = 1e6 * max(data.max(), 1e-12)
-    problem = fitcore.BoxedProblem(
+    res = fitcore.solve_boxed(
         residual,
         x0=np.array([min(max(amp0, 1e-12), amp_hi * 0.5), t20]),
         lower=np.array([0.0, t2_bounds[0]]),
         upper=np.array([amp_hi, t2_bounds[1]]),
-    )
-    res = fitcore.solve_boxed(problem, max_iter=_MAX_ITER, tol=_TOL)
+        max_iter=_MAX_ITER, tol=_TOL)
     amp, t2 = res.x
     edge = 1e-9 * (t2_bounds[1] - t2_bounds[0])
     at_bound = t2 <= t2_bounds[0] + edge or t2 >= t2_bounds[1] - edge

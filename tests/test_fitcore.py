@@ -44,9 +44,8 @@ def test_solve_boxed_interior_minimum():
     def residual(x):
         return np.array([x[0] - 1.5, 2.0 * (x[1] + 0.25)])
 
-    problem = fitcore.BoxedProblem(residual, x0=[0.1, 0.1],
-                                   lower=[-1.0, -1.0], upper=[3.0, 3.0])
-    res = fitcore.solve_boxed(problem)
+    res = fitcore.solve_boxed(residual, x0=[0.1, 0.1], lower=[-1.0, -1.0],
+                              upper=[3.0, 3.0])
     assert res.converged
     npt.assert_allclose(res.x, [1.5, -0.25], atol=1e-6)
     assert res.cost < 1e-12
@@ -56,9 +55,7 @@ def test_solve_boxed_lands_on_active_bound():
     def residual(x):
         return np.array([x[0] - 5.0])
 
-    problem = fitcore.BoxedProblem(residual, x0=[0.5], lower=[0.0],
-                                   upper=[2.0])
-    res = fitcore.solve_boxed(problem)
+    res = fitcore.solve_boxed(residual, x0=[0.5], lower=[0.0], upper=[2.0])
     npt.assert_allclose(res.x, [2.0], atol=1e-9)
 
 
@@ -69,18 +66,17 @@ def test_solve_boxed_nonlinear_exponential():
     def residual(x):
         return x[0] * np.exp(-t / x[1]) - data
 
-    problem = fitcore.BoxedProblem(residual, x0=[1.0, 0.6],
-                                   lower=[0.0, 0.01], upper=[10.0, 5.0])
-    res = fitcore.solve_boxed(problem, tol=1e-12)
+    res = fitcore.solve_boxed(residual, x0=[1.0, 0.6], lower=[0.0, 0.01],
+                              upper=[10.0, 5.0], tol=1e-12)
     npt.assert_allclose(res.x, [2.0, 0.3], rtol=1e-6)
 
 
-def test_boxed_problem_validation():
+def test_solve_boxed_argument_checks():
     r = lambda x: x
     with pytest.raises(ValueError):
-        fitcore.BoxedProblem(r, x0=[0.0], lower=[1.0], upper=[0.5])
+        fitcore.solve_boxed(r, x0=[0.0], lower=[1.0], upper=[0.5])
     with pytest.raises(ValueError):
-        fitcore.BoxedProblem(r, x0=[1.0], lower=[1.0], upper=[2.0])
+        fitcore.solve_boxed(r, x0=[1.0], lower=[1.0], upper=[2.0])
 
 
 def test_multi_start_finds_better_basin():
@@ -89,20 +85,18 @@ def test_multi_start_finds_better_basin():
     def residual(x):
         return np.array([x[0] ** 2 - 1.0])
 
-    problem = fitcore.BoxedProblem(residual, x0=[0.3], lower=[-4.0],
-                                   upper=[4.0])
-    res = fitcore.multi_start(problem, [np.array([2.5]), np.array([0.0])])
+    res = fitcore.multi_start(residual, [np.array([2.5]), np.array([0.0])],
+                              lower=[-4.0], upper=[4.0])
     npt.assert_allclose(abs(res.x[0]), 1.0, atol=1e-6)
     with pytest.raises(ValueError):
-        fitcore.multi_start(problem, [])
+        fitcore.multi_start(residual, [], lower=[-4.0], upper=[4.0])
 
 
 def test_multi_start_clips_out_of_box_starts():
     def residual(x):
         return np.array([x[0] - 0.9])
 
-    problem = fitcore.BoxedProblem(residual, x0=[0.5], lower=[0.0],
-                                   upper=[1.0])
-    res = fitcore.multi_start(problem, [np.array([50.0])])
+    res = fitcore.multi_start(residual, [np.array([50.0])], lower=[0.0],
+                              upper=[1.0])
     npt.assert_allclose(res.x, [0.9], atol=1e-6)
 

@@ -36,6 +36,15 @@ def test_threshold_validation_and_empty_input():
         maskgen.make_mask(np.ones(5))
 
 
+def test_non_finite_sample_does_not_empty_mask(water_scan):
+    clean = maskgen.make_mask(maskgen.mean_image(water_scan))
+    data = water_scan.data.copy()
+    data[0, 3, 16, 16] = np.nan
+    corrupt = maskgen.make_mask(maskgen.mean_image(data))
+    assert clean.count > 100
+    assert abs(corrupt.count - clean.count) <= 1
+
+
 def test_threshold_is_relative_to_peak():
     rng = np.random.default_rng(4)
     mean = rng.uniform(0.0, 1.0, (24, 24))

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import maskgen, phantom, pipeline, seqsim
+from qmapkit import fitcore, maskgen, phantom, pipeline, seqsim, t2fit
 
 from conftest import WATER
 
@@ -101,6 +101,42 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
                         atol=0.005)
 
 
+def test_estimate_all_builds_echo_bases_once_per_segment(monkeypatch):
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
+    pm.b1_scale[:, :16] = 0.9
+    images = seqsim.simulate_scan(pm)
+    calls = {"echo_basis": 0, "solve_boxed": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(t2fit, "echo_basis")
+    counted(fitcore, "solve_boxed")
+    bits = np.zeros(pm.shape, dtype=bool)
+    bits[16, 12:20] = True
+    maps = pipeline.estimate_all(images, maskgen.Mask(bits=bits),
+                                 pipeline.EstimateOptions(b1_k_min=0.7,
+                                                          b1_k_max=1.3))
+    assert np.all(maps.valid["t1"][bits])
+    # One call per segment over both distinct scales; one T2 solve and one
+    # solve per T1 start for each pixel.
+    assert calls["echo_basis"] == 2
+    starts = len(pipeline.EstimateOptions().t1_starts)
+    assert calls["solve_boxed"] == bits.sum() * (1 + starts)
+
+
+def test_estimate_options_reject_bad_fit_bounds():
+    with pytest.raises(ValueError):
+        pipeline.EstimateOptions(t1_bounds=(5.0, 0.05))
+    with pytest.raises(ValueError):
+        pipeline.EstimateOptions(t2_bounds=(0.0, 3.0))
+
+
 def test_non_finite_pixel_is_invalid_and_isolated(water_scan):
     bits = np.zeros(water_scan.data.shape[2:], dtype=bool)
     bits[16, 12:20] = True
@@ -120,3 +156,20 @@ def test_non_finite_pixel_is_invalid_and_isolated(water_scan):
             npt.assert_array_equal(got[others], getattr(clean, name)[others])
             npt.assert_array_equal(maps.valid[name], clean.valid[name]
                                    & others)
+
+
+def test_non_finite_sample_keeps_derived_mask(water_scan):
+    clean = pipeline.estimate_all(water_scan)
+    data = water_scan.data.copy()
+    data[0, 3, 16, 16] = np.nan
+    maps = pipeline.estimate_all(replace(water_scan, data=data))
+    others = np.ones(clean.mask.shape, dtype=bool)
+    others[16, 16] = False
+    assert clean.mask.sum() > 100
+    npt.assert_array_equal(maps.mask[others], clean.mask[others])
+    for name in pipeline.MAP_NAMES:
+        assert (getattr(maps, name)[others].tobytes()
+                == getattr(clean, name)[others].tobytes())
+        npt.assert_array_equal(maps.valid[name][others],
+                               clean.valid[name][others])
+        assert not maps.valid[name][16, 16]

@@ -27,72 +27,70 @@ def test_attenuation_vanishing_pulse_and_bad_index():
         t2fit.echo_attenuation(4, 1.0)
 
 
-def _uniform_ctx(weight, theta, echo_times=(0.012, 0.024, 0.040), nz=9):
+ECHO_TIMES = (0.012, 0.024, 0.040)
+T2_BOUNDS = (0.005, 3.0)
+
+
+def _uniform_basis(weight, theta, nz=9):
     z = np.linspace(-1.0, 1.0, nz)
-    return t2fit.EchoModelContext(
-        weights=np.full(nz, weight, dtype=complex),
-        theta_z=np.full(nz, theta),
-        echo_times=echo_times,
-        z_samples=z,
-    )
+    return t2fit.echo_basis(np.full(nz, weight, dtype=complex),
+                            np.full(nz, theta), z)
 
 
-def test_context_validation():
-    with pytest.raises(ValueError):
-        _uniform_ctx(1.0, np.pi, echo_times=(0.012, 0.024))
-    with pytest.raises(ValueError):
-        _uniform_ctx(1.0, np.pi, echo_times=(0.024, 0.012, 0.040))
-    with pytest.raises(ValueError):
-        t2fit.EchoModelContext(weights=np.ones(3), theta_z=np.ones(4),
-                               echo_times=(0.01, 0.02, 0.03),
-                               z_samples=np.zeros(3))
+def test_echo_basis_keeps_leading_axes():
+    rng = np.random.default_rng(0)
+    z = np.linspace(-1.0, 1.0, 9)
+    w = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    theta = rng.uniform(0.5 * np.pi, np.pi, (4, 9))
+    stacked = t2fit.echo_basis(w, theta, z)
+    assert stacked.shape == (4, 3)
+    for i in range(4):
+        npt.assert_array_equal(stacked[i], t2fit.echo_basis(w[i], theta[i], z))
 
 
 def test_predict_echoes_uniform_profile():
-    ctx = _uniform_ctx(0.5, 2.0 * np.pi / 3.0)
+    basis = _uniform_basis(0.5, 2.0 * np.pi / 3.0)
     # integral of the constant weight: 0.5 * 9 samples * 0.25 spacing
     gain = 0.5 * 9 * 0.25
-    pred = t2fit.predict_echoes(2.0, 0.08, ctx)
+    pred = t2fit.predict_echoes(2.0, 0.08, basis, ECHO_TIMES)
     f = np.array([0.75, 0.5625, 0.28125])
-    dts = np.array([0.012, 0.024, 0.040])
+    dts = np.array(ECHO_TIMES)
     npt.assert_allclose(pred, 2.0 * gain * f * np.exp(-dts / 0.08),
                         rtol=1e-12)
 
 
 def test_loglinear_init_recovers_pure_exponential():
-    ctx = _uniform_ctx(1.0, np.pi)
-    basis = t2fit.echo_basis(ctx)
-    dts = np.array(ctx.echo_times)
-    echoes = 3.0 * basis * np.exp(-dts / 0.1)
-    amp, t2 = t2fit.loglinear_init(echoes, ctx)
+    basis = _uniform_basis(1.0, np.pi)
+    echoes = 3.0 * basis * np.exp(-np.array(ECHO_TIMES) / 0.1)
+    amp, t2 = t2fit.loglinear_init(echoes, basis, ECHO_TIMES, T2_BOUNDS)
     assert amp == pytest.approx(3.0, rel=1e-9)
     assert t2 == pytest.approx(0.1, rel=1e-9)
 
 
 def test_fit_t2_joint_two_segment_recovery():
-    ctx1 = _uniform_ctx(np.sin(np.pi / 3.0), 0.9 * np.pi)
-    ctx2 = _uniform_ctx(np.sin(2.0 * np.pi / 3.0), 0.9 * np.pi)
+    basis1 = _uniform_basis(np.sin(np.pi / 3.0), 0.9 * np.pi)
+    basis2 = _uniform_basis(np.sin(2.0 * np.pi / 3.0), 0.9 * np.pi)
     for t2_true in (0.04, 0.08, 0.15):
-        e1 = t2fit.predict_echoes(1.3, t2_true, ctx1)
-        e2 = t2fit.predict_echoes(1.3, t2_true, ctx2)
-        fit = t2fit.fit_t2(e1, e2, ctx1, ctx2)
+        e1 = t2fit.predict_echoes(1.3, t2_true, basis1, ECHO_TIMES)
+        e2 = t2fit.predict_echoes(1.3, t2_true, basis2, ECHO_TIMES)
+        fit = t2fit.fit_t2(e1, e2, basis1, basis2, ECHO_TIMES, T2_BOUNDS)
         assert fit.valid and not fit.at_bound
         assert fit.t2 == pytest.approx(t2_true, rel=1e-6)
         assert fit.amp == pytest.approx(1.3, rel=1e-6)
 
 
 def test_fit_t2_flags_bound_when_decay_unresolvable():
-    ctx = _uniform_ctx(1.0, np.pi)
-    flat = t2fit.echo_basis(ctx)          # no decay at all
-    fit = t2fit.fit_t2(flat, flat, ctx, ctx)
+    flat = _uniform_basis(1.0, np.pi)          # no decay at all
+    fit = t2fit.fit_t2(flat, flat, flat, flat, ECHO_TIMES, T2_BOUNDS)
     assert fit.valid and fit.at_bound
     assert fit.t2 == pytest.approx(3.0)
 
 
 def test_fit_t2_zero_data_invalid():
-    ctx = _uniform_ctx(1.0, np.pi)
-    fit = t2fit.fit_t2(np.zeros(3), np.zeros(3), ctx, ctx)
+    basis = _uniform_basis(1.0, np.pi)
+    fit = t2fit.fit_t2(np.zeros(3), np.zeros(3), basis, basis, ECHO_TIMES,
+                       T2_BOUNDS)
     assert not fit.valid
     with pytest.raises(ValueError):
-        t2fit.fit_t2(np.zeros(4), np.zeros(3), ctx, ctx)
-
+        t2fit.fit_t2(np.zeros(4), np.zeros(3), basis, basis, ECHO_TIMES,
+                     T2_BOUNDS)
