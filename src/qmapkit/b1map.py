@@ -44,18 +44,19 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     """Tabulate the readout ratio over a transmit-scale grid.
 
     The double pulse is the single pulse at twice the amplitude, so its
-    curve is the single pulse's at twice the scale.  The raw curve is
-    non-monotone once the doubled flip passes the signal null, so the table
-    keeps only the initial decreasing branch.
+    curve is the single pulse's at twice the scale: one curve call covers
+    both scale grids.  The raw curve is non-monotone once the doubled flip
+    passes the signal null, so the table keeps only the initial decreasing
+    branch.
     """
     if not (0 < k_min < k_max) or step <= 0:
         raise ValueError("need 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
-    z = pulses.z_grid()
-    single = pulses.imaging
-    lo = np.abs(bloch.integrated_transverse_curve(single, k_axis, z))
-    hi = np.abs(bloch.integrated_transverse_curve(single, 2.0 * k_axis, z))
+    curve = np.abs(bloch.integrated_transverse_curve(
+        pulses.imaging, np.concatenate([k_axis, 2.0 * k_axis]),
+        pulses.z_grid()))
+    lo, hi = curve[:n], curve[n:]
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo

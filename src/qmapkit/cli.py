@@ -60,29 +60,45 @@ def _pulse_params_from_config(cfg: dict) -> seqsim.PulseParams:
     return seqsim.PulseParams(**section)
 
 
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+# The estimate sections of a config: section -> key -> (EstimateOptions
+# field, converter).  A bound key gives, in place of a converter, its index
+# in the field's (low, high) pair; the other bound keeps its default.
+_OPTION_KEYS = {
+    "b1": {"k_min": ("b1_k_min", float), "k_max": ("b1_k_max", float),
+           "step": ("b1_step", float)},
+    "t2": {"min": ("t2_bounds", 0), "max": ("t2_bounds", 1)},
+    "wf": {"t2s_min": ("t2s_min", float), "t2s_max": ("t2s_max", float),
+           "t2s_points": ("t2s_points", int),
+           "d_omega_step": ("d_omega_step", float),
+           "omega_bound": ("omega_bound", float)},
+    "t1": {"starts": ("t1_starts", _floats), "min": ("t1_bounds", 0),
+           "max": ("t1_bounds", 1)},
+}
+
+
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
-    kw = {}
-    b1 = cfg.get("b1", {})
-    for src, dst in (("k_min", "b1_k_min"), ("k_max", "b1_k_max"),
-                     ("step", "b1_step")):
-        if src in b1:
-            kw[dst] = float(b1[src])
-    wf = cfg.get("wf", {})
-    for key in ("t2s_min", "t2s_max", "d_omega_step", "omega_bound"):
-        if key in wf:
-            kw[key] = float(wf[key])
-    if "t2s_points" in wf:
-        kw["t2s_points"] = int(wf["t2s_points"])
-    t1 = cfg.get("t1", {})
-    if "starts" in t1:
-        kw["t1_starts"] = tuple(float(v) for v in t1["starts"])
+    unknown = sorted(f"{section}.{key}"
+                     for section, keys in _OPTION_KEYS.items()
+                     for key in set(cfg.get(section, {})) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown estimate option keys {unknown}")
     defaults = pipeline.EstimateOptions()
-    for section, key in (("t2", "t2_bounds"), ("t1", "t1_bounds")):
-        bounds = cfg.get(section, {})
-        if "min" in bounds or "max" in bounds:
-            lo, hi = getattr(defaults, key)
-            kw[key] = (float(bounds.get("min", lo)),
-                       float(bounds.get("max", hi)))
+    kw = {}
+    for section, keys in _OPTION_KEYS.items():
+        given = cfg.get(section, {})
+        for key, (field, convert) in keys.items():
+            if key not in given:
+                continue
+            if isinstance(convert, int):
+                bounds = list(kw.get(field, getattr(defaults, field)))
+                bounds[convert] = float(given[key])
+                kw[field] = tuple(bounds)
+            else:
+                kw[field] = convert(given[key])
     return pipeline.EstimateOptions(**kw)
 
 

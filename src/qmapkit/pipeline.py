@@ -139,10 +139,9 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     # fitcore.solve_boxed, and its hooks read each pixel's result.
 
     # T2 from the spin echoes I9-I11 of both segments.
-    basis = [t2fit.echo_basis(txr, profs.theta_inv, profs.z)
-             for txr in profs.txr_imaging]
+    basis1, basis2 = profs.echo_bases
     t2_fits = [
-        t2fit.fit_t2(e[0], e[1], basis[0][j], basis[1][j],
+        t2fit.fit_t2(e[0], e[1], basis1[j], basis2[j],
                      timing.echo_offsets, opts.t2_bounds)
         for e, j in zip(np.abs(px[:, :, 8:11]), which)]
     est["t2"] = np.array([f.t2 for f in t2_fits])

@@ -182,7 +182,7 @@ class PixelProfiles:
     txr_probe: np.ndarray
     mzf_probe: np.ndarray      # longitudinal survival factor, per z
     txr_imaging: tuple         # one complex array per segment
-    theta_inv: np.ndarray      # refocusing rotation angle, per z
+    echo_bases: tuple          # one (..., 3) t2fit.echo_basis per segment
 
     def at(self, i) -> "PixelProfiles":
         """The profiles at entry ``i`` of an array of scales."""
@@ -190,7 +190,7 @@ class PixelProfiles:
             k=float(self.k[i]), z=self.z, txr_sat=self.txr_sat[i],
             txr_probe=self.txr_probe[i], mzf_probe=self.mzf_probe[i],
             txr_imaging=tuple(t[i] for t in self.txr_imaging),
-            theta_inv=self.theta_inv[i])
+            echo_bases=tuple(b[i] for b in self.echo_bases))
 
 
 def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
@@ -205,14 +205,16 @@ def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
 
     probe = bloch.cayley_klein(pulses.probe, ks, z)
     inv_alpha, _ = bloch.cayley_klein(pulses.inversion, ks, z)
+    txr_imaging = (excite(pulses.imaging), excite(pulses.imaging, 2.0 * ks))
+    theta_inv = bloch.refocusing_angle(inv_alpha)
     return PixelProfiles(
         k=float(k) if ks.ndim == 0 else ks, z=z,
         txr_sat=excite(pulses.sat),
         txr_probe=bloch.transverse(pulses.probe, *probe, z),
         mzf_probe=bloch.longitudinal(*probe),
-        txr_imaging=(excite(pulses.imaging),
-                     excite(pulses.imaging, 2.0 * ks)),
-        theta_inv=bloch.refocusing_angle(inv_alpha),
+        txr_imaging=txr_imaging,
+        echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
+                         for txr in txr_imaging),
     )
 
 
@@ -265,8 +267,8 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
         # chemical shift, so decay is pure T2 and the phase is the source's.
         gain = abs(bloch.integrate_slice(txr_img, z))
         if gain > 0 and abs(a_src) > 0:
-            basis = t2fit.echo_basis(txr_img, profiles.theta_inv, z)
-            mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2, basis,
+            mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2,
+                                        profiles.echo_bases[seg],
                                         timing.echo_offsets)
             out[seg, 8:11] = (a_src / abs(a_src)) * mags
     return out

@@ -264,17 +264,21 @@ CFG_DETERMINISM = {
 }
 
 
-def _run_pipeline_process(workdir, cfg_path, threads):
+def _run_pipeline_process(workdir, cfg_path, threads, cpus=None):
+    """Simulate then estimate in subprocesses with every thread variable
+    set to ``threads`` and, when ``cpus`` is given, pinned to those CPUs."""
     env = os.environ.copy()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         env[var] = threads
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     images, maps = workdir / "images", workdir / "maps"
     for cmd in (["simulate", "--config", cfg_path, "--out", str(images)],
                 ["estimate", "--config", cfg_path, "--images", str(images),
                  "--out", str(maps)]):
         proc = subprocess.run([sys.executable, "-m", "qmapkit.cli", *cmd],
-                              env=env, capture_output=True, text=True)
+                              env=env, preexec_fn=pin, capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
     return images, maps
 
@@ -286,12 +290,19 @@ def _dir_bytes(path):
 def test_7_deterministic_outputs(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(CFG_DETERMINISM))
-    run_a, run_b = tmp_path / "a", tmp_path / "b"
-    run_a.mkdir()
-    run_b.mkdir()
-    img_a, maps_a = _run_pipeline_process(run_a, str(cfg_path), "1")
-    img_b, maps_b = _run_pipeline_process(run_b, str(cfg_path), "4")
-    assert _dir_bytes(img_a) == _dir_bytes(img_b)
-    assert _dir_bytes(maps_a) == _dir_bytes(maps_b)
-    print("criterion 7: image and map payloads byte-identical across "
-          "thread counts")
+    runs = [("1", None), ("4", None)]
+    if hasattr(os, "sched_setaffinity"):
+        # The Bloch kernel's pool is sized from the CPU affinity as well.
+        runs.append(("4", {min(os.sched_getaffinity(0))}))
+    outputs = []
+    for i, (threads, cpus) in enumerate(runs):
+        workdir = tmp_path / str(i)
+        workdir.mkdir()
+        outputs.append(_run_pipeline_process(workdir, str(cfg_path),
+                                             threads, cpus))
+    (img_a, maps_a), *others = outputs
+    for img_b, maps_b in others:
+        assert _dir_bytes(img_a) == _dir_bytes(img_b)
+        assert _dir_bytes(maps_a) == _dir_bytes(maps_b)
+    print(f"criterion 7: image and map payloads byte-identical across "
+          f"{len(runs)} thread/CPU settings")

@@ -90,6 +90,16 @@ def test_validation_errors_exit_1(tmp_path):
                      "--out", str(tmp_path / "m.pbm")]) == 1
 
 
+def test_misspelled_estimate_options_are_rejected(tmp_path):
+    bad = {"t1": {"mn": 0.1}, "wf": {"t2s_pts": 3}, "b1": {"kmin": 0.5}}
+    with pytest.raises(ValueError) as err:
+        cli._options_from_config(bad)
+    for key in ("b1.kmin", "t1.mn", "wf.t2s_pts"):
+        assert key in str(err.value)
+    cfg = _write_config(tmp_path, {"t2": {"mx": 2.0}})
+    assert cli.main(["lut", "--config", cfg]) == 1
+
+
 def test_io_errors_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2

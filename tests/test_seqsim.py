@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import bloch, phantom, seqsim
+from qmapkit import bloch, phantom, seqsim, t2fit
 
 from conftest import WATER, snr_sigma
 
@@ -167,11 +167,13 @@ def test_vectorised_profiles_equal_scalar_calls(hard):
         one = seqsim.pixel_profiles(pulses, ks[idx])
         assert one.k == ks[idx] and one.txr_sat.shape == one.z.shape
         picked = stacked.at(idx)
-        for name in ("txr_sat", "txr_probe", "mzf_probe", "theta_inv"):
+        for name in ("txr_sat", "txr_probe", "mzf_probe"):
             npt.assert_array_equal(getattr(picked, name), getattr(one, name))
         for seg in (0, 1):
             npt.assert_array_equal(picked.txr_imaging[seg],
                                    one.txr_imaging[seg])
+            npt.assert_array_equal(picked.echo_bases[seg],
+                                   one.echo_bases[seg])
 
 
 def test_simulate_scan_computes_profiles_once(monkeypatch):
@@ -197,3 +199,21 @@ def test_simulate_scan_computes_profiles_once(monkeypatch):
             pm.params_at(r, c), seqsim.SequenceTiming(),
             original(pulses, pm.b1_scale[r, c]))
         npt.assert_array_equal(plain.data[:, :, r, c], ref)
+
+
+def test_simulate_scan_builds_echo_bases_once_per_segment(monkeypatch):
+    # One transmit scale: one pixel_profiles call, one echo basis per
+    # segment, however many pixels share it.
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
+    plain = seqsim.simulate_scan(pm)
+    calls = []
+    original = t2fit.echo_basis
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(t2fit, "echo_basis", counted)
+    counted_scan = seqsim.simulate_scan(pm)
+    assert calls == [(1, seqsim.PulseParams().z_count)] * 2
+    npt.assert_array_equal(counted_scan.data, plain.data)
