@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from . import bloch
 from .seqsim import SequencePulses
@@ -44,19 +45,37 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     """Tabulate the readout ratio over a transmit-scale grid.
 
     The double pulse is the single pulse at twice the amplitude, so its
-    curve is the single pulse's at twice the scale: one curve call covers
-    both scale grids.  The raw curve is non-monotone once the doubled flip
-    passes the signal null, so the table keeps only the initial decreasing
-    branch.
+    curve is the single pulse's at twice the scale.  Both complex curves
+    are analytic in the scale, so they are propagated only at ``m``
+    Chebyshev points of the first kind on [k_min, k_max] (and twice those
+    points), in one curve call, and interpolated onto the grid
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    ``m = 16 + ceil(2 * A * (k_max - k_min))`` grows with the pulse's
+    nutation area ``A``, which sets how fast the curves oscillate in k.
+    The coefficients are an elementwise product and sum, not a matrix
+    product, so they do not depend on BLAS threads.  Magnitudes are taken
+    only after interpolation: they have a kink at the signal null.
+
+    The raw ratio is non-monotone once the doubled flip passes the null, so
+    the table keeps only the initial decreasing branch.
     """
     if not (0 < k_min < k_max) or step <= 0:
         raise ValueError("need 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
-    curve = np.abs(bloch.integrated_transverse_curve(
-        pulses.imaging, np.concatenate([k_axis, 2.0 * k_axis]),
-        pulses.z_grid()))
-    lo, hi = curve[:n], curve[n:]
+    img = pulses.imaging
+    area = np.sum(np.abs(img.samples)) * img.dt
+    m = 16 + int(np.ceil(2.0 * area * (k_max - k_min)))
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    mid, half = 0.5 * (k_max + k_min), 0.5 * (k_max - k_min)
+    nodes = mid + half * np.cos(theta)
+    values = bloch.integrated_transverse_curve(
+        img, np.concatenate([nodes, 2.0 * nodes]), pulses.z_grid())
+    # c_j = (2/m) sum_i f(x_i) cos(j theta_i), with c_0 halved.
+    cosines = np.cos(np.arange(m)[:, None] * theta)
+    coef = (2.0 / m) * np.sum(values.reshape(2, 1, m) * cosines, axis=-1)
+    coef[:, 0] *= 0.5
+    lo, hi = np.abs(chebval((k_axis - mid) / half, coef.T))
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo
@@ -75,8 +94,8 @@ def estimate_b1(mag_single, mag_double, table: RatioTable):
     """Invert the table for per-pixel transmit scale.
 
     Returns ``(k, valid)`` with the shapes of the inputs.  Pixels whose
-    single-amplitude readout is non-positive are invalid (k set to 1);
-    measured ratios beyond the table clamp to its ends and stay valid.
+    single-amplitude readout is non-positive are invalid (k set to 1).
+    Measured ratios beyond the table clamp k to its ends and are invalid.
     """
     lo = np.asarray(mag_single, dtype=float)
     hi = np.asarray(mag_double, dtype=float)
@@ -87,7 +106,7 @@ def estimate_b1(mag_single, mag_double, table: RatioTable):
     # np.interp wants ascending sample points; the stored branch descends.
     k = np.interp(ratio, table.ratios[::-1], table.k_values[::-1])
     k = np.where(valid, k, 1.0)
+    valid &= (ratio <= table.ratios[0]) & (ratio >= table.ratios[-1])
     if np.ndim(mag_single) == 0:
         return float(k), bool(valid)
     return k, valid
-

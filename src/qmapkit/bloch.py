@@ -15,9 +15,6 @@ Conventions (fixed for the whole toolkit):
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,17 +124,8 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     A piece whose scaled amplitude is zero is the identity: the slice
     gradient alone does not rotate.
     """
-    ks = np.asarray(b1_scales, dtype=float)
+    ks = np.asarray(b1_scales, dtype=float)[..., None]
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    alpha, beta = _propagate(pulse, ks.reshape(-1), z)
-    shape = ks.shape + (z.size,)
-    return alpha.reshape(shape), beta.reshape(shape)
-
-
-def _propagate(pulse: RfPulse, ks, z):
-    """``cayley_klein`` over a 1-D array of scales: the product of the
-    pieces' spinor rotations, elementwise over (scale, z)."""
-    ks = ks[:, None]
     dw = np.where(ks != 0.0, pulse.slice_gradient * z, 0.0)
     alpha = np.ones(dw.shape, dtype=complex)
     beta = np.zeros(dw.shape, dtype=complex)
@@ -150,68 +138,6 @@ def _propagate(pulse: RfPulse, ks, z):
         alpha, beta = (a_p * alpha - b_p.conj() * beta,
                        b_p * alpha + a_p.conj() * beta)
     return alpha, beta
-
-
-def _thread_budget() -> int:
-    """CPUs in this process's affinity, at most ``OMP_NUM_THREADS`` when
-    that is set to a positive integer."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    try:
-        cap = int(os.environ.get("OMP_NUM_THREADS", ""))
-    except ValueError:
-        cap = 0
-    return min(cpus, cap) if cap > 0 else cpus
-
-
-# integrated_transverse_curve splits its scales into fixed blocks of _BLOCK,
-# which keep a block's working arrays in cache, and shares the blocks between
-# the calling thread and one pool worker per further CPU this process may use:
-# the CPUs in its affinity (os.sched_getaffinity is Linux-only), at most
-# OMP_NUM_THREADS when that is set.  The workers start on first use.  Every
-# output element is computed by the same operations whatever the block and
-# thread that holds it, so the output bits depend on neither.
-_BLOCK = 128
-_WORKERS = _thread_budget() - 1
-_POOL = (ThreadPoolExecutor(_WORKERS, thread_name_prefix="bloch")
-         if _WORKERS > 0 else None)
-
-
-def _blocked(fn, n):
-    """Call ``fn(lo, hi)`` once per block of the scale range ``[0, n)``
-    (one empty block when ``n`` is 0), and return when all have run.  The
-    calling thread takes blocks alongside the pool's workers, so it waits
-    only for the last block.
-
-    ``fn`` runs on worker threads: it must call no public function of this
-    module that a tracer may wrap (``slice_profile``,
-    ``integrated_transverse_curve``), since a span opened on a worker would
-    land in the calling thread's span tree.
-    """
-    bounds = [(lo, min(lo + _BLOCK, n)) for lo in range(0, max(n, 1), _BLOCK)]
-    if _POOL is None or len(bounds) == 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
-    queue = iter(bounds)
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                job = next(queue, None)
-            if job is None:
-                return
-            fn(*job)
-
-    helpers = [_POOL.submit(drain) for _ in bounds[1:]]
-    try:
-        drain()
-    finally:
-        for helper in helpers:
-            # A helper that has not started would find the queue empty.
-            if not helper.cancel():
-                helper.result()
 
 
 def transverse(pulse: RfPulse, alpha, beta, z_samples) -> np.ndarray:
@@ -253,20 +179,11 @@ def integrated_transverse_curve(pulse: RfPulse, b1_scales,
                                 z_samples) -> np.ndarray:
     """Slice-integrated rephased transverse response, one complex value per
     entry of ``b1_scales``: what a readout of unit longitudinal
-    magnetization through this pulse would measure.  Each block of scales
-    is propagated, rephased and integrated on its own, so the full
-    (scale, z) responses never exist at once."""
+    magnetization through this pulse would measure."""
     ks = np.atleast_1d(np.asarray(b1_scales, dtype=float))
-    z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    flat = ks.reshape(-1)
-    out = np.empty(flat.size, dtype=complex)
-
-    def block(lo, hi):
-        out[lo:hi] = integrate_slice(
-            transverse(pulse, *_propagate(pulse, flat[lo:hi], z), z), z)
-
-    _blocked(block, flat.size)
-    return out.reshape(ks.shape)
+    return integrate_slice(
+        transverse(pulse, *cayley_klein(pulse, ks, z_samples), z_samples),
+        z_samples)
 
 
 def rephased(profile: SliceProfile, pulse: RfPulse) -> SliceProfile:

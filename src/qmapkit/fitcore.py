@@ -1,7 +1,7 @@
 """Shared fitting machinery: linear least squares, box-constrained
 Gauss-Newton, and multi-start.
 
-All solvers here are deterministic: no randomness, no threading, and
+All solvers here are deterministic: no randomness, no threads, and
 tie-breaking rules that do not depend on evaluation schedule.
 """
 

@@ -76,19 +76,9 @@ class EstimateOptions:
                 raise ValueError(f"{name} {(lo, hi)}: need 0 < low < high")
 
 
-_table_cache = {}
-
-
 def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
-    # The imaging waveform is fixed by the pulse geometry and its flip.
-    key = (pulses.params, pulses.imaging.nominal_flip, opts.b1_k_min,
-           opts.b1_k_max, opts.b1_step)
-    table = _table_cache.get(key)
-    if table is None:
-        table = b1map.build_ratio_table(pulses, opts.b1_k_min, opts.b1_k_max,
-                                        opts.b1_step)
-        _table_cache[key] = table
-    return table
+    return b1map.build_ratio_table(pulses, opts.b1_k_min, opts.b1_k_max,
+                                   opts.b1_step)
 
 
 def _quantize(k: float, opts: EstimateOptions) -> float:

@@ -292,7 +292,7 @@ def test_7_deterministic_outputs(tmp_path):
     cfg_path.write_text(json.dumps(CFG_DETERMINISM))
     runs = [("1", None), ("4", None)]
     if hasattr(os, "sched_setaffinity"):
-        # The Bloch kernel's pool is sized from the CPU affinity as well.
+        # Pinned to one CPU: the outputs must not depend on the CPU count.
         runs.append(("4", {min(os.sched_getaffinity(0))}))
     outputs = []
     for i, (threads, cpus) in enumerate(runs):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import b1map
+from qmapkit import b1map, bloch, seqsim
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +57,11 @@ def test_estimate_interpolates_off_grid(hard_table):
 
 
 def test_estimate_clamps_and_flags(hard_table):
-    # Ratio above the table start clamps to k_min; near-zero ratio to k_max.
+    # Ratio above the table start clamps to k_min, a zero ratio to k_max;
+    # both are flagged invalid.
     hi, ok_hi = b1map.estimate_b1(1.0, 5.0, hard_table)
-    lo, ok_lo = b1map.estimate_b1(1.0, 1e-9, hard_table)
-    assert ok_hi and ok_lo
+    lo, ok_lo = b1map.estimate_b1(1.0, 0.0, hard_table)
+    assert not ok_hi and not ok_lo
     assert hi == pytest.approx(hard_table.k_values[0])
     assert lo == pytest.approx(hard_table.k_values[-1])
     bad, ok_bad = b1map.estimate_b1(0.0, 0.3, hard_table)
@@ -77,3 +80,60 @@ def test_estimate_b1_array_shapes(hard_table):
     with pytest.raises(ValueError):
         b1map.estimate_b1(np.ones(3), np.ones(4), hard_table)
 
+
+
+def _direct_table(pulses, k_min, k_max, step):
+    """The ratio table from the curve propagated at every grid scale."""
+    n = int(round((k_max - k_min) / step)) + 1
+    k = k_min + step * np.arange(n)
+    curve = np.abs(bloch.integrated_transverse_curve(
+        pulses.imaging, np.concatenate([k, 2.0 * k]), pulses.z_grid()))
+    ratios = curve[n:] / curve[:n]
+    upticks = np.flatnonzero(np.diff(ratios) >= 0)
+    keep = upticks[0] + 1 if upticks.size else n
+    return k[:keep], ratios[:keep]
+
+
+_SINC = seqsim.build_pulses()
+_HARD = seqsim.build_pulses(seqsim.PulseParams(hard=True),
+                            seqsim.default_timing())
+_SINC_90_180 = seqsim.build_pulses(
+    seqsim.PulseParams(),
+    replace(seqsim.default_timing(), imaging_flips=(np.pi / 2, np.pi)))
+
+
+@pytest.mark.parametrize("pulses, k_min, k_max, step", [
+    (_SINC, 0.2, 1.8, 0.002), (_SINC, 0.7, 1.3, 0.002),
+    (_SINC, 0.1, 6.0, 0.01), (_HARD, 0.2, 1.8, 0.002),
+    (_HARD, 0.7, 1.3, 0.002), (_HARD, 0.1, 6.0, 0.002),
+    (_SINC_90_180, 0.2, 1.8, 0.002),
+], ids=["sinc-wide", "sinc-narrow", "sinc-0.1-6", "hard-wide",
+        "hard-narrow", "hard-0.1-6", "sinc-90-180"])
+def test_table_from_nodes_matches_direct_table(pulses, k_min, k_max, step):
+    # Error budget of the Chebyshev interpolation: same grid, same branch
+    # cut, ratios to 1e-12.  The sinc over [0.1, 6] uses a coarser grid to
+    # keep the direct propagation short; the nodes do not depend on it.
+    table = b1map.build_ratio_table(pulses, k_min, k_max, step)
+    k, ratios = _direct_table(pulses, k_min, k_max, step)
+    npt.assert_array_equal(table.k_values, k)
+    npt.assert_allclose(table.ratios, ratios, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k_max, n_scales", [(1.8, 40), (6.0, 60)])
+def test_table_makes_one_curve_call_at_the_nodes(monkeypatch, k_max,
+                                                 n_scales):
+    # m = 16 + ceil(2 A (k_max - k_min)) nodes, A = 1.19 for the default
+    # imaging pulse: 20 for k in [0.2, 1.8], 30 for [0.2, 6.0].
+    calls = []
+    curve = bloch.integrated_transverse_curve
+
+    def counted(pulse, b1_scales, z_samples):
+        calls.append(np.array(b1_scales))
+        return curve(pulse, b1_scales, z_samples)
+    monkeypatch.setattr(bloch, "integrated_transverse_curve", counted)
+    table = b1map.build_ratio_table(_SINC, 0.2, k_max, 0.002)
+    assert len(calls) == 1 and calls[0].shape == (n_scales,)
+    nodes, doubled = np.split(calls[0], 2)
+    npt.assert_array_equal(doubled, 2.0 * nodes)
+    assert np.all((nodes > 0.2) & (nodes < k_max))
+    assert table.k_values.size > 2

@@ -1,13 +1,9 @@
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from qmapkit import b1map, bloch, seqsim
+from qmapkit import bloch, seqsim
 
 
 def test_hard_pulse_tips_by_flip():
@@ -182,82 +178,20 @@ def _assert_bit_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.fixture(params=[0, 1, 2], ids=["inline", "1-worker", "2-workers"])
-def pool_workers(request, monkeypatch):
-    """Run the kernel with no pool (calling thread only) or a pool of 1 or 2
-    workers beside the calling thread."""
-    if request.param == 0:
-        monkeypatch.setattr(bloch, "_POOL", None)
-        yield 0
-        return
-    with ThreadPoolExecutor(request.param) as pool:
-        monkeypatch.setattr(bloch, "_POOL", pool)
-        yield request.param
-
-
-@pytest.mark.parametrize("shape", [(), (1,), (128,), (129,), (1602,),
-                                   (3, 67)],
-                         ids=["scalar", "1", "128", "129", "1602", "2d"])
-def test_blocks_are_bit_equal_across_worker_counts(shape, pool_workers):
-    # Reference: one pass of the per-piece recurrence over every scale at
-    # once, the unblocked single-thread kernel.
+@pytest.mark.parametrize("shape", [(), (3, 67)], ids=["scalar", "2d"])
+def test_kernel_keeps_shape_and_equals_per_entry_calls(shape):
     pulse = bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3, n_pieces=32,
                                      phase=-np.pi / 2)
     z = bloch.default_z_grid(4e-3, n=33)
     ks = np.linspace(3.6, 0.0, max(int(np.prod(shape)), 1)).reshape(shape)
-    alpha, beta = bloch._propagate(pulse, ks.reshape(-1), z)
-    curve = bloch.integrate_slice(bloch.transverse(pulse, alpha, beta, z), z)
-    got_a, got_b = bloch.cayley_klein(pulse, ks, z)
-    _assert_bit_equal(got_a, alpha.reshape(shape + (z.size,)))
-    _assert_bit_equal(got_b, beta.reshape(shape + (z.size,)))
-    _assert_bit_equal(bloch.integrated_transverse_curve(pulse, ks, z),
-                      curve.reshape(np.atleast_1d(ks).shape))
-
-
-def test_ratio_table_equals_two_curve_construction(pool_workers):
-    pulses = seqsim.build_pulses()
-    z = pulses.z_grid()
-    table = b1map.build_ratio_table(pulses, 0.7, 1.3, 0.002)
-    k_axis = 0.7 + 0.002 * np.arange(301)
-    ratios = (np.abs(bloch.integrated_transverse_curve(pulses.imaging,
-                                                       2.0 * k_axis, z))
-              / np.abs(bloch.integrated_transverse_curve(pulses.imaging,
-                                                         k_axis, z)))
-    keep = table.k_values.size
-    _assert_bit_equal(table.k_values, k_axis[:keep])
-    _assert_bit_equal(table.ratios, ratios[:keep])
-
-
-def test_traced_attributes_run_on_the_calling_thread(monkeypatch):
-    # A tracer wraps these module attributes with one span stack; a call
-    # from a worker thread would put a span in the caller's tree.
-    calls = []
-    for name in ("integrated_transverse_curve", "slice_profile"):
-        original = getattr(bloch, name)
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, threading.get_ident(), args[1]))
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(bloch, name, wrapper)
-    pulses = seqsim.build_pulses()
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(bloch, "_POOL", pool)
-        table = b1map.build_ratio_table(pulses, 0.7, 1.3, 0.002)
-        seqsim.pixel_profiles(pulses, np.linspace(0.7, 1.3, 300))
-        bloch.slice_profile(pulses.imaging, 1.0, pulses.z_grid())
-    # One curve over k and 2k: the traced piece-rotation count (pieces x
-    # scales x z) equals that of one curve each at k and at 2k.
-    curves = [c for c in calls if c[0] == "integrated_transverse_curve"]
-    assert len(curves) == 1 and curves[0][2].size == 2 * 301
-    assert table.k_values.size > 2
-    assert {ident for _, ident, _ in calls} == {threading.get_ident()}
-
-
-def test_thread_budget_is_capped_by_omp_num_threads(monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cpus = bloch._thread_budget()
-    assert cpus >= 1
-    for value, want in (("1", 1), (str(cpus + 3), cpus), ("0", cpus),
-                        ("2,1", cpus)):
-        monkeypatch.setenv("OMP_NUM_THREADS", value)
-        assert bloch._thread_budget() == want
+    alpha, beta = bloch.cayley_klein(pulse, ks, z)
+    curve = bloch.integrated_transverse_curve(pulse, ks, z)
+    assert alpha.shape == beta.shape == shape + (z.size,)
+    assert curve.shape == np.atleast_1d(ks).shape
+    for idx in np.ndindex(shape):
+        a, b = bloch.cayley_klein(pulse, float(ks[idx]), z)
+        _assert_bit_equal(alpha[idx], a)
+        _assert_bit_equal(beta[idx], b)
+        _assert_bit_equal(np.atleast_1d(curve[idx]),
+                          bloch.integrated_transverse_curve(
+                              pulse, float(ks[idx]), z))

@@ -62,9 +62,8 @@ def test_quantize_snaps_to_table_grid():
     assert pipeline._quantize(7.0, opts) == opts.b1_k_max
 
 
-def test_ratio_table_cache_keys_on_imaging_flip(monkeypatch):
+def test_ratio_table_cache_keys_on_imaging_flip():
     # A table built for the 60-degree scan must not serve a 45-degree one.
-    monkeypatch.setattr(pipeline, "_table_cache", {})
     pm = phantom.make_disc_phantom(32, 32, replace(WATER, b1_scale=1.1),
                                    radius_frac=0.25)
     opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
