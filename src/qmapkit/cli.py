@@ -60,10 +60,6 @@ def _pulse_params_from_config(cfg: dict) -> seqsim.PulseParams:
     return seqsim.PulseParams(**section)
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
 # The estimate sections of a config: section -> key -> (EstimateOptions
 # field, converter).  A bound key gives, in place of a converter, its index
 # in the field's (low, high) pair; the other bound keeps its default.
@@ -75,17 +71,22 @@ _OPTION_KEYS = {
            "t2s_points": ("t2s_points", int),
            "d_omega_step": ("d_omega_step", float),
            "omega_bound": ("omega_bound", float)},
-    "t1": {"starts": ("t1_starts", _floats), "min": ("t1_bounds", 0),
-           "max": ("t1_bounds", 1)},
+    "t1": {"min": ("t1_bounds", 0), "max": ("t1_bounds", 1)},
 }
+
+# Keys of older configs that no longer set anything: accepted and ignored,
+# with a warning on stderr.
+_IGNORED_KEYS = {"t1.starts"}
 
 
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
-    unknown = sorted(f"{section}.{key}"
-                     for section, keys in _OPTION_KEYS.items()
-                     for key in set(cfg.get(section, {})) - set(keys))
+    named = {f"{s}.{k}" for s in _OPTION_KEYS for k in cfg.get(s, {})}
+    known = {f"{s}.{k}" for s, keys in _OPTION_KEYS.items() for k in keys}
+    unknown = sorted(named - known - _IGNORED_KEYS)
     if unknown:
         raise ValueError(f"unknown estimate option keys {unknown}")
+    for key in sorted(named & _IGNORED_KEYS):
+        print(f"warning: config key {key} is ignored", file=sys.stderr)
     defaults = pipeline.EstimateOptions()
     kw = {}
     for section, keys in _OPTION_KEYS.items():

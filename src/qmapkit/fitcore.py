@@ -1,5 +1,5 @@
-"""Shared fitting machinery: linear least squares, box-constrained
-Gauss-Newton, and multi-start.
+"""Shared fitting machinery: linear least squares (the water/fat stage),
+and box-constrained Gauss-Newton with multi-start (the T1 stage).
 
 All solvers here are deterministic: no randomness, no threads, and
 tie-breaking rules that do not depend on evaluation schedule.

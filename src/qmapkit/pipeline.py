@@ -42,9 +42,6 @@ class QuantMaps:
     def shape(self):
         return self.mask.shape
 
-    def map_dict(self):
-        return {name: getattr(self, name) for name in MAP_NAMES}
-
     @classmethod
     def zeros(cls, shape):
         maps = {name: np.zeros(shape) for name in MAP_NAMES}
@@ -66,7 +63,6 @@ class EstimateOptions:
     t2s_points: int = 40
     d_omega_step: float = 2.0 * np.pi * 1.0
     omega_bound: float = 2.0 * np.pi * 60.0
-    t1_starts: tuple = t1fit.DEFAULT_T1_STARTS
     t1_bounds: tuple = (0.05, 5.0)
 
     def __post_init__(self):
@@ -125,8 +121,9 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     profs = pixel_profiles(pulses, ks)
 
     # The fits below stay one call per pixel: the benchmark's tracer
-    # (perfbench/tracer.py) wraps fit_t2, fit_waterfat, fit_t1_m0 and
-    # fitcore.solve_boxed, and its hooks read each pixel's result.
+    # (perfbench/tracer.py) wraps fit_t2, fit_waterfat, fit_t1_m0 and the
+    # T1 stage's fitcore.solve_boxed, and its hooks read each pixel's result.
+    # T2 and T1/M0 are fitted at k-hat, so they are valid only where B1 is.
 
     # T2 from the spin echoes I9-I11 of both segments.
     basis1, basis2 = profs.echo_bases
@@ -135,7 +132,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
                      timing.echo_offsets, opts.t2_bounds)
         for e, j in zip(np.abs(px[:, :, 8:11]), which)]
     est["t2"] = np.array([f.t2 for f in t2_fits])
-    ok["t2"] = np.array([f.valid for f in t2_fits], dtype=bool)
+    ok["t2"] = np.array([f.valid for f in t2_fits], dtype=bool) & ok["b1"]
 
     # Water/fat, T2* and off-resonance from the segment-averaged FIDs I1-I5.
     wf_cfg = waterfat.WfConfig(
@@ -169,11 +166,11 @@ def estimate_all(images: ImageSet, mask: Mask = None,
             imaging_txr=profs.txr_imaging[0][j], z_samples=profs.z,
             times=timing.acq_times[5:8], echo_time=te, mz0=mz0,
             echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
-        t1_fits.append(t1fit.fit_t1_m0(m, ctx, starts=opts.t1_starts))
+        t1_fits.append(t1fit.fit_t1_m0(m, ctx))
     t1_ok = np.array([f.valid for f in t1_fits], dtype=bool)
     for name in ("t1", "m0", "t1_over_m0"):
         est[name] = np.where(t1_ok, [getattr(f, name) for f in t1_fits], 0.0)
-        ok[name] = t1_ok
+        ok[name] = t1_ok & ok["b1"]
 
     out = QuantMaps.zeros((h, w))
     out.mask = mask.bits.copy()

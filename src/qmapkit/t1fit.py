@@ -117,12 +117,12 @@ class T1Fit(NamedTuple):
     valid: bool
 
 
-DEFAULT_T1_STARTS = (0.1, 0.3, 0.8, 1.5, 3.0)
+_STARTS = (0.1, 0.3, 0.8, 1.5, 3.0)  # T1 starts of the multi-start, s
 _MAX_ITER = 60      # Gauss-Newton iterations per start
 _TOL = 1e-12        # projected-gradient convergence threshold
 
 
-def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS) -> T1Fit:
+def fit_t1_m0(measured, ctx: T1Context) -> T1Fit:
     """Multi-start box-constrained fit of (t1, m0) to three magnitudes."""
     data = np.asarray(measured, dtype=float)
     if data.shape != (3,):
@@ -144,7 +144,7 @@ def fit_t1_m0(measured, ctx: T1Context, starts=DEFAULT_T1_STARTS) -> T1Fit:
     t1_lo, t1_hi = ctx.t1_bounds
     m0_hi = 1e6 * max(m0_scale, 1e-12)
     start_list = []
-    for t1s in starts:
+    for t1s in _STARTS:
         t1s = min(max(t1s, t1_lo * 1.001), t1_hi * 0.999)
         recov = 1.0 - np.exp(-(ctx.times[2] - ctx.echo_time) / t1s)
         m0s = m0_scale / max(recov, 1e-3)

@@ -128,15 +128,10 @@ def _pair_decomposition(cfg: WfConfig):
     """
     t = np.asarray(cfg.times)
     axis = cfg.t2s_axis()
-    npair = axis.size * axis.size
-    qs = np.empty((npair, 5, 2), dtype=complex)
-    idx = 0
-    for tw in axis:
-        for tf in axis:
-            b = wf_design(t, tw, tf, 0.0, cfg.omega_cs)
-            q, _ = np.linalg.qr(b)
-            qs[idx] = q
-            idx += 1
+    # Pair p is (axis[p // n], axis[p % n]), the order of the search.
+    tw = np.repeat(axis, axis.size)[:, np.newaxis]
+    tf = np.tile(axis, axis.size)[:, np.newaxis]
+    qs, _ = np.linalg.qr(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
     offsets = cfg.offset_axis()
     demod = np.exp(-1j * np.outer(offsets, t))  # (n_off, 5)
     return qs, offsets, demod

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qmapkit import b1map, cli, formats, seqsim
+from qmapkit import b1map, cli, formats, maskgen, seqsim
 
 CHAIN_CONFIG = {
     "phantom": {
@@ -98,6 +101,43 @@ def test_misspelled_estimate_options_are_rejected(tmp_path):
         assert key in str(err.value)
     cfg = _write_config(tmp_path, {"t2": {"mx": 2.0}})
     assert cli.main(["lut", "--config", cfg]) == 1
+
+
+def test_retired_t1_starts_key_is_ignored_with_a_warning(tmp_path, capsys):
+    images_dir = str(tmp_path / "images")
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, CHAIN_CONFIG),
+                     "--out", images_dir]) == 0
+    bits = np.zeros((32, 32), dtype=bool)
+    bits[16, 14:18] = True
+    mask_path = str(tmp_path / "mask.pbm")
+    formats.write_mask(maskgen.Mask(bits=bits), mask_path)
+    capsys.readouterr()
+    outputs = []
+    for extra in ({}, {"t1": {"starts": [0.2, 2.0], "min": 0.05}}):
+        cfg_dir = tmp_path / str(len(outputs))
+        cfg_dir.mkdir()
+        maps_dir = cfg_dir / "maps"
+        assert cli.main(["estimate", "--config",
+                         _write_config(cfg_dir, {**CHAIN_CONFIG, **extra}),
+                         "--images", images_dir, "--mask", mask_path,
+                         "--out", str(maps_dir)]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted(maps_dir.iterdir())})
+        err = capsys.readouterr().err
+        assert err.count("warning") == (1 if extra else 0)
+    assert "t1.starts" in err
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Importing scipy.optimize raises a CLI process's peak resident memory
+    # from about 56 to 78 MB; nothing in qmapkit needs it.
+    code = "import sys, qmapkit.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_io_errors_exit_2(tmp_path):

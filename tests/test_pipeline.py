@@ -122,11 +122,10 @@ def test_estimate_all_builds_echo_bases_once_per_segment(monkeypatch):
                                  pipeline.EstimateOptions(b1_k_min=0.7,
                                                           b1_k_max=1.3))
     assert np.all(maps.valid["t1"][bits])
-    # One call per segment over both distinct scales; one T2 solve and one
-    # solve per T1 start for each pixel.
+    # One call per segment over both distinct scales; one solve per T1
+    # start (five) for each pixel, and none for T2.
     assert calls["echo_basis"] == 2
-    starts = len(pipeline.EstimateOptions().t1_starts)
-    assert calls["solve_boxed"] == bits.sum() * (1 + starts)
+    assert calls["solve_boxed"] == bits.sum() * 5
 
 
 def test_estimate_options_reject_bad_fit_bounds():
@@ -155,6 +154,29 @@ def test_non_finite_pixel_is_invalid_and_isolated(water_scan):
             npt.assert_array_equal(got[others], getattr(clean, name)[others])
             npt.assert_array_equal(maps.valid[name], clean.valid[name]
                                    & others)
+
+
+def test_b1_invalid_pixel_invalidates_k_dependent_maps(water_scan):
+    bits = np.zeros(water_scan.data.shape[2:], dtype=bool)
+    bits[16, 12:20] = True
+    mask = maskgen.Mask(bits=bits)
+    clean = pipeline.estimate_all(water_scan, mask)
+    others = bits.copy()
+    others[16, 15] = False
+    # Segment 2's I8 ten times too large: a ratio beyond the table's end,
+    # so k-hat is clamped and B1 invalid.  Only I8 changes.
+    data = water_scan.data.copy()
+    data[1, 7, 16, 15] *= 10.0
+    maps = pipeline.estimate_all(replace(water_scan, data=data), mask)
+    for name in pipeline.MAP_NAMES:
+        got = getattr(maps, name)
+        assert (got[others].tobytes()
+                == getattr(clean, name)[others].tobytes())
+        npt.assert_array_equal(maps.valid[name][others],
+                               clean.valid[name][others])
+        k_dependent = name in ("b1", "t2", "t1", "m0", "t1_over_m0")
+        assert maps.valid[name][16, 15] != k_dependent
+    assert maps.b1[16, 15] == pipeline.EstimateOptions().b1_k_min
 
 
 def test_non_finite_sample_keeps_derived_mask(water_scan):

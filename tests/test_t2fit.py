@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import t2fit
+from qmapkit import seqsim, t2fit
 
 
 def test_attenuation_perfect_refocusing_is_exact():
@@ -59,14 +59,6 @@ def test_predict_echoes_uniform_profile():
                         rtol=1e-12)
 
 
-def test_loglinear_init_recovers_pure_exponential():
-    basis = _uniform_basis(1.0, np.pi)
-    echoes = 3.0 * basis * np.exp(-np.array(ECHO_TIMES) / 0.1)
-    amp, t2 = t2fit.loglinear_init(echoes, basis, ECHO_TIMES, T2_BOUNDS)
-    assert amp == pytest.approx(3.0, rel=1e-9)
-    assert t2 == pytest.approx(0.1, rel=1e-9)
-
-
 def test_fit_t2_joint_two_segment_recovery():
     basis1 = _uniform_basis(np.sin(np.pi / 3.0), 0.9 * np.pi)
     basis2 = _uniform_basis(np.sin(2.0 * np.pi / 3.0), 0.9 * np.pi)
@@ -94,3 +86,33 @@ def test_fit_t2_zero_data_invalid():
     with pytest.raises(ValueError):
         t2fit.fit_t2(np.zeros(4), np.zeros(3), basis, basis, ECHO_TIMES,
                      T2_BOUNDS)
+
+
+def _scan_minimum(e1, e2, basis1, basis2, t2s):
+    # Least-squares cost with the amplitude projected out, at every t2s.
+    decay = np.exp(-np.array(ECHO_TIMES) / t2s[:, np.newaxis])
+    g = np.concatenate([basis1 * decay, basis2 * decay], axis=1)
+    d = np.concatenate([e1, e2])
+    amp = np.maximum(g @ d / np.sum(g * g, axis=1), 0.0)
+    r = amp[:, np.newaxis] * g - d
+    return np.min(np.sum(r * r, axis=1))
+
+
+def test_fit_t2_reaches_dense_scan_minimum():
+    # Echo sets on the protocol's slice-resolved bases at three transmit
+    # scales, with the bottle phantom's signal and noise levels.
+    timing = seqsim.default_timing()
+    assert tuple(timing.echo_offsets) == ECHO_TIMES
+    profs = seqsim.pixel_profiles(seqsim.build_pulses(seqsim.PulseParams(),
+                                                      timing),
+                                  np.array([0.7, 1.0, 1.3]))
+    rng = np.random.default_rng(3)
+    scan = np.geomspace(*T2_BOUNDS, 100_001)
+    for basis1, basis2 in zip(*profs.echo_bases):
+        for t2_true in (0.04, 0.08, 0.15, 0.6):
+            e1, e2 = (np.abs(t2fit.predict_echoes(0.7, t2_true, b, ECHO_TIMES)
+                             + 1e-4 * rng.standard_normal(3))
+                      for b in (basis1, basis2))
+            fit = t2fit.fit_t2(e1, e2, basis1, basis2, ECHO_TIMES, T2_BOUNDS)
+            best = _scan_minimum(e1, e2, basis1, basis2, scan)
+            assert fit.cost <= best * (1.0 + 1e-10)
