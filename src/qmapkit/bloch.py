@@ -218,11 +218,6 @@ def transverse_response(profile: SliceProfile) -> np.ndarray:
     return r[:, 0, 2] + 1j * r[:, 1, 2]
 
 
-def longitudinal_response(profile: SliceProfile) -> np.ndarray:
-    """Remaining +z fraction per unit +z magnetization, per z."""
-    return profile.rotations[:, 2, 2]
-
-
 def integrate_slice(values, z_samples) -> complex:
     """Uniform Riemann sum over the last axis: each sample is the value of a
     cell of width equal to the grid spacing, so a constant c over n samples

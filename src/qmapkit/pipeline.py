@@ -123,7 +123,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     # The fits below stay one call per pixel: the benchmark's tracer
     # (perfbench/tracer.py) wraps fit_t2, fit_waterfat, fit_t1_m0 and the
     # T1 stage's fitcore.solve_boxed, and its hooks read each pixel's result.
-    # T2 and T1/M0 are fitted at k-hat, so they are valid only where B1 is.
+    # T2 and T1/M0 are fitted at k-hat, so they are valid only where B1 is;
+    # a T2 pinned at a fit bound is invalid too.
 
     # T2 from the spin echoes I9-I11 of both segments.
     basis1, basis2 = profs.echo_bases
@@ -132,7 +133,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
                      timing.echo_offsets, opts.t2_bounds)
         for e, j in zip(np.abs(px[:, :, 8:11]), which)]
     est["t2"] = np.array([f.t2 for f in t2_fits])
-    ok["t2"] = np.array([f.valid for f in t2_fits], dtype=bool) & ok["b1"]
+    ok["t2"] = np.array([f.valid and not f.at_bound for f in t2_fits],
+                        dtype=bool) & ok["b1"]
 
     # Water/fat, T2* and off-resonance from the segment-averaged FIDs I1-I5.
     wf_cfg = waterfat.WfConfig(

@@ -11,6 +11,12 @@ d_omega0) the amplitudes solve a two-column complex linear least-squares
 problem; the three nonlinear parameters are found by exhaustive search over
 log-spaced T2* axes and an off-resonance axis centered on a phase-difference
 initializer and bounded by a search half-width.
+
+The search needs only each candidate's residual, |b|^2 minus the energy of
+the demodulated data x in the span of the pair's design, x^H P x with P the
+pair's 5x5 projector.  That Gram form is linear in P's 25 real degrees of
+freedom, so one real (n_pair, 25) @ (25, n_off) product scores every
+candidate; the amplitudes are solved at the winner only.
 """
 
 from __future__ import annotations
@@ -116,15 +122,28 @@ def delta_b0(d_omega0, gamma: float = GAMMA):
     return np.asarray(d_omega0, dtype=float) / gamma
 
 
+# Index pairs (m, n), m < n, of the five acquisition times.
+_UPPER = np.triu_indices(5, 1)
+
+
 @lru_cache(maxsize=8)
 def _pair_decomposition(cfg: WfConfig):
-    """Orthonormal bases Q for every (t2s_water, t2s_fat) pair, plus the
-    phase-offset matrix for the off-resonance axis.
+    """Gram weights W for every (t2s_water, t2s_fat) pair, plus the pairwise
+    phase table for the off-resonance axis.
 
     The d_omega0 phase is unitary and common to both columns, so the design
     at (tw, tf, dw) is exp(i*dw*t) * B(tw, tf): the residual against data b
-    equals the residual of B against exp(-i*dw*t) * b.  One QR per T2* pair
-    serves every off-resonance candidate.
+    equals the residual of B against x = exp(-i*dw*t) * b, that is
+    |b|^2 - x^H P x with P = Q Q^H the projector onto B's columns (Q from
+    one QR per pair).  Over the five times m < n,
+
+        x^H P x = sum_m P_mm |x_m|^2
+                  + sum_{m<n} 2 Re P_mn Re(c_mn) - 2 Im P_mn Im(c_mn),
+        c_mn = conj(b_m) b_n exp(i*dw*(t_m - t_n)),
+
+    so the projected energy is a real dot product of the pair's 25 weights
+    (diag P, 2 Re P_mn, -2 Im P_mn) with 25 data features.  The phase table
+    holds exp(i*offset*(t_m - t_n)), one row per m < n.
     """
     t = np.asarray(cfg.times)
     axis = cfg.t2s_axis()
@@ -132,9 +151,13 @@ def _pair_decomposition(cfg: WfConfig):
     tw = np.repeat(axis, axis.size)[:, np.newaxis]
     tf = np.tile(axis, axis.size)[:, np.newaxis]
     qs, _ = np.linalg.qr(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
-    offsets = cfg.offset_axis()
-    demod = np.exp(-1j * np.outer(offsets, t))  # (n_off, 5)
-    return qs, offsets, demod
+    proj = qs @ qs.conj().swapaxes(1, 2)                    # (n_pair, 5, 5)
+    m, n = _UPPER
+    weights = np.concatenate([np.diagonal(proj, axis1=1, axis2=2).real,
+                              2.0 * proj[:, m, n].real,
+                              -2.0 * proj[:, m, n].imag], axis=1)
+    phase = np.exp(1j * np.outer(t[m] - t[n], cfg.offset_axis()))
+    return weights, phase
 
 
 def _estimate_at(b, t, tw: float, tf: float, dw: float,
@@ -144,6 +167,26 @@ def _estimate_at(b, t, tw: float, tf: float, dw: float,
     total = abs(sol.w) + abs(sol.f)
     ff = abs(sol.f) / total if total > 0 else 0.0
     return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
+
+
+def _candidate_scores(b, init: float, cfg: WfConfig) -> np.ndarray:
+    """Residual of every (pair, offset) candidate, shape (n_pair, n_off):
+    |b|^2 - W @ F, with F built from b demodulated by the initializer and
+    the grid offsets entering through the phase table."""
+    weights, phase = _pair_decomposition(cfg)
+    x = b * np.exp(-1j * init * np.asarray(cfg.times))
+    m, n = _UPPER
+    cross = (x[m].conj() * x[n])[:, np.newaxis] * phase     # (10, n_off)
+    feats = np.empty((25, phase.shape[1]))
+    feats[:5] = (x.real ** 2 + x.imag ** 2)[:, np.newaxis]
+    feats[5:15] = cross.real
+    feats[15:] = cross.imag
+    norm_b = float(np.real(np.vdot(b, b)))
+    scores = weights @ feats
+    # In place: a second score-sized temporary (1.5 MB at the default grid)
+    # is returned to the OS and page-faulted afresh on every call.
+    np.subtract(norm_b, scores, out=scores)
+    return scores
 
 
 def fit_waterfat(data, cfg: WfConfig) -> WfEstimate:
@@ -160,20 +203,12 @@ def fit_waterfat(data, cfg: WfConfig) -> WfEstimate:
         return WfEstimate(0j, 0j, 0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
     t = np.asarray(cfg.times)
     init = init_offres(b[0], b[2], t[2] - t[0])
-    qs, offsets, demod = _pair_decomposition(cfg)
-    # Demodulate by the initializer once, then by each grid offset.
-    b_init = b * np.exp(-1j * init * t)
-    bp = demod * b_init[np.newaxis, :]                      # (n_off, 5)
-    proj = np.einsum("pmr,jm->pjr", qs.conj(), bp, optimize=False)
-    norm_b = float(np.real(np.vdot(b, b)))
-    scores = norm_b - np.sum(np.abs(proj) ** 2, axis=2)     # (n_pair, n_off)
-    flat = int(np.argmin(scores))
-    n_off = offsets.size
-    pair_idx, off_idx = divmod(flat, n_off)
+    scores = _candidate_scores(b, init, cfg)
+    pair_idx, off_idx = divmod(int(np.argmin(scores)), scores.shape[1])
     axis = cfg.t2s_axis()
     tw = float(axis[pair_idx // axis.size])
     tf = float(axis[pair_idx % axis.size])
-    dw = float(init + offsets[off_idx])
+    dw = float(init + cfg.offset_axis()[off_idx])
     return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
 
 

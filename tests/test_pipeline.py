@@ -179,6 +179,31 @@ def test_b1_invalid_pixel_invalidates_k_dependent_maps(water_scan):
     assert maps.b1[16, 15] == pipeline.EstimateOptions().b1_k_min
 
 
+def test_t2_pinned_at_its_bound_is_invalid(water_scan):
+    bits = np.zeros(water_scan.data.shape[2:], dtype=bool)
+    bits[16, 12:20] = True
+    mask = maskgen.Mask(bits=bits)
+    clean = pipeline.estimate_all(water_scan, mask)
+    others = bits.copy()
+    others[16, 15] = False
+    # Flat spin echoes I9-I11 in both segments: no decay, so T2 pins at the
+    # upper fit bound.  Only the echoes change.
+    data = water_scan.data.copy()
+    data[:, 9:11, 16, 15] = data[:, 8:9, 16, 15]
+    maps = pipeline.estimate_all(replace(water_scan, data=data), mask)
+    assert maps.t2[16, 15] == pipeline.EstimateOptions().t2_bounds[1]
+    assert not maps.valid["t2"][16, 15]
+    assert clean.valid["t2"][16, 15]
+    for name in pipeline.MAP_NAMES:
+        got = getattr(maps, name)
+        assert (got[others].tobytes()
+                == getattr(clean, name)[others].tobytes())
+        npt.assert_array_equal(maps.valid[name][others],
+                               clean.valid[name][others])
+        if name != "t2":
+            assert maps.valid[name][16, 15]
+
+
 def test_non_finite_sample_keeps_derived_mask(water_scan):
     clean = pipeline.estimate_all(water_scan)
     data = water_scan.data.copy()

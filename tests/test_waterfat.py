@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -102,16 +107,94 @@ def test_water_only_recovery_at_grid_node():
     assert est.w == pytest.approx(w, rel=1e-8)
 
 
-def test_fast_path_matches_reference():
+def _oracle_cases():
+    """Seeded FID sets for the oracle: random data, and noisy two-species
+    mixtures near opposed phase at the first time (the fat term nearly
+    cancels the water term there), each at three scales."""
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        data = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    t = np.asarray(TIMES)
+    base = []
+    for _ in range(10):
+        base.append(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    for _ in range(10):
+        tw, tf = rng.uniform(0.010, 0.100, size=2)
+        dw = rng.uniform(-2.0 * np.pi * 20.0, 2.0 * np.pi * 20.0)
+        w = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        # Fat opposes water at t[0] to within 10% in magnitude and 0.1 rad.
+        f = (-w * rng.uniform(0.9, 1.1) * np.exp(-1j * OMEGA_CS * t[0])
+             * np.exp(1j * rng.uniform(-0.1, 0.1)))
+        clean = waterfat.wf_design(t, tw, tf, dw) @ np.array([w, f])
+        noise = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        base.append(clean + 0.01 * noise)
+    return [scale * data for scale in (1.0, 1e-6, 1e6) for data in base]
+
+
+def test_fast_path_matches_reference():
+    cases = _oracle_cases()
+    assert len(cases) >= 50
+    for data in cases:
         fast = waterfat.fit_waterfat(data, TINY)
         slow = waterfat.fit_waterfat_grid_minimize(data, TINY)
-        assert fast.t2s_water == slow.t2s_water
-        assert fast.t2s_fat == slow.t2s_fat
-        assert fast.d_omega0 == pytest.approx(slow.d_omega0, abs=1e-12)
+        assert fast.valid and slow.valid
+        assert ((fast.t2s_water, fast.t2s_fat, fast.d_omega0)
+                == (slow.t2s_water, slow.t2s_fat, slow.d_omega0))
         npt.assert_allclose([fast.w, fast.f], [slow.w, slow.f], rtol=1e-9)
+
+
+def test_candidate_scores_are_the_squared_residuals():
+    # The Gram form scores each candidate by its least-squares residual:
+    # checked against one solve per candidate, in search order.
+    t = np.asarray(TIMES)
+    axis, offsets = TINY.t2s_axis(), TINY.offset_axis()
+    for data in _oracle_cases()[::6]:
+        init = waterfat.init_offres(data[0], data[2], t[2] - t[0])
+        scores = waterfat._candidate_scores(data, init, TINY)
+        resid = [waterfat.wf_design_solve(data, t, tw, tf, init + dw).residual
+                 for tw in axis for tf in axis for dw in offsets]
+        norm = np.vdot(data, data).real
+        npt.assert_allclose(scores.ravel(), np.square(resid),
+                            rtol=0, atol=1e-12 * norm)
+
+
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from qmapkit import waterfat
+from qmapkit.constants import OMEGA_CS
+cfg = waterfat.WfConfig(times=(0.002, 0.004, 0.006, 0.008, 0.010))
+rng = np.random.default_rng(3)
+t = np.asarray(cfg.times)
+digest = hashlib.sha256()
+for _ in range(64):
+    tw, tf = rng.uniform(0.005, 0.120, size=2)
+    dw = rng.uniform(-300.0, 300.0)
+    amps = rng.uniform(0.1, 1.0, size=2) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, size=2))
+    data = waterfat.wf_design(t, tw, tf, dw, OMEGA_CS) @ amps
+    data = data + 0.02 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    est = waterfat.fit_waterfat(data, cfg)
+    digest.update(np.array([est.w, est.f]).tobytes())
+    digest.update(np.array(est[2:7]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fit_is_byte_identical_across_blas_threads():
+    # The default 40-point search makes a product large enough for a
+    # multi-threaded BLAS to split it.
+    src = str(Path(waterfat.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = os.environ.copy()
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_zero_data_and_shape():
