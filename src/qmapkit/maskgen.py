@@ -3,14 +3,19 @@
 Thresholding keeps pixels with appreciable signal; a morphological close
 (fill pinholes and slim gaps) followed by a light erosion (drop rims and
 isolated specks) cleans the result before per-pixel fitting.
+
+Dilation is the OR, and erosion the AND, of the mask shifted by every
+offset of the disc structuring element.  Shifts read from a copy padded
+with False, so outside the array counts as unset; the disc is symmetric,
+so no reflection of the element is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,15 @@ def disc_element(radius: int) -> np.ndarray:
     return (dx * dx + dy * dy) <= radius * radius
 
 
+def _morph(bits: np.ndarray, radius: int, op) -> np.ndarray:
+    """Dilate (op=np.logical_or) or erode (op=np.logical_and) ``bits`` by
+    ``disc_element(radius)``, with a False border."""
+    h, w = bits.shape
+    padded = np.pad(bits, radius)
+    return reduce(op, (padded[i:i + h, j:j + w]
+                       for i, j in np.argwhere(disc_element(radius))))
+
+
 def mean_image(images) -> np.ndarray:
     """Pixel-wise mean magnitude over every acquisition of both segments."""
     data = np.asarray(images.data if hasattr(images, "data") else images)
@@ -68,6 +82,8 @@ def make_mask(mean: np.ndarray, threshold: float = 0.1,
         raise ValueError("mean image must be 2-d and non-empty")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be a fraction in (0, 1)")
+    if close_radius < 0 or erode_radius < 0:
+        raise ValueError("close and erode radii must be >= 0")
     # One corrupt sample must not become a NaN peak and empty the mask.
     mean = np.where(np.isfinite(mean), mean, 0.0)
     peak = float(mean.max())
@@ -77,10 +93,9 @@ def make_mask(mean: np.ndarray, threshold: float = 0.1,
     if close_radius > 0:
         pad = close_radius + 1
         padded = np.pad(raw, pad, mode="constant", constant_values=False)
-        closed = ndimage.binary_closing(padded,
-                                        structure=disc_element(close_radius))
+        closed = _morph(_morph(padded, close_radius, np.logical_or),
+                        close_radius, np.logical_and)
         raw = closed[pad:-pad, pad:-pad]
     if erode_radius > 0:
-        raw = ndimage.binary_erosion(raw,
-                                     structure=disc_element(erode_radius))
+        raw = _morph(raw, erode_radius, np.logical_and)
     return Mask(bits=raw)

@@ -170,9 +170,10 @@ def estimate_all(images: ImageSet, mask: Mask = None,
             echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
         t1_fits.append(t1fit.fit_t1_m0(m, ctx))
     t1_ok = np.array([f.valid for f in t1_fits], dtype=bool)
+    t1_pinned = np.array([f.at_bound for f in t1_fits], dtype=bool)
     for name in ("t1", "m0", "t1_over_m0"):
         est[name] = np.where(t1_ok, [getattr(f, name) for f in t1_fits], 0.0)
-        ok[name] = t1_ok & ok["b1"]
+        ok[name] = t1_ok & ~t1_pinned & ok["b1"]
 
     out = QuantMaps.zeros((h, w))
     out.mask = mask.bits.copy()

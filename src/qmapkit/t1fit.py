@@ -115,6 +115,7 @@ class T1Fit(NamedTuple):
     t1_over_m0: float
     cost: float
     valid: bool
+    at_bound: bool
 
 
 _STARTS = (0.1, 0.3, 0.8, 1.5, 3.0)  # T1 starts of the multi-start, s
@@ -128,7 +129,8 @@ def fit_t1_m0(measured, ctx: T1Context) -> T1Fit:
     if data.shape != (3,):
         raise ValueError("measured must hold three magnitudes")
     if not np.any(data > 0):
-        return T1Fit(t1=0.0, m0=0.0, t1_over_m0=0.0, cost=0.0, valid=False)
+        return T1Fit(t1=0.0, m0=0.0, t1_over_m0=0.0, cost=0.0, valid=False,
+                     at_bound=False)
 
     def residual(x):
         return predict_probe_signals(x[0], x[1], ctx) - data
@@ -155,5 +157,6 @@ def fit_t1_m0(measured, ctx: T1Context) -> T1Fit:
                               max_iter=_MAX_ITER, tol=_TOL)
     t1, m0 = res.x
     ratio = t1 / m0 if m0 > 0 else 0.0
+    at_bound = t1 <= t1_lo * (1 + 1e-9) or t1 >= t1_hi * (1 - 1e-9)
     return T1Fit(t1=float(t1), m0=float(m0), t1_over_m0=float(ratio),
-                 cost=res.cost, valid=bool(m0 > 0))
+                 cost=res.cost, valid=bool(m0 > 0), at_bound=bool(at_bound))

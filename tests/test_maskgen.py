@@ -104,6 +104,68 @@ def test_higher_threshold_masks_subset():
     assert np.all(lo.bits[hi.bits])
 
 
+def _brute_morph(bits, radius, reduce_hits):
+    """Per-pixel dilation (any) or erosion (all) by the disc: a pixel's hits
+    are its disc offsets, and an offset outside the array is unset."""
+    h, w = bits.shape
+    offsets = np.argwhere(maskgen.disc_element(radius)) - radius
+    out = np.zeros_like(bits)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = reduce_hits(
+                0 <= y + dy < h and 0 <= x + dx < w and bits[y + dy, x + dx]
+                for dy, dx in offsets)
+    return out
+
+
+def _brute_mask(bits, close_radius, erode_radius):
+    if close_radius > 0:
+        pad = close_radius + 1
+        padded = np.pad(bits, pad)
+        closed = _brute_morph(_brute_morph(padded, close_radius, any),
+                              close_radius, all)
+        bits = closed[pad:-pad, pad:-pad]
+    if erode_radius > 0:
+        bits = _brute_morph(bits, erode_radius, all)
+    return bits
+
+
+def _morphology_cases():
+    rng = np.random.default_rng(21)
+    for shape in ((1, 1), (1, 9), (9, 1), (1, 17), (13, 1), (2, 7), (12, 12)):
+        yield np.ones(shape, dtype=bool)           # touches every edge
+        yield rng.uniform(0, 1, shape) > 0.4
+    block = np.zeros((14, 11), dtype=bool)
+    block[:6, 3:] = True                          # flush with two edges
+    block[9:, :4] = True
+    yield block
+    for _ in range(12):
+        h, w = rng.integers(1, 20, 2)
+        yield rng.uniform(0, 1, (h, w)) > rng.uniform(0.2, 0.8)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_close_and_erode_match_per_pixel_definition(radius):
+    for bits in _morphology_cases():
+        mean = bits.astype(float)
+        for close_radius, erode_radius in ((radius, 0), (0, radius),
+                                           (radius, radius)):
+            got = maskgen.make_mask(mean, threshold=0.5,
+                                    close_radius=close_radius,
+                                    erode_radius=erode_radius)
+            want = _brute_mask(bits, close_radius, erode_radius)
+            npt.assert_array_equal(got.bits, want, err_msg=(
+                f"shape {bits.shape}, close {close_radius}, "
+                f"erode {erode_radius}"))
+
+
+def test_negative_radius_is_rejected():
+    for close_radius, erode_radius in ((-3, -2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            maskgen.make_mask(np.ones((8, 8)), close_radius=close_radius,
+                              erode_radius=erode_radius)
+
+
 def test_mask_dataclass_properties():
     bits = np.zeros((3, 5), dtype=bool)
     bits[1, 2] = True

@@ -204,6 +204,22 @@ def test_t2_pinned_at_its_bound_is_invalid(water_scan):
             assert maps.valid[name][16, 15]
 
 
+def test_t1_pinned_at_its_bound_is_invalid(water_scan):
+    # The disc's T1 is 0.8 s, beyond the 0.5 s upper bound, so every fit
+    # pins there; its maps keep the bound's value but read invalid.
+    bits = np.zeros(water_scan.data.shape[2:], dtype=bool)
+    bits[16, 14:18] = True
+    mask = maskgen.Mask(bits=bits)
+    opts = pipeline.EstimateOptions(t1_bounds=(0.05, 0.5))
+    maps = pipeline.estimate_all(water_scan, mask, opts)
+    pinned = maps.t1 >= 0.5 * (1 - 1e-9)
+    assert pinned[bits].all()
+    for name in ("t1", "m0", "t1_over_m0"):
+        assert not maps.valid[name][pinned].any()
+    for name in ("b1", "t2", "fat_fraction"):
+        assert maps.valid[name][bits].all()
+
+
 def test_non_finite_sample_keeps_derived_mask(water_scan):
     clean = pipeline.estimate_all(water_scan)
     data = water_scan.data.copy()

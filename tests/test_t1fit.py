@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -117,10 +119,23 @@ def test_fit_recovers_known_parameters():
     for t1_true, m0_true in ((0.3, 1.0), (0.8, 0.6), (1.4, 1.7)):
         meas = t1fit.predict_probe_signals(t1_true, m0_true, ctx)
         fit = t1fit.fit_t1_m0(meas, ctx)
-        assert fit.valid
+        assert fit.valid and not fit.at_bound
         assert fit.t1 == pytest.approx(t1_true, rel=1e-6)
         assert fit.m0 == pytest.approx(m0_true, rel=1e-6)
         assert fit.t1_over_m0 == pytest.approx(t1_true / m0_true, rel=1e-6)
+
+
+def test_fit_flags_t1_pinned_at_a_bound():
+    # A true T1 outside the bounds pins the fit at the nearer end; m0 stays
+    # positive, so valid alone cannot tell.
+    base = _random_ctx(np.random.default_rng(3), mz0=0.0)
+    for t1_true, bounds, edge in ((0.8, (0.05, 0.5), 0.5),
+                                  (0.1, (0.3, 5.0), 0.3)):
+        ctx = replace(base, t1_bounds=bounds)
+        fit = t1fit.fit_t1_m0(
+            t1fit.predict_probe_signals(t1_true, 1.0, ctx), ctx)
+        assert fit.t1 == pytest.approx(edge, rel=1e-9)
+        assert fit.valid and fit.at_bound
 
 
 def test_fit_zero_data_invalid():
