@@ -37,7 +37,7 @@ from .maskgen import Mask, make_mask, mean_image
 from .b1map import RatioTable, build_ratio_table, estimate_b1
 from .t2fit import echo_attenuation, fit_t2
 from .waterfat import WfConfig, fit_waterfat
-from .t1fit import fit_t1_m0, residual_mz0
+from .t1fit import fit_t1_m0
 from .pipeline import EstimateOptions, QuantMaps, estimate_all
 from .formats import (
     compare_maps,
@@ -81,7 +81,6 @@ __all__ = [
     "WfConfig",
     "fit_waterfat",
     "fit_t1_m0",
-    "residual_mz0",
     "EstimateOptions",
     "QuantMaps",
     "estimate_all",

@@ -26,17 +26,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_SECTIONS = ("phantom", "timing", "noise", "pulses", "mask", "b1", "t2",
+             "wf", "t1")
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_SECTIONS))
+    if unknown:
+        raise ValueError(f"unknown config sections {unknown}")
     return cfg
 
 
+def _section(cfg: dict, name: str, known) -> dict:
+    """A copy of one config section, rejecting keys outside ``known``."""
+    section = dict(cfg.get(name, {}))
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    return section
+
+
 def _timing_from_config(cfg: dict, t_sat=None, tr=None) -> seqsim.SequenceTiming:
-    section = dict(cfg.get("timing", {}))
+    known = {f.name for f in dataclasses.fields(seqsim.SequenceTiming)}
+    section = _section(cfg, "timing", known)
     if t_sat is not None:
         section["t_sat"] = t_sat
     if tr is not None:
@@ -44,20 +61,12 @@ def _timing_from_config(cfg: dict, t_sat=None, tr=None) -> seqsim.SequenceTiming
     base = dataclasses.asdict(seqsim.default_timing(
         t_sat=float(section.pop("t_sat", 1.2)),
         tr=float(section.pop("tr", 2.4))))
-    for key, value in section.items():
-        if key not in base:
-            raise ValueError(f"unknown timing key {key!r}")
-        base[key] = value
-    return seqsim.SequenceTiming(**base)
+    return seqsim.SequenceTiming(**{**base, **section})
 
 
 def _pulse_params_from_config(cfg: dict) -> seqsim.PulseParams:
-    section = dict(cfg.get("pulses", {}))
     known = {f.name for f in dataclasses.fields(seqsim.PulseParams)}
-    unknown = set(section) - known
-    if unknown:
-        raise ValueError(f"unknown pulse keys {sorted(unknown)}")
-    return seqsim.PulseParams(**section)
+    return seqsim.PulseParams(**_section(cfg, "pulses", known))
 
 
 # The estimate sections of a config: section -> key -> (EstimateOptions
@@ -104,7 +113,8 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
 
 
 def _mask_kwargs(cfg: dict, args) -> dict:
-    section = dict(cfg.get("mask", {}))
+    section = _section(cfg, "mask",
+                       ("threshold", "close_radius", "erode_radius"))
     out = {
         "threshold": float(section.get("threshold", 0.1)),
         "close_radius": int(section.get("close_radius", 2)),
@@ -122,7 +132,7 @@ def cmd_simulate(args) -> int:
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     timing = _timing_from_config(cfg, t_sat=args.t_sat, tr=args.tr)
     params = _pulse_params_from_config(cfg)
-    noise = cfg.get("noise", {})
+    noise = _section(cfg, "noise", ("sigma", "seed"))
     sigma = args.noise_sigma if args.noise_sigma is not None \
         else float(noise.get("sigma", 0.0))
     seed = args.seed if args.seed is not None else int(noise.get("seed", 0))
@@ -154,8 +164,8 @@ def cmd_estimate(args) -> int:
                           **_mask_kwargs(cfg, args))
     maps = pipeline.estimate_all(images, mask, _options_from_config(cfg))
     formats.write_maps(maps, args.out)
-    done = int(maps.valid["t1"].sum())
-    print(f"estimated {done} pixels -> {args.out}")
+    print(f"estimated {int(maps.mask.sum())} masked pixels, "
+          f"{int(maps.valid['t1'].sum())} with a valid T1 -> {args.out}")
     return 0
 
 

@@ -1,5 +1,9 @@
 """Shared fitting machinery: linear least squares (the water/fat stage),
-and box-constrained Gauss-Newton with multi-start (the T1 stage).
+and the one-parameter variable-projection fit of a scaled model column (the
+T2 and T1 stages).
+
+``solve_boxed``, a box-constrained Gauss-Newton, has no caller left in the
+pipeline; it stays while the benchmark's ``perfbench/tracer.py`` wraps it.
 
 All solvers here are deterministic: no randomness, no threads, and
 tie-breaking rules that do not depend on evaluation schedule.
@@ -7,7 +11,7 @@ tie-breaking rules that do not depend on evaluation schedule.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,26 +133,71 @@ def solve_boxed(residual, x0, lower, upper, max_iter: int = 200,
     return BoxedResult(x, cost, n_iter, converged)
 
 
-def multi_start(residual, starts: Sequence[np.ndarray], lower, upper,
-                max_iter: int = 200, tol: float = 1e-8):
-    """Run :func:`solve_boxed` from each start; return the lowest-cost result.
+class ScaledFit(NamedTuple):
+    x: float
+    amp: float
+    cost: float
+    at_bound: bool
 
-    Ties go to the earliest start in list order.  Starts are clipped to the
-    interior of the box before solving.
+
+_UNIT = np.linspace(0.0, 1.0, 128)  # scan points as fractions of log(hi/lo)
+_TOL = 1e-12       # width in log x at which the bracket search stops
+
+
+def fit_scaled_column(column, data, bounds) -> ScaledFit:
+    """Least-squares fit of ``amp * g(x)`` to ``data``, amp >= 0 and x in
+    ``bounds`` = (lo, hi) with 0 < lo < hi.
+
+    ``column(x)`` takes an array of x and returns the model column g and
+    its derivative in log x, each of shape ``x.shape + data.shape``.
+
+    The model is separable (variable projection): for any x the best
+    amplitude is max(g.d / g.g, 0), so only x is searched.  The projected
+    cost d.d - (g.d)**2 / g.g is scanned on 128 log-spaced points, and its
+    minimum is refined by an Illinois regula falsi on the cost's slope in
+    log x inside the neighbouring grid cells.  The refined point is kept
+    unless its cost is higher than the grid point's.  ``at_bound`` flags an
+    x within 1e-9 (relative) of either bound.
     """
-    starts = list(starts)
-    if not starts:
-        raise ValueError("at least one start is required")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    span = np.where(np.isfinite(upper - lower), upper - lower, 1.0)
-    nudge = 1e-9 * np.maximum(span, 1.0)
-    best = None
-    for x0 in starts:
-        x0 = np.clip(np.atleast_1d(np.asarray(x0, dtype=float)),
-                     lower + nudge, upper - nudge)
-        res = solve_boxed(residual, x0, lower, upper, max_iter=max_iter,
-                          tol=tol)
-        if best is None or res.cost < best.cost:
-            best = res
-    return best
+    d = np.asarray(data, dtype=float)
+    lo, hi = bounds
+
+    def project(x):  # the best amplitude, the residual and dg at x
+        g, dg = column(np.asarray(x))
+        amp = max(g @ d / (g @ g), 0.0)
+        return amp, amp * g - d, dg
+
+    def slope(u):  # d cost / d log x is 2 * amp * slope(u)
+        _, r, dg = project(np.exp(u))
+        return r @ dg
+
+    def fit_at(x):
+        x = min(max(float(x), lo), hi)
+        amp, r, _ = project(x)
+        return x, amp, float(r @ r)
+
+    grid = lo * (hi / lo) ** _UNIT
+    g, _ = column(grid)
+    gd = np.maximum(g @ d, 0.0)
+    j = int(np.argmax(gd * gd / np.sum(g * g, axis=1)))
+    x, amp, cost = fit_at(grid[j])
+    a, b = np.log(grid[max(j - 1, 0)]), np.log(grid[min(j + 1, grid.size - 1)])
+    fa, fb = slope(a), slope(b)
+    side = 0
+    while fa < 0.0 < fb and b - a > _TOL:
+        u = (a * fb - b * fa) / (fb - fa)
+        fu = slope(u)
+        if fu < 0.0:
+            a, fa = u, fu
+            fb *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:  # a zero or NaN slope ends the search here
+            b, fb = u, fu
+            fa *= 0.5 if side > 0 else 1.0
+            side = 1
+    if side:
+        refined = fit_at(np.exp(u))
+        if refined[2] <= cost:
+            x, amp, cost = refined
+    at_bound = x <= lo * (1 + 1e-9) or x >= hi * (1 - 1e-9)
+    return ScaledFit(x=x, amp=amp, cost=cost, at_bound=bool(at_bound))

@@ -188,9 +188,17 @@ def phantom_from_config(cfg: dict) -> PhantomMap:
     """Build a phantom from a JSON-style recipe dict.
 
     ``{"type": "bottles"|"disc", "width": .., "height": .., "b1_scale": ..,
-    "bottles": [six dicts], "disc": {bottle dict}, "radius_frac": ..}``
+    "bottles": [six dicts], "disc": {bottle dict}, "radius_frac": ..}``;
+    ``bottles`` belongs to the bottles type and ``disc``/``radius_frac`` to
+    the disc type.  Any other key raises ValueError.
     """
     kind = cfg.get("type", "bottles")
+    own = {"bottles": {"bottles"}, "disc": {"disc", "radius_frac"}}.get(kind)
+    if own is None:
+        raise ValueError(f"unknown phantom type: {kind!r}")
+    unknown = set(cfg) - {"type", "width", "height", "b1_scale"} - own
+    if unknown:
+        raise ValueError(f"unknown {kind} phantom keys {sorted(unknown)}")
     width = int(cfg.get("width", 64))
     height = int(cfg.get("height", 64))
     b1_scale = float(cfg.get("b1_scale", 1.0))
@@ -199,13 +207,11 @@ def phantom_from_config(cfg: dict) -> PhantomMap:
         if bottles is not None:
             bottles = [bottle_from_dict(b) for b in bottles]
         return make_bottle_phantom(width, height, bottles, b1_scale=b1_scale)
-    if kind == "disc":
-        d = dict(cfg.get("disc", {}))
-        d.setdefault("b1_scale", b1_scale)
-        params = bottle_from_dict(d)
-        return make_disc_phantom(width, height, params,
-                                 radius_frac=float(cfg.get("radius_frac", 0.35)))
-    raise ValueError(f"unknown phantom type: {kind!r}")
+    d = dict(cfg.get("disc", {}))
+    d.setdefault("b1_scale", b1_scale)
+    params = bottle_from_dict(d)
+    return make_disc_phantom(width, height, params,
+                             radius_frac=float(cfg.get("radius_frac", 0.35)))
 
 
 def phantom_truth_arrays(pm: PhantomMap) -> dict:

@@ -3,8 +3,9 @@ water/fat/off-resonance search, then T1/M0, each a pass over the masked
 pixels.
 
 Later stages consume earlier results: the T2 and T1 models evaluate slice
-profiles at the estimated transmit scale, and the T1 data are corrected for
-the short-echo T2* weighting using the water/fat stage's species estimates.
+profiles at the estimated transmit scale.  M0 is corrected for the
+short-echo T2* weighting using the water/fat stage's species estimates; T1
+does not depend on that stage.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     profs = pixel_profiles(pulses, ks)
 
     # The fits below stay one call per pixel: the benchmark's tracer
-    # (perfbench/tracer.py) wraps fit_t2, fit_waterfat, fit_t1_m0 and the
-    # T1 stage's fitcore.solve_boxed, and its hooks read each pixel's result.
+    # (perfbench/tracer.py) wraps fit_t2, fit_waterfat and fit_t1_m0, counts
+    # t1fit.predict_probe_signals, and its hooks read each pixel's result.
     # T2 and T1/M0 are fitted at k-hat, so they are valid only where B1 is;
-    # a T2 pinned at a fit bound is invalid too.
+    # a T2 or T1 pinned at a fit bound is invalid too.
 
     # T2 from the spin echoes I9-I11 of both segments.
     basis1, basis2 = profs.echo_bases
@@ -151,22 +152,21 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     est["delta_b0"] = waterfat.delta_b0(est["d_omega0"])
     ok["delta_b0"] = wf_ok
 
-    # T1/M0 from the segment-averaged probes I6, I7 and segment 1's I8,
-    # corrected for the species' short-echo weighting.
+    # T1/M0 from the segment-averaged probes I6, I7 and segment 1's I8.  The
+    # fit assumes a full saturation (no residual), and the species'
+    # short-echo weighting from the water/fat stage scales M0 alone.
     te = timing.echo_time
     probes = np.abs(0.5 * (px[:, 0, 5:7] + px[:, 1, 5:7]))
     meas = np.column_stack([probes, np.abs(px[:, 0, 7])])
     t1_fits = []
-    for m, k, j, wf in zip(meas, est["b1"], which, wfs):
+    for m, j, wf in zip(meas, which, wfs):
         echo_scale = waterfat.echo_time_scale(
             wf.w, wf.f, wf.t2s_water, wf.t2s_fat, te,
             images.omega_cs) if wf.valid else 1.0
-        mz0 = t1fit.residual_mz0(abs(wf.w), abs(wf.f), k,
-                                 timing.sat_flip) if wf.valid else 0.0
         ctx = t1fit.T1Context(
             probe_txr=profs.txr_probe[j], probe_mzf=profs.mzf_probe[j],
             imaging_txr=profs.txr_imaging[0][j], z_samples=profs.z,
-            times=timing.acq_times[5:8], echo_time=te, mz0=mz0,
+            times=timing.acq_times[5:8], echo_time=te, sat_residual=0.0,
             echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
         t1_fits.append(t1fit.fit_t1_m0(m, ctx))
     t1_ok = np.array([f.valid for f in t1_fits], dtype=bool)

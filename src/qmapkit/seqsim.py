@@ -239,8 +239,6 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
     # equilibrium magnetization, evolving with the two-species kernel.
     c_sat = bloch.integrate_slice(profiles.txr_sat, z)
     fid = m0 * c_sat * kernel(timing.fid_times)
-    # Saturation leaves the hard-pulse-equivalent scalar residual.
-    mz0 = m0 * float(np.cos(p.b1_scale * timing.sat_flip))
     te = timing.echo_time
     te_kernel = complex(kernel(te))
     ctx = t1fit.T1Context(
@@ -251,9 +249,10 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
         times=(timing.probe_times[0] + te, timing.probe_times[1] + te,
                timing.t_sat + te),
         echo_time=te,
-        mz0=mz0,
+        # Saturation leaves the hard-pulse-equivalent scalar residual.
+        sat_residual=float(np.cos(p.b1_scale * timing.sat_flip)),
     )
-    s6, s7, s8_seg1, mz_sat = t1fit.recovery_signals(p.t1, m0, ctx)
+    (s6, s7, s8_seg1), _, mz_sat = t1fit.recovery_signals(p.t1, m0, ctx)
     for seg in (0, 1):
         txr_img = profiles.txr_imaging[seg]
         a_src = (s8_seg1 if seg == 0

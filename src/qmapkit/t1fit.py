@@ -29,10 +29,11 @@ class T1Context:
         signal, seconds since the saturation pulse.
     echo_time : acquisition delay after each pulse (the pulse itself sits at
         ``time - echo_time``).
-    mz0 : longitudinal magnetization right after saturation (signal units).
+    sat_residual : longitudinal magnetization right after saturation, as a
+        fraction of m0 (cos of the saturation flip; 0 for a full saturation).
     echo_scale : common magnitude factor at the echo time from two-species
         T2* decay and chemical-shift interference; multiplies all three
-        predicted magnitudes.
+        measured magnitudes, so the fitted amplitude is echo_scale * m0.
     """
 
     probe_txr: np.ndarray
@@ -41,7 +42,7 @@ class T1Context:
     z_samples: np.ndarray
     times: tuple
     echo_time: float
-    mz0: float
+    sat_residual: float
     echo_scale: float = 1.0
     t1_bounds: tuple = (0.05, 5.0)
 
@@ -66,47 +67,45 @@ class T1Context:
         object.__setattr__(self, "times", times)
 
 
-def residual_mz0(w_mag: float, f_mag: float, k: float,
-                 sat_flip: float = np.pi / 2.0) -> float:
-    """Longitudinal magnetization left by the saturation pulse,
-    (w + f) / (k * tan(sat_flip)); zero at the default 90-degree flip."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    t = np.tan(sat_flip)
-    if not np.isfinite(t) or t == 0.0:
-        return 0.0
-    return (w_mag + f_mag) / (k * t)
+def recovery_signals(t1, m0: float, ctx: T1Context):
+    """Complex pre-echo signals of the two probes and the imaging pulse,
+    their derivatives in log t1, and the per-z longitudinal magnetization
+    just before the imaging pulse.
 
+    ``t1`` is a scalar or a 1-D array: the signals and derivatives have shape
+    ``t1.shape + (3,)`` and the magnetization ``t1.shape + (nz,)``.
 
-def recovery_signals(t1: float, m0: float, ctx: T1Context):
-    """Complex pre-echo signals (s1, s2, s3) plus the per-z longitudinal
-    magnetization just before the imaging pulse.
-
-    The walk: mz(z) starts uniform at ctx.mz0, recovers toward m0 up to each
-    pulse time, is read out through that pulse's transverse response, and is
-    consumed by the probe's per-z cosine factor before the next interval.
+    The walk: mz(z) starts uniform at m0 * ctx.sat_residual, recovers toward
+    m0 up to each pulse time, is read out through that pulse's transverse
+    response, and is consumed by the probe's per-z cosine factor before the
+    next interval.  Its derivative in log t1 is carried alongside.
     """
-    pulse_times = [t - ctx.echo_time for t in ctx.times]
-    mz = np.full(ctx.z_samples.size, ctx.mz0, dtype=float)
-    out = []
+    t1 = np.asarray(t1, dtype=float)[..., np.newaxis]
+    mz = np.full(ctx.z_samples.size, m0 * ctx.sat_residual)
+    dmz = np.zeros_like(mz)
+    sig, dsig = [], []
     t_prev = 0.0
-    for pt in pulse_times[:2]:
+    for n, t in enumerate(ctx.times):
+        pt = t - ctx.echo_time
         e1 = np.exp(-(pt - t_prev) / t1)
+        dmz = dmz * e1 + (mz - m0) * (e1 * (pt - t_prev) / t1)
         mz = mz * e1 + m0 * (1.0 - e1)
-        out.append(bloch.integrate_slice(ctx.probe_txr * mz, ctx.z_samples))
-        mz = ctx.probe_mzf * mz
+        txr = ctx.probe_txr if n < 2 else ctx.imaging_txr
+        sig.append(bloch.integrate_slice(txr * mz, ctx.z_samples))
+        dsig.append(bloch.integrate_slice(txr * dmz, ctx.z_samples))
+        if n < 2:
+            mz, dmz = ctx.probe_mzf * mz, ctx.probe_mzf * dmz
         t_prev = pt
-    e1 = np.exp(-(pulse_times[2] - t_prev) / t1)
-    mz = mz * e1 + m0 * (1.0 - e1)
-    out.append(bloch.integrate_slice(ctx.imaging_txr * mz, ctx.z_samples))
-    return out[0], out[1], out[2], mz
+    return np.stack(sig, axis=-1), np.stack(dsig, axis=-1), mz
 
 
-def predict_probe_signals(t1: float, m0: float, ctx: T1Context) -> np.ndarray:
-    """Predicted magnitudes of the two probe acquisitions and the imaging
-    acquisition."""
-    s1, s2, s3, _ = recovery_signals(t1, m0, ctx)
-    return ctx.echo_scale * np.array([abs(s1), abs(s2), abs(s3)])
+def predict_probe_signals(t1, m0: float, ctx: T1Context):
+    """Magnitudes of the two probe acquisitions and the imaging acquisition
+    before the echo-time factor, and their derivatives in log t1; ``t1`` as
+    for :func:`recovery_signals`."""
+    s, ds, _ = recovery_signals(t1, m0, ctx)
+    mag = np.abs(s)
+    return mag, np.real(s.conj() * ds) / np.where(mag > 0, mag, 1.0)
 
 
 class T1Fit(NamedTuple):
@@ -118,45 +117,23 @@ class T1Fit(NamedTuple):
     at_bound: bool
 
 
-_STARTS = (0.1, 0.3, 0.8, 1.5, 3.0)  # T1 starts of the multi-start, s
-_MAX_ITER = 60      # Gauss-Newton iterations per start
-_TOL = 1e-12        # projected-gradient convergence threshold
-
-
 def fit_t1_m0(measured, ctx: T1Context) -> T1Fit:
-    """Multi-start box-constrained fit of (t1, m0) to three magnitudes."""
+    """Fit of (t1, m0) to the three measured magnitudes.
+
+    The magnitudes are a * h(t1), with h the unit-m0 prediction and a =
+    ctx.echo_scale * m0; :func:`fitcore.fit_scaled_column` projects a out
+    and searches t1 within ctx.t1_bounds.  T1 therefore does not depend on
+    echo_scale, and m0 = a / echo_scale.
+    """
     data = np.asarray(measured, dtype=float)
     if data.shape != (3,):
         raise ValueError("measured must hold three magnitudes")
     if not np.any(data > 0):
         return T1Fit(t1=0.0, m0=0.0, t1_over_m0=0.0, cost=0.0, valid=False,
                      at_bound=False)
-
-    def residual(x):
-        return predict_probe_signals(x[0], x[1], ctx) - data
-
-    # Rough m0 scale: invert the imaging signal at full recovery.
-    img_gain = abs(
-        bloch.integrate_slice(ctx.imaging_txr, ctx.z_samples)
-    ) * ctx.echo_scale
-    if img_gain > 0 and data[2] > 0:
-        m0_scale = data[2] / img_gain
-    else:
-        m0_scale = max(float(data.max()), 1e-12)
-    t1_lo, t1_hi = ctx.t1_bounds
-    m0_hi = 1e6 * max(m0_scale, 1e-12)
-    start_list = []
-    for t1s in _STARTS:
-        t1s = min(max(t1s, t1_lo * 1.001), t1_hi * 0.999)
-        recov = 1.0 - np.exp(-(ctx.times[2] - ctx.echo_time) / t1s)
-        m0s = m0_scale / max(recov, 1e-3)
-        start_list.append(np.array([t1s, m0s]))
-    res = fitcore.multi_start(residual, start_list,
-                              lower=np.array([t1_lo, 0.0]),
-                              upper=np.array([t1_hi, m0_hi]),
-                              max_iter=_MAX_ITER, tol=_TOL)
-    t1, m0 = res.x
-    ratio = t1 / m0 if m0 > 0 else 0.0
-    at_bound = t1 <= t1_lo * (1 + 1e-9) or t1 >= t1_hi * (1 - 1e-9)
-    return T1Fit(t1=float(t1), m0=float(m0), t1_over_m0=float(ratio),
-                 cost=res.cost, valid=bool(m0 > 0), at_bound=bool(at_bound))
+    fit = fitcore.fit_scaled_column(
+        lambda t1: predict_probe_signals(t1, 1.0, ctx), data, ctx.t1_bounds)
+    m0 = fit.amp / ctx.echo_scale
+    ratio = fit.x / m0 if m0 > 0 else 0.0
+    return T1Fit(t1=fit.x, m0=m0, t1_over_m0=ratio, cost=fit.cost,
+                 valid=bool(m0 > 0), at_bound=fit.at_bound)

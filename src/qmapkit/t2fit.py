@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bloch
+from . import bloch, fitcore
 
 
 def echo_attenuation(n: int, theta):
@@ -64,10 +64,6 @@ def predict_echoes(amp: float, t2: float, basis, echo_times) -> np.ndarray:
     return amp * basis * np.exp(-np.asarray(echo_times) / t2)
 
 
-_UNIT = np.linspace(0.0, 1.0, 128)  # grid points as fractions of log(hi/lo)
-_TOL = 1e-12       # width in log T2 at which the bracket search stops
-
-
 class T2Fit(NamedTuple):
     t2: float
     amp: float
@@ -85,11 +81,8 @@ def fit_t2(echoes_seg1, echoes_seg2, basis1, basis2, echo_times,
     already carried by each segment's echo basis.  Both segments share the
     echo times.
 
-    The model is separable (variable projection): for any t2 the best
-    amplitude is max(g.d / g.g, 0), with g the six-echo model column and d
-    the data.  The projected cost is scanned on a log-spaced t2 grid, and
-    its minimum is refined by an Illinois regula falsi on the cost's slope
-    in log t2 inside the neighbouring grid cells.
+    The fit is :func:`fitcore.fit_scaled_column` on the six-echo model
+    column; the amplitude is projected out, so only t2 is searched.
     """
     e1 = np.asarray(echoes_seg1, dtype=float)
     e2 = np.asarray(echoes_seg2, dtype=float)
@@ -97,50 +90,15 @@ def fit_t2(echoes_seg1, echoes_seg2, basis1, basis2, echo_times,
         raise ValueError("each segment supplies three echo magnitudes")
     if not (np.any(e1 > 0) or np.any(e2 > 0)):
         return T2Fit(t2=0.0, amp=0.0, cost=0.0, at_bound=False, valid=False)
-    dts = np.asarray(echo_times, dtype=float)
-    p = basis1 * e1 + basis2 * e2           # g.d = sum(decay * p)
-    q = basis1 * basis1 + basis2 * basis2   # g.g = sum(decay**2 * q)
+    dts = np.tile(np.asarray(echo_times, dtype=float), 2)
+    basis = np.concatenate([basis1, basis2])
 
-    def amp_at(decay):
-        return max(decay @ p / (decay * decay @ q), 0.0)
+    def column(t2):
+        rate = dts / t2[..., np.newaxis]
+        g = basis * np.exp(-rate)
+        return g, g * rate
 
-    def slope(u):  # d cost / d log t2 is 2 * amp * exp(-u) * slope(u)
-        decay = np.exp(-dts * np.exp(-u))
-        return dts * decay @ (amp_at(decay) * decay * q - p)
-
-    def fit_at(t2):
-        t2 = min(max(float(t2), lo), hi)
-        decay = np.exp(-dts / t2)
-        amp = amp_at(decay)
-        r1, r2 = amp * basis1 * decay - e1, amp * basis2 * decay - e2
-        return t2, amp, float(r1 @ r1 + r2 @ r2)
-
-    lo, hi = t2_bounds
-    grid = lo * (hi / lo) ** _UNIT
-    decay = np.exp(-dts / grid[:, np.newaxis])              # (grid, 3)
-    gd = np.maximum(np.sum(decay * p, axis=1), 0.0)
-    # The projected cost is d.d - (g.d)**2 / g.g.
-    j = int(np.argmax(gd * gd / np.sum(decay * decay * q, axis=1)))
-    t2, amp, cost = fit_at(grid[j])
-    a, b = np.log(grid[max(j - 1, 0)]), np.log(grid[min(j + 1, grid.size - 1)])
-    fa, fb = slope(a), slope(b)
-    side = 0
-    while fa < 0.0 < fb and b - a > _TOL:
-        u = (a * fb - b * fa) / (fb - fa)
-        fu = slope(u)
-        if fu < 0.0:
-            a, fa = u, fu
-            fb *= 0.5 if side < 0 else 1.0
-            side = -1
-        else:  # a zero or NaN slope ends the search here
-            b, fb = u, fu
-            fa *= 0.5 if side > 0 else 1.0
-            side = 1
-    if side:
-        refined = fit_at(np.exp(u))
-        if refined[2] <= cost:
-            t2, amp, cost = refined
-    edge = 1e-9 * (hi - lo)
-    at_bound = t2 <= lo + edge or t2 >= hi - edge
-    return T2Fit(t2=float(t2), amp=float(amp), cost=cost,
-                 at_bound=bool(at_bound), valid=True)
+    fit = fitcore.fit_scaled_column(column, np.concatenate([e1, e2]),
+                                    t2_bounds)
+    return T2Fit(t2=fit.x, amp=fit.amp, cost=fit.cost,
+                 at_bound=fit.at_bound, valid=True)

@@ -45,6 +45,8 @@ def test_full_chain(tmp_path, capsys):
                      "--mask", mask_path, "--out", maps_dir]) == 0
     maps = formats.read_maps(maps_dir)
     assert maps.valid["t1"].sum() == mask.count
+    assert (f"estimated {mask.count} masked pixels, {mask.count} with a "
+            "valid T1") in capsys.readouterr().out
 
     report_path = tmp_path / "report.json"
     assert cli.main(["compare", "--config", cfg, "--maps", maps_dir,
@@ -99,6 +101,30 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
                          "--out", str(tmp_path / "m.pbm")]) == 1
         assert "radii must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
+
+
+@pytest.mark.parametrize("command, cfg, names", [
+    ("simulate", {"noise": {"sigm": 1e-3}}, ["noise", "sigm"]),
+    ("simulate", {"phantom": {"type": "disc", "radius": 0.05}}, ["radius"]),
+    ("simulate", {"phantom": {"radius_frac": 0.2}}, ["radius_frac"]),
+    ("simulate", {"nosie": {"sigma": 1e-3}}, ["nosie"]),
+    ("mask", {"mask": {"erode_raduis": 2}}, ["mask", "erode_raduis"]),
+    ("estimate", {"mask": {"treshold": 0.2}}, ["mask", "treshold"]),
+])
+def test_unknown_config_keys_exit_1(tmp_path, water_scan, capsys, command,
+                                    cfg, names):
+    images_dir = str(tmp_path / "images")
+    formats.write_imageset(water_scan, images_dir)
+    out = tmp_path / "out"
+    args = ["--out", str(out)]
+    if command != "simulate":
+        args += ["--images", images_dir]
+    assert cli.main([command, "--config", _write_config(tmp_path, cfg)]
+                    + args) == 1
+    err = capsys.readouterr().err
+    for name in names:
+        assert name in err
+    assert not out.exists()
 
 
 def test_misspelled_estimate_options_are_rejected(tmp_path):

@@ -79,24 +79,36 @@ def test_solve_boxed_argument_checks():
         fitcore.solve_boxed(r, x0=[1.0], lower=[1.0], upper=[2.0])
 
 
-def test_multi_start_finds_better_basin():
-    # Cost (x^2 - 1)^2 has minima at +/-1; a start trapped near the wrong
-    # stationary point at 0 must lose to one next to a true minimum.
-    def residual(x):
-        return np.array([x[0] ** 2 - 1.0])
-
-    res = fitcore.multi_start(residual, [np.array([2.5]), np.array([0.0])],
-                              lower=[-4.0], upper=[4.0])
-    npt.assert_allclose(abs(res.x[0]), 1.0, atol=1e-6)
-    with pytest.raises(ValueError):
-        fitcore.multi_start(residual, [], lower=[-4.0], upper=[4.0])
+def _exponential_column(t):
+    def column(x):
+        g = np.exp(-t / x[..., np.newaxis])
+        return g, g * t / x[..., np.newaxis]
+    return column
 
 
-def test_multi_start_clips_out_of_box_starts():
-    def residual(x):
-        return np.array([x[0] - 0.9])
+def test_fit_scaled_column_recovers_exponential():
+    t = np.linspace(0.0, 1.0, 9)
+    column = _exponential_column(t)
+    for tau in (0.02, 0.3, 4.0):
+        fit = fitcore.fit_scaled_column(column, 2.0 * np.exp(-t / tau),
+                                        (0.01, 10.0))
+        assert fit.x == pytest.approx(tau, rel=1e-9)
+        assert fit.amp == pytest.approx(2.0, rel=1e-9)
+        assert fit.cost < 1e-20 and not fit.at_bound
 
-    res = fitcore.multi_start(residual, [np.array([50.0])], lower=[0.0],
-                              upper=[1.0])
-    npt.assert_allclose(res.x, [0.9], atol=1e-6)
 
+def test_fit_scaled_column_pins_at_a_bound():
+    t = np.linspace(0.0, 1.0, 9)
+    fit = fitcore.fit_scaled_column(_exponential_column(t),
+                                    np.exp(-t / 5.0), (0.01, 1.0))
+    assert fit.x == 1.0 and fit.at_bound
+
+
+def test_fit_scaled_column_keeps_amplitude_non_negative():
+    # Data anti-correlated with every column: the best amplitude is 0 and
+    # the cost is the data's own squared norm.
+    t = np.linspace(0.0, 1.0, 9)
+    d = -np.exp(-t / 0.3)
+    fit = fitcore.fit_scaled_column(_exponential_column(t), d, (0.01, 10.0))
+    assert fit.amp == 0.0
+    assert fit.cost == pytest.approx(d @ d, rel=1e-14)

@@ -122,10 +122,37 @@ def test_estimate_all_builds_echo_bases_once_per_segment(monkeypatch):
                                  pipeline.EstimateOptions(b1_k_min=0.7,
                                                           b1_k_max=1.3))
     assert np.all(maps.valid["t1"][bits])
-    # One call per segment over both distinct scales; one solve per T1
-    # start (five) for each pixel, and none for T2.
+    # One call per segment over both distinct scales; T2 and T1 are fitted
+    # by variable projection, so no Gauss-Newton solve runs.
     assert calls["echo_basis"] == 2
-    assert calls["solve_boxed"] == bits.sum() * 5
+    assert calls["solve_boxed"] == 0
+
+
+def test_t1_is_isolated_from_the_water_fat_stage():
+    # Rescaling and dephasing I1-I5 at one pixel changes its water/fat
+    # estimates, and through the echo-time factor its M0; B1, T2, T1 and
+    # every validity stay byte-equal.
+    pm = phantom.make_disc_phantom(
+        32, 32, replace(WATER, water_amp=0.7, fat_amp=0.3), radius_frac=0.25)
+    images = seqsim.simulate_scan(pm, noise_sigma=1e-4, seed=2)
+    bits = np.zeros(pm.shape, dtype=bool)
+    bits[16, 14:18] = True
+    mask = maskgen.Mask(bits=bits)
+    ref = pipeline.estimate_all(images, mask)
+    changed = replace(images, data=images.data.copy())
+    changed.data[:, 0:5, 16, 15] *= 1.5 * np.exp(0.4j * np.arange(5))
+    maps = pipeline.estimate_all(changed, mask)
+    for name in ("b1", "t2", "t1"):
+        npt.assert_array_equal(getattr(maps, name), getattr(ref, name))
+    for name in pipeline.MAP_NAMES:
+        npt.assert_array_equal(maps.valid[name], ref.valid[name])
+    moved = np.zeros(pm.shape, dtype=bool)
+    moved[16, 15] = True
+    for name in pipeline.MAP_NAMES:
+        diff = getattr(maps, name) != getattr(ref, name)
+        assert not np.any(diff & ~moved), name
+    for name in ("fat_fraction", "m0"):
+        assert getattr(maps, name)[16, 15] != getattr(ref, name)[16, 15]
 
 
 def test_estimate_options_reject_bad_fit_bounds():
