@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,8 +71,7 @@ DEFAULT_BOTTLES = (
                  t2s_water=0.048, t2s_fat=0.025),
 )
 
-_FIELDS = ("water_amp", "fat_amp", "t1", "t2", "t2s_water", "t2s_fat",
-           "d_omega0", "b1_scale")
+TISSUE_FIELDS = tuple(f.name for f in fields(TissueParams))
 
 
 @dataclass
@@ -102,22 +101,11 @@ class PhantomMap:
     def width(self):
         return self.label.shape[1]
 
-    def params_at(self, row: int, col: int) -> TissueParams:
-        if self.label[row, col] == 0:
-            return replace(
-                BACKGROUND,
-                d_omega0=float(self.d_omega0[row, col]),
-                b1_scale=float(self.b1_scale[row, col]),
-            )
-        return TissueParams(
-            **{name: float(getattr(self, name)[row, col]) for name in _FIELDS}
-        )
-
 
 def _blank_map(width: int, height: int) -> PhantomMap:
     shape = (height, width)
     arrays = {}
-    for name in _FIELDS:
+    for name in TISSUE_FIELDS:
         arrays[name] = np.full(shape, getattr(BACKGROUND, name), dtype=float)
     arrays["b1_scale"] = np.ones(shape, dtype=float)
     return PhantomMap(label=np.zeros(shape, dtype=np.int32), **arrays)
@@ -127,7 +115,7 @@ def _paint_disc(pm: PhantomMap, cx: float, cy: float, radius: float,
                 params: TissueParams, label: int):
     yy, xx = np.mgrid[0:pm.height, 0:pm.width]
     inside = (xx - cx) ** 2 + (yy - cy) ** 2 <= radius ** 2
-    for name in _FIELDS:
+    for name in TISSUE_FIELDS:
         getattr(pm, name)[inside] = getattr(params, name)
     pm.label[inside] = label
 
@@ -168,6 +156,8 @@ def make_disc_phantom(width: int, height: int, params: TissueParams,
     """Single centered disc of uniform parameters; handy for round trips."""
     if width < 32 or height < 32:
         raise ValueError("phantom must be at least 32x32")
+    if not radius_frac > 0.0:
+        raise ValueError(f"radius_frac must be > 0, got {radius_frac}")
     pm = _blank_map(width, height)
     pm.b1_scale[:] = params.b1_scale
     radius = radius_frac * min(width, height)
@@ -176,7 +166,7 @@ def make_disc_phantom(width: int, height: int, params: TissueParams,
 
 
 def bottle_from_dict(d: dict) -> TissueParams:
-    base = {name: getattr(DEFAULT_BOTTLES[0], name) for name in _FIELDS}
+    base = {name: getattr(DEFAULT_BOTTLES[0], name) for name in TISSUE_FIELDS}
     unknown = set(d) - set(base)
     if unknown:
         raise ValueError(f"unknown bottle fields: {sorted(unknown)}")

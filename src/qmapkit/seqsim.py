@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bloch, t1fit, t2fit, waterfat
 from .constants import OMEGA_CS
-from .phantom import PhantomMap, TissueParams
+from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams
 
 _MS = 1e-3
 
@@ -296,24 +296,33 @@ class ImageSet:
 def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
                   pulses: SequencePulses = None, noise_sigma: float = 0.0,
                   seed: int = 0, omega_cs: float = OMEGA_CS) -> ImageSet:
-    """Simulate the full scan over a phantom.
+    """Simulate the full scan over a phantom, each distinct tissue once.
+
+    A tissue's ``simulate_pixel`` result is scattered to all its pixels;
+    this is exact, as it is the very call each of those pixels would get.
 
     Noise is complex white Gaussian with per-channel standard deviation
-    ``noise_sigma``, drawn in one bulk pass from a seeded generator so the
-    result is independent of pixel evaluation order.
+    ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a seeded
+    generator so the result is independent of pixel evaluation order.
     """
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise sigma must be finite and >= 0: {noise_sigma}")
     if timing is None:
         timing = SequenceTiming()
     if pulses is None:
         pulses = build_pulses(timing=timing)
     h, w = pm.shape
     data = np.zeros((2, 11, h, w), dtype=complex)
-    rows, cols = np.nonzero(pm.water_amp + pm.fat_amp != 0.0)
-    ks, which = np.unique(pm.b1_scale[rows, cols], return_inverse=True)
+    signal = pm.water_amp + pm.fat_amp != 0.0
+    stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
+    tissues, which = np.unique(stacked, axis=0, return_inverse=True)
+    ks, k_of = np.unique(tissues[:, -1], return_inverse=True)  # b1_scale
     profs = pixel_profiles(pulses, ks)
-    for r, c, i in zip(rows, cols, which):
-        data[:, :, r, c] = simulate_pixel(pm.params_at(r, c), timing,
-                                          profs.at(i), omega_cs)
+    sims = np.zeros((len(tissues), 2, 11), dtype=complex)
+    for i, (row, k) in enumerate(zip(tissues.tolist(), k_of)):
+        sims[i] = simulate_pixel(TissueParams(*row), timing, profs.at(k),
+                                 omega_cs)
+    data[:, :, signal] = np.moveaxis(sims[which], 0, -1)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((2, 11, h, w, 2))

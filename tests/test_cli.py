@@ -91,6 +91,15 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert cli.main(["simulate", "--config", str(cfg2),
                      "--out", str(tmp_path / "o")]) == 1
 
+    # A negative noise sigma, from the flag or the config, writes nothing.
+    assert cli.main(["simulate", "--noise-sigma=-1e-3",
+                     "--out", str(tmp_path / "o")]) == 1
+    cfg3 = _write_config(tmp_path, {"noise": {"sigma": -0.001}})
+    assert cli.main(["simulate", "--config", cfg3,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "noise sigma" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
     assert cli.main(["mask", "--images", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "m.pbm")]) == 1
 

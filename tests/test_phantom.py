@@ -59,13 +59,15 @@ def test_uniform_b1_scale_applies():
     assert np.all(pm.b1_scale == 1.2)
 
 
-def test_params_at_round_trip():
-    pm = phantom.make_bottle_phantom(64, 64)
-    rows, cols = np.nonzero(pm.label == 3)
-    p = pm.params_at(rows[0], cols[0])
-    assert p == phantom.DEFAULT_BOTTLES[2]
-    bg = pm.params_at(0, 0)
-    assert bg.water_amp == 0.0 and bg.fat_amp == 0.0
+@pytest.mark.parametrize("radius_frac", [0.0, -0.2, float("nan")])
+def test_non_positive_radius_is_rejected(radius_frac):
+    # Only radius**2 reaches the painter, so -0.2 would paint 0.2's disc.
+    with pytest.raises(ValueError, match="radius_frac"):
+        phantom.make_disc_phantom(32, 32, phantom.DEFAULT_BOTTLES[0],
+                                  radius_frac=radius_frac)
+    with pytest.raises(ValueError, match="radius_frac"):
+        phantom.phantom_from_config({"type": "disc",
+                                     "radius_frac": radius_frac})
 
 
 def test_truth_arrays_formulas():

@@ -196,9 +196,91 @@ def test_simulate_scan_computes_profiles_once(monkeypatch):
     pulses = seqsim.build_pulses()
     for r, c in ((16, 10), (16, 18), (16, 22)):
         ref = seqsim.simulate_pixel(
-            pm.params_at(r, c), seqsim.SequenceTiming(),
+            _params_at(pm, r, c), seqsim.SequenceTiming(),
             original(pulses, pm.b1_scale[r, c]))
         npt.assert_array_equal(plain.data[:, :, r, c], ref)
+
+
+def _params_at(pm, r, c):
+    return phantom.TissueParams(**{
+        name: float(getattr(pm, name)[r, c])
+        for name in phantom.TISSUE_FIELDS})
+
+
+def _banded_bottles():
+    """64x64 bottles with two B1 bands across both bottle rows and a
+    per-pixel off-resonance ramp inside bottle 4: tissues shared by
+    hundreds of pixels down to tissues of one pixel."""
+    pm = phantom.make_bottle_phantom(64, 64)
+    pm.b1_scale[18:23] = 0.9
+    pm.b1_scale[40:45] = 1.1
+    ramp = pm.label == 4
+    pm.d_omega0[ramp] = np.linspace(-60.0, 60.0, np.count_nonzero(ramp))
+    return pm
+
+
+def _counting_simulate_pixel(monkeypatch):
+    calls = []
+    original = seqsim.simulate_pixel
+
+    def counted(p, *args):
+        calls.append(p)
+        return original(p, *args)
+
+    monkeypatch.setattr(seqsim, "simulate_pixel", counted)
+    return calls
+
+
+def test_simulate_scan_equals_the_pixel_oracle_everywhere():
+    pm = _banded_bottles()
+    scan = seqsim.simulate_scan(pm)
+    pulses, timing = seqsim.build_pulses(), seqsim.SequenceTiming()
+    profiles = {}
+    signal = pm.water_amp + pm.fat_amp != 0.0
+    for r, c in zip(*np.nonzero(signal)):
+        k = pm.b1_scale[r, c]
+        if k not in profiles:
+            profiles[k] = seqsim.pixel_profiles(pulses, k)
+        ref = seqsim.simulate_pixel(_params_at(pm, r, c), timing,
+                                    profiles[k])
+        got = np.ascontiguousarray(scan.data[:, :, r, c])
+        npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert not np.any(scan.data[:, :, ~signal])
+
+
+def test_simulate_scan_simulates_each_distinct_tissue_once(monkeypatch):
+    plain = phantom.make_bottle_phantom(64, 64)
+    banded = _banded_bottles()
+    signal = banded.water_amp + banded.fat_amp != 0.0
+    tissues = {_params_at(banded, r, c) for r, c in zip(*np.nonzero(signal))}
+    ramp = np.count_nonzero(banded.label == 4)
+    assert len(tissues) > ramp > 100    # one-pixel tissues on the ramp
+    calls = _counting_simulate_pixel(monkeypatch)
+    seqsim.simulate_scan(plain)
+    assert len(calls) == 6 and set(calls) == set(phantom.DEFAULT_BOTTLES)
+    calls.clear()
+    seqsim.simulate_scan(banded)
+    assert len(calls) == len(tissues) and set(calls) == tissues
+
+
+def test_phantom_without_signal_gives_zeros_or_pure_noise(monkeypatch):
+    pm = phantom.make_bottle_phantom(64, 64)
+    pm.water_amp[:] = 0.0
+    pm.fat_amp[:] = 0.0
+    calls = _counting_simulate_pixel(monkeypatch)
+    clean = seqsim.simulate_scan(pm)
+    assert clean.data.shape == (2, 11, 64, 64) and not np.any(clean.data)
+    noisy = seqsim.simulate_scan(pm, noise_sigma=1e-4, seed=4)
+    draw = np.random.default_rng(4).standard_normal((2, 11, 64, 64, 2))
+    npt.assert_array_equal(noisy.data,
+                           0.0 + 1e-4 * (draw[..., 0] + 1j * draw[..., 1]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("sigma", [-1e-3, float("nan"), float("inf")])
+def test_bad_noise_sigma_is_rejected(water_disc, sigma):
+    with pytest.raises(ValueError, match="noise sigma"):
+        seqsim.simulate_scan(water_disc, noise_sigma=sigma)
 
 
 def test_simulate_scan_builds_echo_bases_once_per_segment(monkeypatch):
