@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Pieces x scales x |z| values whose factors cayley_klein computes in one
+# batch: bounds its temporaries whatever the pulse length.
+_BLOCK_ELEMENTS = 16384
+
 
 @dataclass(frozen=True)
 class RfPulse:
@@ -44,11 +48,21 @@ class RfPulse:
             raise ValueError("samples must be a non-empty 1-D array")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        peak = samples[np.argmax(np.abs(samples))]
+        cross = np.abs((samples * peak.conjugate()).imag)
+        if np.any(cross > 1e-9 * np.abs(samples) * abs(peak)):
+            raise ValueError("samples must share one RF axis (phase mod pi)")
         object.__setattr__(self, "samples", samples)
 
     @property
     def duration(self):
         return self.samples.size * self.dt
+
+    @property
+    def axis_phase(self):
+        """Phase of the RF axis every sample lies on (mod pi), taken from
+        the largest sample."""
+        return float(np.angle(self.samples[np.argmax(np.abs(self.samples))]))
 
 
 def hard_pulse(flip: float, duration: float = 1e-5,
@@ -107,36 +121,58 @@ class SliceProfile:
 
 def default_z_grid(slice_thickness: float, n: int = 129,
                    half_span_factor: float = 2.0) -> np.ndarray:
-    """Uniform z grid over +/- half_span_factor * slice_thickness."""
+    """Uniform z grid over +/- half_span_factor * slice_thickness, exactly
+    mirror-symmetric about z = 0 for n >= 2 (a single sample sits at the
+    lower end)."""
     span = half_span_factor * slice_thickness
-    return np.linspace(-span, span, n)
+    if n < 2:
+        return np.linspace(-span, span, n)
+    upper = np.linspace(span * (1 - n % 2) / (n - 1), span, (n + 1) // 2)
+    return np.concatenate((-upper[n % 2:][::-1], upper))
 
 
 def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     """Cayley-Klein parameters ``(alpha, beta)`` of a scaled pulse.
 
-    Returns two complex arrays of shape ``np.shape(b1_scales) + (nz,)``:
-    the composite spin-1/2 rotation ``[[alpha, -conj(beta)], [beta,
-    conj(alpha)]]`` at every transmit scale and slice position (Pauly et
-    al., IEEE TMI 10:53, 1991).  A piece with effective field ``omega`` and
-    angle ``phi = omega*dt`` contributes ``alpha_p = cos(phi/2) -
-    i*(dw/omega)*sin(phi/2)`` and ``beta_p = i*(amp/omega)*sin(phi/2)``.
-    A piece whose scaled amplitude is zero is the identity: the slice
-    gradient alone does not rotate.
+    Returns two C-contiguous complex arrays of shape
+    ``np.shape(b1_scales) + (nz,)``: the composite spin-1/2 rotation
+    ``[[alpha, -conj(beta)], [beta, conj(alpha)]]`` at every transmit scale
+    and slice position (Pauly et al., IEEE TMI 10:53, 1991).  A piece with
+    effective field ``omega`` and angle ``phi = omega*dt`` contributes
+    ``alpha_p = cos(phi/2) - i*(dw/omega)*sin(phi/2)`` and ``beta_p =
+    i*(amp/omega)*sin(phi/2)``.  A piece whose scaled amplitude is zero is
+    the identity: the slice gradient alone does not rotate.
+
+    Every piece's field lies on the pulse's RF axis ``u = exp(i*p)``, so the
+    rotation at -z is the one at +z turned by pi about u: ``alpha(-z) =
+    conj(alpha(z))`` and ``beta(-z) = -exp(2i*p)*conj(beta(z))``.  The
+    product is taken once per distinct ``|z|``, with the piece factors
+    computed a block of pieces at a time.
     """
     ks = np.asarray(b1_scales, dtype=float)[..., None]
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    dw = np.where(ks != 0.0, pulse.slice_gradient * z, 0.0)
+    abs_z, where = np.unique(np.abs(z), return_inverse=True)
+    dw = np.where(ks != 0.0, pulse.slice_gradient * abs_z, 0.0)
     alpha = np.ones(dw.shape, dtype=complex)
     beta = np.zeros(dw.shape, dtype=complex)
+    samples = pulse.samples[pulse.samples != 0.0]
+    per_block = max(1, _BLOCK_ELEMENTS // max(dw.size, 1))
     half_dt = pulse.dt / 2.0
-    for sample in pulse.samples[pulse.samples != 0.0]:
-        omega = np.sqrt((ks * abs(sample)) ** 2 + dw * dw)
+    for start in range(0, samples.size, per_block):
+        block = samples[start:start + per_block].reshape(
+            (-1,) + (1,) * dw.ndim)
+        omega = np.sqrt((ks * np.abs(block)) ** 2 + dw * dw)
         sin_over = np.sin(omega * half_dt) / np.where(omega == 0.0, 1.0, omega)
         a_p = np.cos(omega * half_dt) - 1j * dw * sin_over
-        b_p = (1j * sample) * ks * sin_over
-        alpha, beta = (a_p * alpha - b_p.conj() * beta,
-                       b_p * alpha + a_p.conj() * beta)
+        b_p = (1j * block) * ks * sin_over
+        for a, b, a_c, b_c in zip(a_p, b_p, a_p.conj(), b_p.conj()):
+            alpha, beta = a * alpha - b_c * beta, b * alpha + a_c * beta
+    alpha = np.take(alpha, where, axis=-1)
+    beta = np.take(beta, where, axis=-1)
+    below = z < 0.0
+    np.conjugate(alpha, out=alpha, where=below)
+    np.multiply(-np.exp(2j * pulse.axis_phase), beta.conj(), out=beta,
+                where=below)
     return alpha, beta
 
 

@@ -156,8 +156,8 @@ def make_disc_phantom(width: int, height: int, params: TissueParams,
     """Single centered disc of uniform parameters; handy for round trips."""
     if width < 32 or height < 32:
         raise ValueError("phantom must be at least 32x32")
-    if not radius_frac > 0.0:
-        raise ValueError(f"radius_frac must be > 0, got {radius_frac}")
+    if not 0.0 < radius_frac <= 0.5:
+        raise ValueError(f"radius_frac must be in (0, 0.5], got {radius_frac}")
     pm = _blank_map(width, height)
     pm.b1_scale[:] = params.b1_scale
     radius = radius_frac * min(width, height)
@@ -172,6 +172,14 @@ def bottle_from_dict(d: dict) -> TissueParams:
         raise ValueError(f"unknown bottle fields: {sorted(unknown)}")
     base.update(d)
     return TissueParams(**base)
+
+
+def _grid_side(cfg: dict, key: str) -> int:
+    side = float(cfg.get(key, 64))
+    if not side.is_integer():
+        raise ValueError(f"phantom {key} must be a whole number, got "
+                         f"{cfg[key]!r}")
+    return int(side)
 
 
 def phantom_from_config(cfg: dict) -> PhantomMap:
@@ -189,8 +197,7 @@ def phantom_from_config(cfg: dict) -> PhantomMap:
     unknown = set(cfg) - {"type", "width", "height", "b1_scale"} - own
     if unknown:
         raise ValueError(f"unknown {kind} phantom keys {sorted(unknown)}")
-    width = int(cfg.get("width", 64))
-    height = int(cfg.get("height", 64))
+    width, height = (_grid_side(cfg, key) for key in ("width", "height"))
     b1_scale = float(cfg.get("b1_scale", 1.0))
     if kind == "bottles":
         bottles = cfg.get("bottles")

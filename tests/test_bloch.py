@@ -114,6 +114,39 @@ def test_pulse_validation():
         bloch.hamming_sinc_pulse(np.pi / 2, -1e-3, 4e-3)
 
 
+def test_pulse_samples_must_share_one_rf_axis():
+    # The kernel's mirror across z holds only for a field on one transverse
+    # axis; negative lobes along -u are on that axis.
+    for samples in ([1.0, 1j], [2.0, -1.0, 1.0 + 1e-3j]):
+        with pytest.raises(ValueError, match="RF axis"):
+            bloch.RfPulse(samples=np.array(samples), dt=1e-5)
+    sinc = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, phase=0.3)
+    with pytest.raises(ValueError, match="RF axis"):
+        bloch.RfPulse(samples=sinc.samples
+                      * np.exp(1e-3j * np.arange(sinc.samples.size)),
+                      dt=sinc.dt, slice_gradient=sinc.slice_gradient)
+    assert sinc.axis_phase == pytest.approx(0.3, abs=1e-15)
+    opposed = bloch.RfPulse(samples=np.array([-2j, 1j, 0.0, 5e-324j]),
+                            dt=1e-5)
+    assert opposed.axis_phase == pytest.approx(-np.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 33, 129])
+def test_default_z_grid_is_mirror_symmetric_linspace(n):
+    for thickness, factor in ((4e-3, 2.0), (3.3e-3, 1.5), (1.0, 0.7)):
+        span = factor * thickness
+        z = bloch.default_z_grid(thickness, n, factor)
+        ref = np.linspace(-span, span, n)
+        assert z.shape == (n,)
+        assert np.all(np.abs(z - ref) <= np.spacing(span))
+        if n == 1:
+            npt.assert_array_equal(z, ref)
+        else:
+            npt.assert_array_equal(z, -z[::-1])
+            assert z[0] == -span and z[-1] == span
+            assert np.unique(np.abs(z)).size == (n + 1) // 2
+
+
 def _rodrigues_profile(pulse, k, z):
     """Reference: the per-piece 3x3 Rodrigues product, rotating by
     ``omega*dt`` about ``(-Re(amp), -Im(amp), dw)/omega``; pieces with zero
@@ -137,7 +170,7 @@ def _rodrigues_profile(pulse, k, z):
     return rot
 
 
-@pytest.mark.parametrize("k", [0.0, 0.3, 0.85, 1.0, 1.37])
+@pytest.mark.parametrize("k", [0.0, 0.3, 0.85, 1.0, 1.37, 2.6])
 def test_kernel_matches_rodrigues_product(k):
     pulses = seqsim.build_pulses()
     z = pulses.z_grid()
@@ -161,6 +194,44 @@ def test_kernel_matches_rodrigues_product(k):
                             rtol=0, atol=1e-12)
         npt.assert_allclose(bloch.refocusing_angle(alpha), ref_theta,
                             rtol=0, atol=1e-6)
+        # Both halves of the slice, from the mirrored |z| propagation.
+        npt.assert_allclose(bloch.slice_profile(pulse, k, z).rotations, ref,
+                            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("z_units", [
+    [-1.0, 0.0, 0.7],
+    [0.7, -1.0, 0.0, 0.7, -0.7, 0.25, -1.0, 1.3, -0.25, 0.0],
+], ids=["asymmetric", "unsorted-repeats"])
+def test_any_grid_equals_per_position_calls(z_units):
+    # Positions are propagated once per distinct |z| and scattered back,
+    # so each entry is the one-position result, whatever the grid's order.
+    pulses = seqsim.build_pulses()
+    z = 4e-3 * np.array(z_units)
+    ks = np.array([0.0, 0.85, 2.6])
+    for pulse in (pulses.sat, pulses.probe, pulses.imaging,
+                  pulses.inversion):
+        alpha, beta = bloch.cayley_klein(pulse, ks, z)
+        assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+        for i, j in np.ndindex(alpha.shape):
+            a, b = bloch.cayley_klein(pulse, ks[i], z[j:j + 1])
+            _assert_bit_equal(alpha[i, j:j + 1], a)
+            _assert_bit_equal(beta[i, j:j + 1], b)
+        ref = _rodrigues_profile(pulse, 1.37, z)
+        npt.assert_allclose(bloch.slice_profile(pulse, 1.37, z).rotations,
+                            ref, rtol=0, atol=1e-12)
+
+
+def test_piece_block_size_does_not_change_bits(monkeypatch):
+    pulse = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, n_pieces=48,
+                                     phase=-np.pi / 2)
+    z = bloch.default_z_grid(4e-3, n=33)
+    ks = np.linspace(0.0, 2.0, 7)
+    want = bloch.cayley_klein(pulse, ks, z)
+    for elements in (1, 17 * 7 * 5, 10 ** 6):
+        monkeypatch.setattr(bloch, "_BLOCK_ELEMENTS", elements)
+        for got, ref in zip(bloch.cayley_klein(pulse, ks, z), want):
+            _assert_bit_equal(got, ref)
 
 
 @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),

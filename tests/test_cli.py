@@ -98,6 +98,12 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert cli.main(["simulate", "--config", cfg3,
                      "--out", str(tmp_path / "o")]) == 1
     assert "noise sigma" in capsys.readouterr().err
+    # A fractional grid side is an error, not a truncated phantom.
+    cfg4 = _write_config(tmp_path, {"phantom": {"type": "disc",
+                                                "width": 32.9}})
+    assert cli.main(["simulate", "--config", cfg4,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "width" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
     assert cli.main(["mask", "--images", str(tmp_path / "absent"),

@@ -70,6 +70,32 @@ def test_non_positive_radius_is_rejected(radius_frac):
                                      "radius_frac": radius_frac})
 
 
+@pytest.mark.parametrize("radius_frac", [float("inf"), 0.51])
+def test_radius_beyond_the_grid_is_rejected(radius_frac):
+    # inf would paint every pixel, leaving no background.
+    with pytest.raises(ValueError, match="radius_frac"):
+        phantom.make_disc_phantom(32, 32, phantom.DEFAULT_BOTTLES[0],
+                                  radius_frac=radius_frac)
+    with pytest.raises(ValueError, match="radius_frac"):
+        phantom.phantom_from_config({"type": "disc",
+                                     "radius_frac": radius_frac})
+
+
+def test_largest_radius_fits_the_grid():
+    pm = phantom.make_disc_phantom(32, 32, phantom.DEFAULT_BOTTLES[0],
+                                   radius_frac=0.5)
+    assert pm.label[16, 16] == 1 and pm.label[0, 0] == 0
+
+
+@pytest.mark.parametrize("key", ["width", "height"])
+def test_non_integral_grid_side_is_rejected(key):
+    for value in (32.9, 40.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=key):
+            phantom.phantom_from_config({"type": "disc", key: value})
+    pm = phantom.phantom_from_config({"type": "disc", key: 40.0})
+    assert pm.shape == ((40, 64) if key == "height" else (64, 40))
+
+
 def test_truth_arrays_formulas():
     pm = phantom.make_bottle_phantom(64, 64)
     truth = phantom.phantom_truth_arrays(pm)
