@@ -28,10 +28,7 @@ def lsq_solve(a, b):
 
     Uses an orthogonal factorization (SVD via ``numpy.linalg.lstsq``), never
     normal equations.  Rank-deficient systems return the minimum-norm
-    solution with ``rank_deficient`` set.
-
-    Returns an :class:`LsqResult`; the first two fields are ``(x,
-    residual_norm)``.
+    solution with ``rank_deficient`` set.  Returns an :class:`LsqResult`.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -53,29 +50,6 @@ class BoxedResult(NamedTuple):
     converged: bool
 
 
-def _fd_jacobian(residual, x, r0, lower, upper):
-    # Forward differences, stepping backward when a bound is in the way.
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for i in range(n):
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xi = x.copy()
-        if x[i] + h >= upper[i]:
-            h = -h
-        xi[i] = x[i] + h
-        jac[:, i] = (residual(xi) - r0) / h
-    return jac
-
-
-def _projected_gradient(g, x, lower, upper, eps=1e-12):
-    pg = g.copy()
-    at_lo = x <= lower + eps
-    at_hi = x >= upper - eps
-    pg[at_lo] = np.minimum(pg[at_lo], 0.0)
-    pg[at_hi] = np.maximum(pg[at_hi], 0.0)
-    return pg
-
-
 def solve_boxed(residual, x0, lower, upper, max_iter: int = 200,
                 tol: float = 1e-8):
     """Projected Gauss-Newton with backtracking line search.
@@ -88,20 +62,32 @@ def solve_boxed(residual, x0, lower, upper, max_iter: int = 200,
     the cost drops below ``tol``.  Deterministic for fixed inputs.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
+    lower, upper = (np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                    for v in (lower, upper))
     if np.any(lower >= upper):
         raise ValueError("lower bounds must be strictly below upper bounds")
     if np.any(x <= lower) or np.any(x >= upper):
         raise ValueError("x0 must lie strictly inside the bounds")
-    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
+
+    def resid(x):
+        return np.atleast_1d(np.asarray(residual(x), dtype=float))
+
+    def stationary(g):  # the projected gradient's sup-norm is below tol
+        g = np.where(x <= lower + 1e-12, np.minimum(g, 0.0), g)
+        g = np.where(x >= upper - 1e-12, np.maximum(g, 0.0), g)
+        return bool(np.max(np.abs(g)) < tol)
+
+    r = resid(x)
     cost = float(r @ r)
-    n_iter = 0
-    converged = False
+    n_iter, converged = 0, False
     for n_iter in range(1, max_iter + 1):
-        jac = _fd_jacobian(residual, x, r, lower, upper)
+        # Forward differences, stepping backward when a bound is in the way.
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        h = np.where(x + h >= upper, -h, h)
+        jac = np.stack([(resid(x + hi * e) - r) / hi
+                        for hi, e in zip(h, np.eye(x.size))], axis=1)
         g = 2.0 * (jac.T @ r)
-        if np.max(np.abs(_projected_gradient(g, x, lower, upper))) < tol:
+        if stationary(g):
             converged = True
             n_iter -= 1
             break
@@ -109,95 +95,113 @@ def solve_boxed(residual, x0, lower, upper, max_iter: int = 200,
         if not np.all(np.isfinite(step)):
             step = -g  # fall back to steepest descent
         alpha = 1.0
-        improved = False
         while alpha > 1e-14:
             x_new = np.clip(x + alpha * step, lower, upper)
-            direction = x_new - x
-            slope = float(g @ direction)
-            r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
+            r_new = resid(x_new)
             cost_new = float(r_new @ r_new)
             # Armijo on the actual (projected) displacement; for ascent-ish
             # directions just require plain decrease.
-            target = cost + 1e-4 * min(slope, 0.0)
-            if cost_new <= target and cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
-                improved = True
+            slope = min(float(g @ (x_new - x)), 0.0)
+            if cost_new <= cost + 1e-4 * slope and cost_new < cost:
                 break
             alpha *= 0.5
-        if not improved:
-            # No admissible decrease along GN or gradient: treat as stationary.
-            converged = (
-                np.max(np.abs(_projected_gradient(g, x, lower, upper))) < tol
-            )
+        else:
+            # No admissible decrease along GN or gradient: stationary.
+            converged = stationary(g)
             break
+        x, r, cost = x_new, r_new, cost_new
     return BoxedResult(x, cost, n_iter, converged)
 
 
 class ScaledFit(NamedTuple):
-    x: float
-    amp: float
-    cost: float
-    at_bound: bool
+    x: np.ndarray
+    amp: np.ndarray
+    cost: np.ndarray
+    at_bound: np.ndarray
 
 
 _UNIT = np.linspace(0.0, 1.0, 128)  # scan points as fractions of log(hi/lo)
 _TOL = 1e-12       # width in log x at which the bracket search stops
+_BLOCK_ELEMENTS = 1 << 17  # a block's (pixels, scan points, data) size
 
 
-def fit_scaled_column(column, data, bounds) -> ScaledFit:
-    """Least-squares fit of ``amp * g(x)`` to ``data``, amp >= 0 and x in
-    ``bounds`` = (lo, hi) with 0 < lo < hi.
+def fit_scaled_column(column, data, bounds, params) -> ScaledFit:
+    """Least-squares fit of ``amp * g(x)`` to each row of ``data`` (n, m),
+    amp >= 0 and x in ``bounds`` = (lo, hi) with 0 < lo < hi.
 
-    ``column(x)`` takes an array of x and returns the model column g and
-    its derivative in log x, each of shape ``x.shape + data.shape``.
+    ``params`` holds one row of model parameters per pixel.  ``column(x,
+    p)`` takes x of shape (b, j), or (1, j) for the same points at every
+    pixel, and the rows p of those b pixels; it returns the model column g
+    and its derivative in log x, each of shape (b, j, m).
 
     The model is separable (variable projection): for any x the best
     amplitude is max(g.d / g.g, 0), so only x is searched.  The projected
     cost d.d - (g.d)**2 / g.g is scanned on 128 log-spaced points, and its
     minimum is refined by an Illinois regula falsi on the cost's slope in
-    log x inside the neighbouring grid cells.  The refined point is kept
-    unless its cost is higher than the grid point's.  ``at_bound`` flags an
-    x within 1e-9 (relative) of either bound.
+    log x inside the neighbouring grid cells; each pixel keeps its own
+    bracket and stops on its own.  The refined point is kept unless its
+    cost is higher than the grid point's.  ``at_bound`` flags an x within
+    1e-9 (relative) of either bound.  A row with no positive datum is not
+    fitted and reads 0.  Every field has shape (n,).
+
+    Dot products are sums of elementwise products over the last axis, so a
+    pixel's result depends on its own row alone: not on n, on its block or
+    on the BLAS build.
     """
     d = np.asarray(data, dtype=float)
+    out = ScaledFit(*(np.zeros(len(d), dtype=t) for t in (float,) * 3
+                      + (bool,)))
+    fitted = np.flatnonzero(np.any(d > 0, axis=-1))
+    step = max(1, _BLOCK_ELEMENTS // (_UNIT.size * d.shape[1]))
+    for start in range(0, fitted.size, step):
+        i = fitted[start:start + step]
+        block = _fit_block(column, d[i], np.asarray(params)[i], bounds)
+        for field, value in zip(out, block):
+            field[i] = value
+    return out
+
+
+def _fit_block(column, d, params, bounds):
     lo, hi = bounds
 
-    def project(x):  # the best amplitude, the residual and dg at x
-        g, dg = column(np.asarray(x))
-        amp = max(g @ d / (g @ g), 0.0)
-        return amp, amp * g - d, dg
+    def project(x, i):  # the best amplitude, the residual and dg at x
+        g, dg = (v[:, 0] for v in column(x[:, np.newaxis], params[i]))
+        amp = np.maximum(np.sum(g * d[i], -1) / np.sum(g * g, -1), 0.0)
+        return amp, amp[:, np.newaxis] * g - d[i], dg
 
-    def slope(u):  # d cost / d log x is 2 * amp * slope(u)
-        _, r, dg = project(np.exp(u))
-        return r @ dg
+    def slope(u, i):  # d cost / d log x is 2 * amp * slope(u)
+        _, r, dg = project(np.exp(u), i)
+        return np.sum(r * dg, -1)
 
-    def fit_at(x):
-        x = min(max(float(x), lo), hi)
-        amp, r, _ = project(x)
-        return x, amp, float(r @ r)
+    def fit_at(x, i):
+        x = np.clip(x, lo, hi)
+        amp, r, _ = project(x, i)
+        return x, amp, np.sum(r * r, -1)
 
     grid = lo * (hi / lo) ** _UNIT
-    g, _ = column(grid)
-    gd = np.maximum(g @ d, 0.0)
-    j = int(np.argmax(gd * gd / np.sum(g * g, axis=1)))
-    x, amp, cost = fit_at(grid[j])
-    a, b = np.log(grid[max(j - 1, 0)]), np.log(grid[min(j + 1, grid.size - 1)])
-    fa, fb = slope(a), slope(b)
-    side = 0
-    while fa < 0.0 < fb and b - a > _TOL:
-        u = (a * fb - b * fa) / (fb - fa)
-        fu = slope(u)
-        if fu < 0.0:
-            a, fa = u, fu
-            fb *= 0.5 if side < 0 else 1.0
-            side = -1
-        else:  # a zero or NaN slope ends the search here
-            b, fb = u, fu
-            fa *= 0.5 if side > 0 else 1.0
-            side = 1
-    if side:
-        refined = fit_at(np.exp(u))
-        if refined[2] <= cost:
-            x, amp, cost = refined
-    at_bound = x <= lo * (1 + 1e-9) or x >= hi * (1 - 1e-9)
-    return ScaledFit(x=x, amp=amp, cost=cost, at_bound=bool(at_bound))
+    g, _ = column(grid[np.newaxis], params)
+    gd = np.maximum(np.sum(g * d[:, np.newaxis], -1), 0.0)
+    j = np.argmax(gd * gd / np.sum(g * g, -1), axis=1)
+    x, amp, cost = fit_at(grid[j], slice(None))
+    a, b = (np.log(grid[np.clip(j + s, 0, grid.size - 1)]) for s in (-1, 1))
+    fa, fb = slope(a, slice(None)), slope(b, slice(None))
+    u, side = np.zeros_like(a), np.zeros(a.shape, dtype=int)
+    i = np.flatnonzero((fa < 0.0) & (fb > 0.0) & (b - a > _TOL))
+    while i.size:
+        u[i] = (a[i] * fb[i] - b[i] * fa[i]) / (fb[i] - fa[i])
+        fu = slope(u[i], i)
+        left = fu < 0.0  # a zero or NaN slope ends the search here
+        moved = np.where(left, -1, 1)
+        # Illinois: an end left in place twice running has its slope halved.
+        half = np.where(side[i] == moved, 0.5, 1.0)
+        a[i] = np.where(left, u[i], a[i])
+        b[i] = np.where(left, b[i], u[i])
+        fa[i] = np.where(left, fu, fa[i] * half)
+        fb[i] = np.where(left, fb[i] * half, fu)
+        side[i] = moved
+        i = i[(fa[i] < 0.0) & (fb[i] > 0.0) & (b[i] - a[i] > _TOL)]
+    i = np.flatnonzero(side)
+    rx, ramp, rcost = fit_at(np.exp(u[i]), i)
+    kept = rcost <= cost[i]
+    x[i[kept]], amp[i[kept]], cost[i[kept]] = rx[kept], ramp[kept], rcost[kept]
+    return x, amp, cost, (x <= lo * (1 + 1e-9)) | (x >= hi * (1 - 1e-9))

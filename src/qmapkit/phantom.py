@@ -26,6 +26,9 @@ class TissueParams:
     b1_scale: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("t1", "t2", "t2s_water", "t2s_fat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")

@@ -53,7 +53,7 @@ class QuantMaps:
 @dataclass(frozen=True)
 class EstimateOptions:
     """Stage configuration; defaults match the standard protocol.  The fit
-    bounds must satisfy 0 < low < high; construction checks them."""
+    bounds must be finite with 0 < low < high; construction checks them."""
 
     b1_k_min: float = 0.2
     b1_k_max: float = 1.8
@@ -69,8 +69,9 @@ class EstimateOptions:
     def __post_init__(self):
         for name in ("t2_bounds", "t1_bounds"):
             lo, hi = getattr(self, name)
-            if not 0.0 < lo < hi:
-                raise ValueError(f"{name} {(lo, hi)}: need 0 < low < high")
+            if not 0.0 < lo < hi < np.inf:
+                raise ValueError(
+                    f"{name} {(lo, hi)}: need finite 0 < low < high")
 
 
 def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
@@ -78,12 +79,12 @@ def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
                                    opts.b1_step)
 
 
-def _quantize(k: float, opts: EstimateOptions) -> float:
-    """Snap an estimated scale to the table grid so pixels share slice
-    profiles."""
-    k = min(max(k, opts.b1_k_min), opts.b1_k_max)
-    steps = round((k - opts.b1_k_min) / opts.b1_step)
-    return round(opts.b1_k_min + steps * opts.b1_step, 9)
+def _quantize(k, opts: EstimateOptions):
+    """Snap estimated scales (a scalar or an array) to the table grid so
+    pixels share slice profiles."""
+    k = np.clip(k, opts.b1_k_min, opts.b1_k_max)
+    steps = np.round((k - opts.b1_k_min) / opts.b1_step)
+    return np.round(opts.b1_k_min + steps * opts.b1_step, 9)
 
 
 def estimate_all(images: ImageSet, mask: Mask = None,
@@ -117,25 +118,17 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     # per distinct quantized scale.
     est["b1"], ok["b1"] = b1map.estimate_b1(
         np.abs(px[:, 0, 7]), np.abs(px[:, 1, 7]), ratio_table)
-    ks, which = np.unique([_quantize(k, opts) for k in est["b1"]],
-                          return_inverse=True)
+    ks, which = np.unique(_quantize(est["b1"], opts), return_inverse=True)
     profs = pixel_profiles(pulses, ks)
 
-    # The fits below stay one call per pixel: the benchmark's tracer
-    # (perfbench/tracer.py) wraps fit_t2, fit_waterfat and fit_t1_m0, counts
-    # t1fit.predict_probe_signals, and its hooks read each pixel's result.
-    # T2 and T1/M0 are fitted at k-hat, so they are valid only where B1 is;
-    # a T2 or T1 pinned at a fit bound is invalid too.
-
-    # T2 from the spin echoes I9-I11 of both segments.
-    basis1, basis2 = profs.echo_bases
-    t2_fits = [
-        t2fit.fit_t2(e[0], e[1], basis1[j], basis2[j],
-                     timing.echo_offsets, opts.t2_bounds)
-        for e, j in zip(np.abs(px[:, :, 8:11]), which)]
-    est["t2"] = np.array([f.t2 for f in t2_fits])
-    ok["t2"] = np.array([f.valid and not f.at_bound for f in t2_fits],
-                        dtype=bool) & ok["b1"]
+    # T2 from the spin echoes I9-I11 of both segments.  T2 and T1/M0 are
+    # fitted at k-hat, so they are valid only where B1 is; a T2 or T1
+    # pinned at a fit bound is invalid too.
+    t2 = t2fit.fit_t2_pixels(
+        np.abs(px[:, :, 8:11]).reshape(-1, 6),
+        np.concatenate(profs.echo_bases, axis=-1)[which],
+        timing.echo_offsets, opts.t2_bounds)
+    est["t2"], ok["t2"] = t2.t2, t2.valid & ~t2.at_bound & ok["b1"]
 
     # Water/fat, T2* and off-resonance from the segment-averaged FIDs I1-I5.
     wf_cfg = waterfat.WfConfig(
@@ -145,35 +138,30 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         omega_bound=opts.omega_bound)
     wfs = [waterfat.fit_waterfat(fid, wf_cfg)
            for fid in 0.5 * (px[:, 0, 0:5] + px[:, 1, 0:5])]
-    wf_ok = np.array([wf.valid for wf in wfs], dtype=bool)
+    wf = {name: np.array([getattr(e, name) for e in wfs])
+          for name in waterfat.WfEstimate._fields}
+    wf_ok = wf["valid"].astype(bool)
     for name in ("t2s_water", "t2s_fat", "d_omega0", "fat_fraction"):
-        est[name] = np.array([getattr(wf, name) for wf in wfs])
-        ok[name] = wf_ok
-    est["delta_b0"] = waterfat.delta_b0(est["d_omega0"])
-    ok["delta_b0"] = wf_ok
+        est[name], ok[name] = wf[name], wf_ok
+    est["delta_b0"], ok["delta_b0"] = waterfat.delta_b0(wf["d_omega0"]), wf_ok
 
     # T1/M0 from the segment-averaged probes I6, I7 and segment 1's I8.  The
     # fit assumes a full saturation (no residual), and the species'
     # short-echo weighting from the water/fat stage scales M0 alone.
-    te = timing.echo_time
     probes = np.abs(0.5 * (px[:, 0, 5:7] + px[:, 1, 5:7]))
-    meas = np.column_stack([probes, np.abs(px[:, 0, 7])])
-    t1_fits = []
-    for m, j, wf in zip(meas, which, wfs):
-        echo_scale = waterfat.echo_time_scale(
-            wf.w, wf.f, wf.t2s_water, wf.t2s_fat, te,
-            images.omega_cs) if wf.valid else 1.0
-        ctx = t1fit.T1Context(
-            probe_txr=profs.txr_probe[j], probe_mzf=profs.mzf_probe[j],
-            imaging_txr=profs.txr_imaging[0][j], z_samples=profs.z,
-            times=timing.acq_times[5:8], echo_time=te, sat_residual=0.0,
-            echo_scale=echo_scale, t1_bounds=opts.t1_bounds)
-        t1_fits.append(t1fit.fit_t1_m0(m, ctx))
-    t1_ok = np.array([f.valid for f in t1_fits], dtype=bool)
-    t1_pinned = np.array([f.at_bound for f in t1_fits], dtype=bool)
+    echo_scale = np.ones(len(wfs))
+    echo_scale[wf_ok] = waterfat.echo_time_scale(
+        *(wf[name][wf_ok] for name in ("w", "f", "t2s_water", "t2s_fat")),
+        timing.echo_time, images.omega_cs)
+    t1 = t1fit.fit_t1_m0_pixels(
+        np.column_stack([probes, np.abs(px[:, 0, 7])]),
+        t1fit.T1Context(
+            moments=profs.t1_moments[which], times=timing.acq_times[5:8],
+            echo_time=timing.echo_time, sat_residual=0.0,
+            echo_scale=echo_scale, t1_bounds=opts.t1_bounds))
     for name in ("t1", "m0", "t1_over_m0"):
-        est[name] = np.where(t1_ok, [getattr(f, name) for f in t1_fits], 0.0)
-        ok[name] = t1_ok & ~t1_pinned & ok["b1"]
+        est[name] = np.where(t1.valid, getattr(t1, name), 0.0)
+        ok[name] = t1.valid & ~t1.at_bound & ok["b1"]
 
     out = QuantMaps.zeros((h, w))
     out.mask = mask.bits.copy()

@@ -179,18 +179,17 @@ class PixelProfiles:
     k: float                   # or an array of scales
     z: np.ndarray
     txr_sat: np.ndarray        # rephased transverse response, per z
-    txr_probe: np.ndarray
-    mzf_probe: np.ndarray      # longitudinal survival factor, per z
     txr_imaging: tuple         # one complex array per segment
     echo_bases: tuple          # one (..., 3) t2fit.echo_basis per segment
+    t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
     def at(self, i) -> "PixelProfiles":
         """The profiles at entry ``i`` of an array of scales."""
         return PixelProfiles(
             k=float(self.k[i]), z=self.z, txr_sat=self.txr_sat[i],
-            txr_probe=self.txr_probe[i], mzf_probe=self.mzf_probe[i],
             txr_imaging=tuple(t[i] for t in self.txr_imaging),
-            echo_bases=tuple(b[i] for b in self.echo_bases))
+            echo_bases=tuple(b[i] for b in self.echo_bases),
+            t1_moments=self.t1_moments[i])
 
 
 def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
@@ -210,11 +209,12 @@ def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
     return PixelProfiles(
         k=float(k) if ks.ndim == 0 else ks, z=z,
         txr_sat=excite(pulses.sat),
-        txr_probe=bloch.transverse(pulses.probe, *probe, z),
-        mzf_probe=bloch.longitudinal(*probe),
         txr_imaging=txr_imaging,
         echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
                          for txr in txr_imaging),
+        t1_moments=t1fit.slice_moments(
+            bloch.transverse(pulses.probe, *probe, z),
+            bloch.longitudinal(*probe), txr_imaging, z),
     )
 
 
@@ -241,30 +241,18 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
     fid = m0 * c_sat * kernel(timing.fid_times)
     te = timing.echo_time
     te_kernel = complex(kernel(te))
+    # Saturation leaves the hard-pulse-equivalent scalar residual.
     ctx = t1fit.T1Context(
-        probe_txr=profiles.txr_probe,
-        probe_mzf=profiles.mzf_probe,
-        imaging_txr=profiles.txr_imaging[0],
-        z_samples=z,
-        times=(timing.probe_times[0] + te, timing.probe_times[1] + te,
-               timing.t_sat + te),
-        echo_time=te,
-        # Saturation leaves the hard-pulse-equivalent scalar residual.
-        sat_residual=float(np.cos(p.b1_scale * timing.sat_flip)),
-    )
-    (s6, s7, s8_seg1), _, mz_sat = t1fit.recovery_signals(p.t1, m0, ctx)
-    for seg in (0, 1):
-        txr_img = profiles.txr_imaging[seg]
-        a_src = (s8_seg1 if seg == 0
-                 else bloch.integrate_slice(txr_img * mz_sat, z))
-        out[seg, 0:5] = fid
-        out[seg, 5] = s6 * te_kernel
-        out[seg, 6] = s7 * te_kernel
-        out[seg, 7] = a_src * te_kernel
+        moments=profiles.t1_moments, times=timing.acq_times[5:8],
+        echo_time=te, sat_residual=float(np.cos(p.b1_scale * timing.sat_flip)))
+    (s6, s7, *s8), _ = t1fit.recovery_signals(p.t1, m0, ctx)
+    out[:, 0:5] = fid
+    out[:, 5:8] = np.column_stack([[s6, s6], [s7, s7], s8]) * te_kernel
+    for seg, a_src in enumerate(s8):
         # Echo train: magnitudes from the shared echo kernel sourced by the
         # imaging-pulse signal; spin echoes refocus off-resonance and
         # chemical shift, so decay is pure T2 and the phase is the source's.
-        gain = abs(bloch.integrate_slice(txr_img, z))
+        gain = abs(bloch.integrate_slice(profiles.txr_imaging[seg], z))
         if gain > 0 and abs(a_src) > 0:
             mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2,
                                         profiles.echo_bases[seg],

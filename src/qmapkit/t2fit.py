@@ -72,33 +72,37 @@ class T2Fit(NamedTuple):
     valid: bool
 
 
-def fit_t2(echoes_seg1, echoes_seg2, basis1, basis2, echo_times,
-           t2_bounds) -> T2Fit:
-    """Joint two-segment fit of (amp, t2) to six echo magnitudes.
+def fit_t2_pixels(echoes, bases, echo_times, t2_bounds) -> T2Fit:
+    """Joint two-segment fit of (amp, t2) at each of n pixels, from the
+    three segment-1 then three segment-2 echo magnitudes (n, 6) and the two
+    segments' echo bases (n, 6); every field of the result has shape (n,).
 
     One source amplitude is shared: the two segments tip the same
     longitudinal magnetization, and their different excitation responses are
     already carried by each segment's echo basis.  Both segments share the
-    echo times.
-
-    The fit is :func:`fitcore.fit_scaled_column` on the six-echo model
-    column; the amplitude is projected out, so only t2 is searched.
+    echo times.  :func:`fitcore.fit_scaled_column` projects the amplitude
+    out, so only t2 is searched.  A pixel without a positive echo reads 0
+    and invalid.
     """
+    d = np.asarray(echoes, dtype=float)
+    dts = np.tile(np.asarray(echo_times, dtype=float), 2)
+
+    def column(t2, basis):
+        rate = dts / t2[..., np.newaxis]
+        g = basis[:, np.newaxis] * np.exp(-rate)
+        return g, g * rate
+
+    fit = fitcore.fit_scaled_column(column, d, t2_bounds, bases)
+    return T2Fit(*fit, valid=np.any(d > 0, axis=-1))
+
+
+def fit_t2(echoes_seg1, echoes_seg2, basis1, basis2, echo_times,
+           t2_bounds) -> T2Fit:
+    """:func:`fit_t2_pixels` at one pixel, with Python scalar fields."""
     e1 = np.asarray(echoes_seg1, dtype=float)
     e2 = np.asarray(echoes_seg2, dtype=float)
     if e1.shape != (3,) or e2.shape != (3,):
         raise ValueError("each segment supplies three echo magnitudes")
-    if not (np.any(e1 > 0) or np.any(e2 > 0)):
-        return T2Fit(t2=0.0, amp=0.0, cost=0.0, at_bound=False, valid=False)
-    dts = np.tile(np.asarray(echo_times, dtype=float), 2)
-    basis = np.concatenate([basis1, basis2])
-
-    def column(t2):
-        rate = dts / t2[..., np.newaxis]
-        g = basis * np.exp(-rate)
-        return g, g * rate
-
-    fit = fitcore.fit_scaled_column(column, np.concatenate([e1, e2]),
-                                    t2_bounds)
-    return T2Fit(t2=fit.x, amp=fit.amp, cost=fit.cost,
-                 at_bound=fit.at_bound, valid=True)
+    return T2Fit(*(f.item() for f in fit_t2_pixels(
+        np.concatenate([e1, e2])[np.newaxis],
+        np.concatenate([basis1, basis2])[np.newaxis], echo_times, t2_bounds)))

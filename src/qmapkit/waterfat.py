@@ -236,19 +236,21 @@ def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
     return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
 
 
-def echo_time_scale(w, f, t2s_water: float, t2s_fat: float, echo_time: float,
-                    omega_cs: float = OMEGA_CS) -> float:
+def echo_time_scale(w, f, t2s_water, t2s_fat, echo_time: float,
+                    omega_cs: float = OMEGA_CS):
     """Magnitude of the two-species decay/interference kernel at a short
     echo time, normalized to 1 at echo_time = 0.
 
     Multiplies any signal read out ``echo_time`` after a pulse that tips
     recovered longitudinal magnetization with water fraction |w| and fat
     fraction |f|.  Freshly tipped species start phase-aligned (longitudinal
-    storage keeps no transverse phase), so only the magnitudes enter.
+    storage keeps no transverse phase), so only the magnitudes enter.  The
+    species values may be arrays of one shape (one per pixel); a pixel with
+    no species signal reads 1.
     """
-    amps = np.array([abs(w), abs(f)])
-    total = amps[0] + amps[1]
-    if total == 0:
-        return 1.0
+    amps = np.stack([np.abs(w), np.abs(f)], axis=-1)
+    total = amps[..., 0] + amps[..., 1]
     cols = wf_design(echo_time, t2s_water, t2s_fat, 0.0, omega_cs)
-    return float(abs(np.sum(cols * amps, axis=-1)) / total)
+    out = np.divide(np.abs(np.sum(cols * amps, axis=-1)), total,
+                    out=np.ones_like(total), where=total != 0)
+    return out if out.ndim else float(out)

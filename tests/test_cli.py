@@ -118,6 +118,35 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert not (tmp_path / "m.pbm").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"t2": {"max": 1e400}}', '{"t1": {"min": NaN}}'])
+def test_non_finite_fit_bound_exits_1(tmp_path, water_scan, capsys, text):
+    # JSON reads 1e400 as inf; the estimate stops before writing any map.
+    images_dir = str(tmp_path / "images")
+    formats.write_imageset(water_scan, images_dir)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "maps"
+    assert cli.main(["estimate", "--config", str(cfg), "--images",
+                     images_dir, "--out", str(out)]) == 1
+    assert "need finite 0 < low < high" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t1", float("nan")), ("water_amp", float("nan")),
+    ("b1_scale", float("nan")), ("d_omega0", float("nan")),
+    ("t2", float("inf"))])
+def test_non_finite_tissue_value_exits_1(tmp_path, capsys, field, value):
+    disc = dict(CHAIN_CONFIG["phantom"]["disc"], **{field: value})
+    cfg = _write_config(tmp_path, {"phantom": dict(CHAIN_CONFIG["phantom"],
+                                                   disc=disc)})
+    out = tmp_path / "images"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg, names", [
     ("simulate", {"noise": {"sigm": 1e-3}}, ["noise", "sigm"]),
     ("simulate", {"phantom": {"type": "disc", "radius": 0.05}}, ["radius"]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -79,29 +81,31 @@ def test_solve_boxed_argument_checks():
         fitcore.solve_boxed(r, x0=[1.0], lower=[1.0], upper=[2.0])
 
 
-def _exponential_column(t):
-    def column(x):
-        g = np.exp(-t / x[..., np.newaxis])
-        return g, g * t / x[..., np.newaxis]
-    return column
+def _exponential_column(x, t):
+    # Each pixel's row of params holds its own sample times.
+    rate = t[:, np.newaxis] / x[..., np.newaxis]
+    g = np.exp(-rate)
+    return g, g * rate
 
 
 def test_fit_scaled_column_recovers_exponential():
     t = np.linspace(0.0, 1.0, 9)
-    column = _exponential_column(t)
-    for tau in (0.02, 0.3, 4.0):
-        fit = fitcore.fit_scaled_column(column, 2.0 * np.exp(-t / tau),
-                                        (0.01, 10.0))
-        assert fit.x == pytest.approx(tau, rel=1e-9)
-        assert fit.amp == pytest.approx(2.0, rel=1e-9)
-        assert fit.cost < 1e-20 and not fit.at_bound
+    taus = np.array([0.02, 0.3, 4.0])
+    times = np.tile(t, (3, 1))
+    fit = fitcore.fit_scaled_column(
+        _exponential_column, 2.0 * np.exp(-t / taus[:, np.newaxis]),
+        (0.01, 10.0), times)
+    npt.assert_allclose(fit.x, taus, rtol=1e-9)
+    npt.assert_allclose(fit.amp, 2.0, rtol=1e-9)
+    assert np.all(fit.cost < 1e-20) and not np.any(fit.at_bound)
 
 
 def test_fit_scaled_column_pins_at_a_bound():
     t = np.linspace(0.0, 1.0, 9)
-    fit = fitcore.fit_scaled_column(_exponential_column(t),
-                                    np.exp(-t / 5.0), (0.01, 1.0))
-    assert fit.x == 1.0 and fit.at_bound
+    fit = fitcore.fit_scaled_column(_exponential_column,
+                                    np.exp(-t / 5.0)[np.newaxis],
+                                    (0.01, 1.0), t[np.newaxis])
+    assert fit.x[0] == 1.0 and fit.at_bound[0]
 
 
 def test_fit_scaled_column_keeps_amplitude_non_negative():
@@ -109,6 +113,63 @@ def test_fit_scaled_column_keeps_amplitude_non_negative():
     # the cost is the data's own squared norm.
     t = np.linspace(0.0, 1.0, 9)
     d = -np.exp(-t / 0.3)
-    fit = fitcore.fit_scaled_column(_exponential_column(t), d, (0.01, 10.0))
-    assert fit.amp == 0.0
-    assert fit.cost == pytest.approx(d @ d, rel=1e-14)
+    d[-1] = 1e-3
+    fit = fitcore.fit_scaled_column(_exponential_column, d[np.newaxis],
+                                    (0.01, 10.0), t[np.newaxis])
+    assert fit.amp[0] == 0.0
+    assert fit.cost[0] == pytest.approx(d @ d, rel=1e-14)
+
+
+def test_fit_scaled_column_skips_rows_without_positive_data():
+    t = np.linspace(0.0, 1.0, 9)
+    d = np.stack([np.zeros(9), -np.exp(-t), np.exp(-t / 0.3)])
+    fit = fitcore.fit_scaled_column(_exponential_column, d, (0.01, 10.0),
+                                    np.tile(t, (3, 1)))
+    for field in fit:
+        assert not np.any(field[:2])
+    assert fit.x[2] == pytest.approx(0.3, rel=1e-9)
+
+
+def _noisy_rows(n, seed=0):
+    # Decays with per-pixel sample times, taus and noise.
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 1.0, (n, 6)), axis=1)
+    taus = rng.uniform(0.02, 3.0, (n, 1))
+    d = np.exp(-times / taus) + 1e-3 * rng.standard_normal((n, 6))
+    return d, times
+
+
+@pytest.mark.parametrize("block", [1, 7 * 128 * 6, 1 << 30])
+def test_fit_scaled_column_rows_are_independent(block, monkeypatch):
+    # A row's result is bit-equal whether it is fitted alone, among others
+    # or in blocks of any size.
+    d, times = _noisy_rows(40)
+    bounds = (0.01, 5.0)
+    full = fitcore.fit_scaled_column(_exponential_column, d, bounds, times)
+    monkeypatch.setattr(fitcore, "_BLOCK_ELEMENTS", block)
+    some = slice(3, 40, 7)
+    part = fitcore.fit_scaled_column(_exponential_column, d[some], bounds,
+                                     times[some])
+    for a, b in zip(full, part):
+        assert a[some].tobytes() == b.tobytes()
+    for i in (0, 17):
+        one = fitcore.fit_scaled_column(_exponential_column, d[i:i + 1],
+                                        bounds, times[i:i + 1])
+        for a, b in zip(full, one):
+            assert a[i:i + 1].tobytes() == b.tobytes()
+
+
+def test_fit_scaled_column_memory_does_not_grow_with_pixels():
+    # The scan's (pixels, points, data) temporaries are taken a block of
+    # pixels at a time, so ten times the pixels stays within twice the peak.
+    peaks = []
+    for n in (5_000, 50_000):
+        d, times = _noisy_rows(n, seed=1)
+        tracemalloc.start()
+        try:
+            fitcore.fit_scaled_column(_exponential_column, d, (0.01, 5.0),
+                                      times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]

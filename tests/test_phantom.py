@@ -20,6 +20,30 @@ def test_tissue_params_validation():
                              t2s_water=0.06, t2s_fat=0.05)
 
 
+NON_FINITE = [("t1", np.nan), ("water_amp", np.nan), ("b1_scale", np.nan),
+              ("d_omega0", np.nan), ("t2", np.inf), ("fat_amp", -np.inf)]
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE)
+def test_non_finite_tissue_value_is_rejected(field, value):
+    fields = dataclasses.asdict(phantom.DEFAULT_BOTTLES[2])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        phantom.TissueParams(**dict(fields, **{field: value}))
+    bottles = [dataclasses.asdict(b) for b in phantom.DEFAULT_BOTTLES]
+    bottles[4][field] = value
+    for cfg in ({"type": "disc", "disc": {field: value}},
+                {"type": "bottles", "bottles": bottles}):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            phantom.phantom_from_config(cfg)
+
+
+def test_zero_b1_scale_is_valid():
+    p = dataclasses.replace(phantom.DEFAULT_BOTTLES[0], b1_scale=0.0)
+    pm = phantom.phantom_from_config({"type": "disc", "width": 32,
+                                      "height": 32, "disc": {"b1_scale": 0}})
+    assert p.b1_scale == 0.0 and pm.b1_scale.max() == 0.0
+
+
 def test_fat_fraction_property():
     p = phantom.TissueParams(water_amp=0.6, fat_amp=0.4, t1=1, t2=0.1,
                              t2s_water=0.05, t2s_fat=0.03)

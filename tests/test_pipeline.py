@@ -128,6 +128,52 @@ def test_estimate_all_builds_echo_bases_once_per_segment(monkeypatch):
     assert calls["solve_boxed"] == 0
 
 
+@pytest.fixture(scope="module")
+def noisy_bottles():
+    pm = phantom.make_bottle_phantom(32, 32)
+    images = seqsim.simulate_scan(pm, noise_sigma=1e-4, seed=1)
+    return images, maskgen.make_mask(maskgen.mean_image(images))
+
+
+def test_a_pixel_reads_the_same_in_any_stratum(noisy_bottles):
+    # T2 and T1/M0 are fitted as arrays over the masked pixels; a pixel's
+    # maps and flags are bit-equal whether it is estimated with the whole
+    # mask or with every seventh masked pixel.
+    images, mask = noisy_bottles
+    full = pipeline.estimate_all(images, mask)
+    bits = np.zeros_like(mask.bits)
+    bits.ravel()[np.flatnonzero(mask.bits)[3::7]] = True
+    part = pipeline.estimate_all(images, maskgen.Mask(bits=bits))
+    assert bits.sum() > 20 and not full.valid["t1"][bits].all()
+    for name in pipeline.MAP_NAMES:
+        assert (getattr(part, name)[bits].tobytes()
+                == getattr(full, name)[bits].tobytes()), name
+        npt.assert_array_equal(part.valid[name][bits],
+                               full.valid[name][bits])
+
+
+def test_estimate_all_fits_t2_and_t1_in_one_call_each(water_scan,
+                                                      monkeypatch):
+    calls = []
+    original = fitcore.fit_scaled_column
+
+    def counted(column, data, bounds, params):
+        calls.append(len(data))
+        return original(column, data, bounds, params)
+
+    monkeypatch.setattr(fitcore, "fit_scaled_column", counted)
+    h, w = water_scan.data.shape[2:]
+    for n in (1, 8):
+        bits = np.zeros((h, w), dtype=bool)
+        bits[h // 2, 12:12 + n] = True
+        calls.clear()
+        pipeline.estimate_all(water_scan, maskgen.Mask(bits=bits))
+        assert calls == [n, n]
+    calls.clear()
+    maps = pipeline.estimate_all(water_scan)
+    assert calls == [maps.mask.sum()] * 2 and calls[0] > 100
+
+
 def test_t1_is_isolated_from_the_water_fat_stage():
     # A quadratic phase across I1-I5 at one pixel changes its water/fat
     # split, and through the echo-time factor its M0; B1, T2, T1 and every
@@ -162,6 +208,15 @@ def test_estimate_options_reject_bad_fit_bounds():
         pipeline.EstimateOptions(t1_bounds=(5.0, 0.05))
     with pytest.raises(ValueError):
         pipeline.EstimateOptions(t2_bounds=(0.0, 3.0))
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("t2_bounds", (0.005, np.inf)), ("t1_bounds", (0.05, np.inf)),
+    ("t2_bounds", (np.nan, 3.0)), ("t1_bounds", (0.05, np.nan))])
+def test_estimate_options_reject_non_finite_fit_bounds(name, bounds):
+    # An infinite upper bound once gave T2 = inf at every masked pixel.
+    with pytest.raises(ValueError, match="need finite 0 < low < high"):
+        pipeline.EstimateOptions(**{name: bounds})
 
 
 def test_non_finite_pixel_is_invalid_and_isolated(water_scan):

@@ -167,7 +167,7 @@ def test_vectorised_profiles_equal_scalar_calls(hard):
         one = seqsim.pixel_profiles(pulses, ks[idx])
         assert one.k == ks[idx] and one.txr_sat.shape == one.z.shape
         picked = stacked.at(idx)
-        for name in ("txr_sat", "txr_probe", "mzf_probe"):
+        for name in ("txr_sat", "t1_moments"):
             npt.assert_array_equal(getattr(picked, name), getattr(one, name))
         for seg in (0, 1):
             npt.assert_array_equal(picked.txr_imaging[seg],

@@ -116,3 +116,28 @@ def test_fit_t2_reaches_dense_scan_minimum():
             fit = t2fit.fit_t2(e1, e2, basis1, basis2, ECHO_TIMES, T2_BOUNDS)
             best = _scan_minimum(e1, e2, basis1, basis2, scan)
             assert fit.cost <= best * (1.0 + 1e-10)
+
+
+def test_single_pixel_fit_equals_the_array_rows():
+    # fit_t2 is the array fit at one pixel: every field bit-equal to that
+    # pixel's row of a batch with per-pixel bases, including a pixel with
+    # no echo and one pinned at a bound.
+    timing = seqsim.default_timing()
+    profs = seqsim.pixel_profiles(seqsim.build_pulses(seqsim.PulseParams(),
+                                                      timing),
+                                  np.array([0.7, 1.0, 1.3]))
+    bases = np.concatenate(profs.echo_bases, axis=-1)[[0, 1, 2, 0, 1]]
+    rng = np.random.default_rng(4)
+    echoes = np.array([
+        np.abs(t2fit.predict_echoes(0.7, t2, b, np.tile(ECHO_TIMES, 2))
+               + 1e-4 * rng.standard_normal(6))
+        for t2, b in zip((0.04, 0.08, 0.15, 0.6), bases)] + [0.7 * bases[4]])
+    echoes[3] = 0.0
+    batch = t2fit.fit_t2_pixels(echoes, bases, ECHO_TIMES, T2_BOUNDS)
+    assert not batch.valid[3] and batch.at_bound[4]
+    for i in range(5):
+        one = t2fit.fit_t2(echoes[i, :3], echoes[i, 3:], bases[i, :3],
+                           bases[i, 3:], ECHO_TIMES, T2_BOUNDS)
+        for name, value in one._asdict().items():
+            assert type(value) is type(getattr(batch, name)[i].item())
+            assert value == getattr(batch, name)[i], name
