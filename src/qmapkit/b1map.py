@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from . import bloch
 from .seqsim import SequencePulses
@@ -52,9 +51,9 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
     ``m = 16 + ceil(2 * A * (k_max - k_min))`` grows with the pulse's
     nutation area ``A``, which sets how fast the curves oscillate in k.
-    The coefficients are an elementwise product and sum, not a matrix
-    product, so they do not depend on BLAS threads.  Magnitudes are taken
-    only after interpolation: they have a kink at the signal null.
+    The coefficients and the series (Clenshaw's recurrence) are elementwise,
+    not matrix products, so they do not depend on BLAS threads.  Magnitudes
+    are taken only after interpolation: they have a kink at the signal null.
 
     The raw ratio is non-monotone once the doubled flip passes the null, so
     the table keeps only the initial decreasing branch.
@@ -75,16 +74,18 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     cosines = np.cos(np.arange(m)[:, None] * theta)
     coef = (2.0 / m) * np.sum(values.reshape(2, 1, m) * cosines, axis=-1)
     coef[:, 0] *= 0.5
-    lo, hi = np.abs(chebval((k_axis - mid) / half, coef.T))
+    # Clenshaw's recurrence for sum_j c_j T_j(x), elementwise in x.
+    x = (k_axis - mid) / half
+    c0, c1 = coef[:, -2, None], coef[:, -1, None]
+    for j in range(m - 3, -1, -1):
+        c0, c1 = coef[:, j, None] - c1, c0 + c1 * (2.0 * x)
+    lo, hi = np.abs(c0 + c1 * x)
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo
     # Keep the decreasing branch only: stop before the first uptick.
-    keep = n
-    for i in range(1, n):
-        if ratios[i] >= ratios[i - 1]:
-            keep = i
-            break
+    upticks = np.flatnonzero(np.diff(ratios) >= 0)
+    keep = upticks[0] + 1 if upticks.size else n
     if keep < 2:
         raise ValueError("ratio curve has no decreasing branch")
     return RatioTable(k_values=k_axis[:keep], ratios=ratios[:keep])

@@ -84,18 +84,20 @@ def hamming_sinc_pulse(flip: float, duration: float, slice_thickness: float,
 
     The gradient is chosen so the pulse bandwidth (time_bandwidth/duration)
     spans ``slice_thickness``.  Pieces are sampled at sub-interval midpoints,
-    so the windowed envelope never contains an exactly-zero piece.
+    so the windowed envelope never contains an exactly-zero piece.  It is
+    evaluated at the non-negative times and mirrored: samples[::-1] == samples.
     """
     if duration <= 0 or slice_thickness <= 0 or time_bandwidth <= 0:
         raise ValueError("duration, slice_thickness, time_bandwidth must be > 0")
     if n_pieces < 2:
         raise ValueError("need at least 2 pieces")
     dt = duration / n_pieces
-    t = (np.arange(n_pieces) + 0.5) * dt - duration / 2.0
+    odd = n_pieces % 2
+    t = (np.arange((n_pieces + 1) // 2) + 0.5 * (1 - odd)) * dt
     bandwidth = time_bandwidth / duration  # Hz
-    envelope = np.sinc(bandwidth * t)
     window = 0.54 + 0.46 * np.cos(2.0 * np.pi * t / duration)
-    envelope = envelope * window
+    envelope = np.sinc(bandwidth * t) * window
+    envelope = np.concatenate((envelope[odd:][::-1], envelope))
     scale = flip / (np.sum(envelope) * dt)
     samples = scale * envelope * np.exp(1j * phase)
     slice_gradient = 2.0 * np.pi * bandwidth / slice_thickness
@@ -148,6 +150,12 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     conj(alpha(z))`` and ``beta(-z) = -exp(2i*p)*conj(beta(z))``.  The
     product is taken once per distinct ``|z|``, with the piece factors
     computed a block of pieces at a time.
+
+    On one RF axis each piece factor also has ``Q^T = D Q D^-1``, ``D =
+    diag(1, exp(-2i*p))``.  So if the non-zero samples are exactly the same
+    backwards, ``U = (D V D^-1)^T W``: V is the product of the first n//2
+    pieces, W is V times the middle piece if n is odd, and only ceil(n/2)
+    pieces are propagated.  Any other pulse takes the full product.
     """
     ks = np.asarray(b1_scales, dtype=float)[..., None]
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
@@ -156,8 +164,29 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     alpha = np.ones(dw.shape, dtype=complex)
     beta = np.zeros(dw.shape, dtype=complex)
     samples = pulse.samples[pulse.samples != 0.0]
+    turn = np.exp(2j * pulse.axis_phase)
+    if np.array_equal(samples, samples[::-1]):
+        half = samples.size // 2
+        a_v, b_v = _product(samples[:half], ks, dw, pulse.dt, alpha, beta)
+        a_w, b_w = _product(samples[half:samples.size - half], ks, dw,
+                            pulse.dt, a_v, b_v)
+        alpha = a_v * a_w + turn.conjugate() * b_v * b_w
+        beta = a_v.conj() * b_w - turn * b_v.conj() * a_w
+    else:
+        alpha, beta = _product(samples, ks, dw, pulse.dt, alpha, beta)
+    alpha = np.take(alpha, where, axis=-1)
+    beta = np.take(beta, where, axis=-1)
+    below = z < 0.0
+    np.conjugate(alpha, out=alpha, where=below)
+    np.multiply(-turn, beta.conj(), out=beta, where=below)
+    return alpha, beta
+
+
+def _product(samples, ks, dw, dt, alpha, beta):
+    """``(alpha, beta)`` carried through the pieces ``samples`` in order, at
+    scales ``ks`` and off-resonances ``dw``, a block of pieces at a time."""
     per_block = max(1, _BLOCK_ELEMENTS // max(dw.size, 1))
-    half_dt = pulse.dt / 2.0
+    half_dt = dt / 2.0
     for start in range(0, samples.size, per_block):
         block = samples[start:start + per_block].reshape(
             (-1,) + (1,) * dw.ndim)
@@ -167,12 +196,6 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
         b_p = (1j * block) * ks * sin_over
         for a, b, a_c, b_c in zip(a_p, b_p, a_p.conj(), b_p.conj()):
             alpha, beta = a * alpha - b_c * beta, b * alpha + a_c * beta
-    alpha = np.take(alpha, where, axis=-1)
-    beta = np.take(beta, where, axis=-1)
-    below = z < 0.0
-    np.conjugate(alpha, out=alpha, where=below)
-    np.multiply(-np.exp(2j * pulse.axis_phase), beta.conj(), out=beta,
-                where=below)
     return alpha, beta
 
 
@@ -235,16 +258,10 @@ def rephased(profile: SliceProfile, pulse: RfPulse) -> SliceProfile:
         return profile
     z = profile.z_samples
     phi = -pulse.slice_gradient * z * (pulse.duration / 2.0)
-    c = np.cos(phi)
-    s = np.sin(phi)
-    nzn = z.size
-    rz = np.zeros((nzn, 3, 3))
-    rz[:, 0, 0] = c
-    rz[:, 0, 1] = -s
-    rz[:, 1, 0] = s
-    rz[:, 1, 1] = c
-    rz[:, 2, 2] = 1.0
-    rot = np.einsum("zij,zjk->zik", rz, profile.rotations, optimize=False)
+    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    rot = profile.rotations.copy()
+    x, y = rot[:, 0], rot[:, 1]
+    rot[:, 0], rot[:, 1] = c * x - s * y, s * x + c * y
     return SliceProfile(z, rot)
 
 

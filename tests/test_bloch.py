@@ -266,3 +266,118 @@ def test_kernel_keeps_shape_and_equals_per_entry_calls(shape):
         _assert_bit_equal(np.atleast_1d(curve[idx]),
                           bloch.integrated_transverse_curve(
                               pulse, float(ks[idx]), z))
+
+
+def _sequential_product(pulse, ks, z):
+    """Oracle: the full product of every non-zero piece, one piece at a
+    time, at each ``|z|``, mirrored to ``-z``; the kernel's arithmetic
+    without its time symmetry."""
+    ks = np.asarray(ks, dtype=float)[..., None]
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    dw = np.where(ks != 0.0, pulse.slice_gradient * np.abs(z), 0.0)
+    alpha = np.ones(dw.shape, dtype=complex)
+    beta = np.zeros(dw.shape, dtype=complex)
+    half_dt = pulse.dt / 2.0
+    pieces = pulse.samples[pulse.samples != 0.0]
+    for s in pieces.reshape((-1,) + (1,) * dw.ndim):
+        omega = np.sqrt((ks * np.abs(s)) ** 2 + dw * dw)
+        sin_over = np.sin(omega * half_dt) / np.where(omega == 0.0, 1.0, omega)
+        a = np.cos(omega * half_dt) - 1j * dw * sin_over
+        b = (1j * s) * ks * sin_over
+        alpha, beta = a * alpha - b.conj() * beta, b * alpha + a.conj() * beta
+    below = z < 0.0
+    turn = np.exp(2j * pulse.axis_phase)
+    return (np.where(below, alpha.conj(), alpha),
+            np.where(below, np.multiply(-turn, beta.conj()), beta))
+
+
+def _counted_pieces(monkeypatch):
+    counted = []
+    product = bloch._product
+
+    def wrapped(samples, *args):
+        counted.append(samples.size)
+        return product(samples, *args)
+    monkeypatch.setattr(bloch, "_product", wrapped)
+    return counted
+
+
+_HALF_PATH_Z = {
+    "grid-with-0": bloch.default_z_grid(4e-3, n=33),
+    "asymmetric": 4e-3 * np.array([-1.0, 0.0, 0.7, 0.25, 1.3, -0.7]),
+}
+
+
+@pytest.mark.parametrize("n_pieces", [2, 31, 48, 256])
+def test_sinc_samples_are_mirror_symmetric(n_pieces):
+    for phase in (0.0, -np.pi / 2, 0.3):
+        pulse = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3,
+                                         n_pieces=n_pieces, phase=phase)
+        npt.assert_array_equal(pulse.samples, pulse.samples[::-1])
+        t = (np.arange(n_pieces) + 0.5) * pulse.dt - pulse.duration / 2.0
+        envelope = np.sinc(4.0 / pulse.duration * t) * (
+            0.54 + 0.46 * np.cos(2.0 * np.pi * t / pulse.duration))
+        npt.assert_allclose(
+            pulse.samples, np.pi / 2 / (envelope.sum() * pulse.dt)
+            * envelope * np.exp(1j * phase), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n_pieces", [31, 48, 256])
+@pytest.mark.parametrize("z_name", sorted(_HALF_PATH_Z))
+def test_half_path_matches_sequential_product(monkeypatch, n_pieces,
+                                              z_name):
+    # A symmetric pulse runs ceil(n/2) pieces through the product; the
+    # rest follows from the time-reversal identity.
+    z = _HALF_PATH_Z[z_name]
+    ks = np.array([0.0, 0.3, 1.0, 2.6, 3.6])
+    counted = _counted_pieces(monkeypatch)
+    for phase in (0.0, -np.pi / 2, 0.3):
+        pulse = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3,
+                                         n_pieces=n_pieces, phase=phase)
+        counted.clear()
+        alpha, beta = bloch.cayley_klein(pulse, ks, z)
+        assert sum(counted) == (n_pieces + 1) // 2
+        ref_alpha, ref_beta = _sequential_product(pulse, ks, z)
+        npt.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-13)
+        npt.assert_allclose(beta, ref_beta, rtol=0, atol=1e-13)
+
+
+def test_asymmetric_pulses_keep_the_full_product(monkeypatch):
+    opposed = bloch.RfPulse(samples=np.array([-2j, 1j, 0.0, 5e-324j]),
+                            dt=1e-5, slice_gradient=3e5)
+    sinc = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, n_pieces=48)
+    nudged = sinc.samples.copy()
+    nudged[0] = np.nextafter(nudged[0].real, np.inf)
+    assert not np.array_equal(nudged, nudged[::-1])
+    nudged = bloch.RfPulse(samples=nudged, dt=sinc.dt,
+                           slice_gradient=sinc.slice_gradient)
+    ks = np.array([0.0, 0.3, 1.0, 2.6, 3.6])
+    counted = _counted_pieces(monkeypatch)
+    for pulse, n_product in ((opposed, 3), (nudged, 48)):
+        for z in _HALF_PATH_Z.values():
+            counted.clear()
+            got = bloch.cayley_klein(pulse, ks, z)
+            assert counted == [n_product]
+            for g, want in zip(got, _sequential_product(pulse, ks, z)):
+                _assert_bit_equal(g, want)
+
+
+# Real piece amplitudes in rad/s.  Zero pieces are dropped by the kernel;
+# tiny non-zero ones would leave the RF axis once rounded.
+_AMPLITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 3e4),
+                        st.floats(-3e4, -1e-3))
+
+
+@given(st.lists(_AMPLITUDES, min_size=1, max_size=20), st.booleans(),
+       st.floats(-np.pi, np.pi), st.floats(-1e6, 1e6), st.floats(0.0, 3.0))
+def test_half_path_equals_full_path(half, odd, phase, gradient, k):
+    envelope = np.array(half + half[:len(half) - odd][::-1])
+    pulse = bloch.RfPulse(samples=envelope * np.exp(1j * phase), dt=1e-5,
+                          slice_gradient=gradient)
+    z = np.array([-2e-3, -1e-3, 0.0, 5e-4, 2e-3])
+    alpha, beta = bloch.cayley_klein(pulse, k, z)
+    ref_alpha, ref_beta = _sequential_product(pulse, k, z)
+    npt.assert_allclose(alpha, ref_alpha, rtol=0, atol=1e-12)
+    npt.assert_allclose(beta, ref_beta, rtol=0, atol=1e-12)
+    npt.assert_allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0,
+                        rtol=0, atol=1e-12)

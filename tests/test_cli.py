@@ -220,6 +220,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # b1map sums its Chebyshev series itself; loading numpy.polynomial
+    # would add several milliseconds to every CLI process.
+    code = ("import sys, qmapkit.cli; print(sorted(m for m in sys.modules "
+            "if m == 'numpy.polynomial' "
+            "or m.startswith('numpy.polynomial.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_io_errors_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2
