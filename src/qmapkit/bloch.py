@@ -48,9 +48,10 @@ class RfPulse:
             raise ValueError("samples must be a non-empty 1-D array")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        # Off-axis parts are measured against the peak: subnormals pass.
         peak = samples[np.argmax(np.abs(samples))]
         cross = np.abs((samples * peak.conjugate()).imag)
-        if np.any(cross > 1e-9 * np.abs(samples) * abs(peak)):
+        if np.any(cross > 1e-9 * abs(peak) ** 2):
             raise ValueError("samples must share one RF axis (phase mod pi)")
         object.__setattr__(self, "samples", samples)
 

@@ -1,6 +1,6 @@
 """Estimation pipeline: transmit scale, then T2, then the
-water/fat/off-resonance search, then T1/M0, each a pass over the masked
-pixels.
+water/fat/off-resonance search, then T1/M0, each one array call over the
+masked pixels.
 
 Later stages consume earlier results: the T2 and T1 models evaluate slice
 profiles at the estimated transmit scale.  M0 is corrected for the
@@ -52,8 +52,8 @@ class QuantMaps:
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Stage configuration; defaults match the standard protocol.  The fit
-    bounds must be finite with 0 < low < high; construction checks them."""
+    """Stage configuration; defaults match the standard protocol.  Grid
+    values and fit bounds (0 < low < high) must be finite; checked here."""
 
     b1_k_min: float = 0.2
     b1_k_max: float = 1.8
@@ -67,6 +67,10 @@ class EstimateOptions:
     t1_bounds: tuple = (0.05, 5.0)
 
     def __post_init__(self):
+        for name in ("b1_k_min", "b1_k_max", "b1_step", "t2s_min", "t2s_max",
+                     "d_omega_step", "omega_bound"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("t2_bounds", "t1_bounds"):
             lo, hi = getattr(self, name)
             if not 0.0 < lo < hi < np.inf:
@@ -93,8 +97,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     """Run every stage over the masked pixels of an image set.
 
     The masked pixels are gathered once; the B1, T2, water/fat and T1 stages
-    are one pass each over them, in that order, and each map is scattered
-    back once at the end.
+    are one array call each over them, in that order, and each map is
+    scattered back once at the end.
     """
     data = images.data
     h, w = data.shape[2], data.shape[3]
@@ -131,28 +135,21 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     est["t2"], ok["t2"] = t2.t2, t2.valid & ~t2.at_bound & ok["b1"]
 
     # Water/fat, T2* and off-resonance from the segment-averaged FIDs I1-I5.
-    wf_cfg = waterfat.WfConfig(
-        times=timing.fid_times, omega_cs=images.omega_cs,
-        t2s_min=opts.t2s_min, t2s_max=opts.t2s_max,
-        t2s_points=opts.t2s_points, d_omega_step=opts.d_omega_step,
-        omega_bound=opts.omega_bound)
-    wfs = [waterfat.fit_waterfat(fid, wf_cfg)
-           for fid in 0.5 * (px[:, 0, 0:5] + px[:, 1, 0:5])]
-    wf = {name: np.array([getattr(e, name) for e in wfs])
-          for name in waterfat.WfEstimate._fields}
-    wf_ok = wf["valid"].astype(bool)
+    wf = waterfat.fit_waterfat_pixels(
+        0.5 * (px[:, 0, 0:5] + px[:, 1, 0:5]), waterfat.WfConfig(
+            timing.fid_times, images.omega_cs, opts.t2s_min, opts.t2s_max,
+            opts.t2s_points, opts.d_omega_step, opts.omega_bound))
     for name in ("t2s_water", "t2s_fat", "d_omega0", "fat_fraction"):
-        est[name], ok[name] = wf[name], wf_ok
-    est["delta_b0"], ok["delta_b0"] = waterfat.delta_b0(wf["d_omega0"]), wf_ok
+        est[name], ok[name] = getattr(wf, name), wf.valid
+    est["delta_b0"], ok["delta_b0"] = waterfat.delta_b0(wf.d_omega0), wf.valid
 
     # T1/M0 from the segment-averaged probes I6, I7 and segment 1's I8.  The
     # fit assumes a full saturation (no residual), and the species'
     # short-echo weighting from the water/fat stage scales M0 alone.
     probes = np.abs(0.5 * (px[:, 0, 5:7] + px[:, 1, 5:7]))
-    echo_scale = np.ones(len(wfs))
-    echo_scale[wf_ok] = waterfat.echo_time_scale(
-        *(wf[name][wf_ok] for name in ("w", "f", "t2s_water", "t2s_fat")),
-        timing.echo_time, images.omega_cs)
+    echo_scale = np.ones(len(px))
+    echo_scale[wf.valid] = waterfat.echo_time_scale(
+        *(v[wf.valid] for v in wf[:4]), timing.echo_time, images.omega_cs)
     t1 = t1fit.fit_t1_m0_pixels(
         np.column_stack([probes, np.abs(px[:, 0, 7])]),
         t1fit.T1Context(

@@ -16,13 +16,13 @@ The search needs only each candidate's residual, |b|^2 minus the energy of
 the demodulated data x in the span of the pair's design, x^H P x with P the
 pair's 5x5 projector.  That Gram form is linear in P's 25 real degrees of
 freedom, so one real (n_pair, 25) @ (25, n_off) product scores every
-candidate; the amplitudes are solved at the winner only.
+candidate of a pixel.  :func:`fit_waterfat_pixels` scores pixels in blocks
+and does the rest as array expressions over all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,14 +47,12 @@ class WfConfig:
         times = tuple(float(t) for t in self.times)
         if len(times) != 5 or list(times) != sorted(times) or times[0] <= 0:
             raise ValueError("times must be five increasing positive values")
-        if self.t2s_min <= 0 or self.t2s_max <= self.t2s_min:
-            raise ValueError("need 0 < t2s_min < t2s_max")
+        if not 0 < self.t2s_min < self.t2s_max < np.inf:
+            raise ValueError("need finite 0 < t2s_min < t2s_max")
         if self.t2s_points < 2:
             raise ValueError("t2s_points must be at least 2")
-        if self.d_omega_step <= 0:
-            raise ValueError("d_omega_step must be positive")
-        if self.omega_bound < self.d_omega_step:
-            raise ValueError("omega_bound smaller than one grid step")
+        if not 0 < self.d_omega_step <= self.omega_bound < np.inf:
+            raise ValueError("need finite 0 < d_omega_step <= omega_bound")
         object.__setattr__(self, "times", times)
 
     def t2s_axis(self) -> np.ndarray:
@@ -67,16 +65,19 @@ class WfConfig:
         return self.d_omega_step * np.arange(-n, n + 1)
 
 
-def init_offres(i1: complex, i3: complex, dt13: float) -> float:
+def init_offres(i1, i3, dt13: float):
     """Off-resonance initializer from the phase advance between the first
-    and third acquisitions: angle(i3 * conj(i1)) / dt13.
+    and third acquisitions: angle(i3 * conj(i1)) / dt13, per pixel for
+    arrays.  Scalars take the array loop too: numpy's scalar product can
+    differ from it in the last bit.
 
     Sign convention: a signal obeying the forward model with positive
     d_omega0 and no fat yields a positive output.
     """
     if dt13 <= 0:
         raise ValueError("dt13 must be positive")
-    return float(np.angle(i3 * np.conj(i1)) / dt13)
+    out = np.angle(np.atleast_1d(i3) * np.conj(np.atleast_1d(i1))) / dt13
+    return out if np.ndim(i1) else float(out[0])
 
 
 def wf_design(times, t2s_water: float, t2s_fat: float, d_omega0: float,
@@ -125,8 +126,11 @@ def delta_b0(d_omega0, gamma: float = GAMMA):
 # Index pairs (m, n), m < n, of the five acquisition times.
 _UPPER = np.triu_indices(5, 1)
 
+# Largest score block in pixels x pairs x offsets (256 KB), but at least one
+# pixel (1.5 MB at the default grid); bigger blocks cost time and peak RSS.
+_BLOCK_ELEMENTS = 1 << 15
 
-@lru_cache(maxsize=8)
+
 def _pair_decomposition(cfg: WfConfig):
     """Gram weights W for every (t2s_water, t2s_fat) pair, plus the pairwise
     phase table for the off-resonance axis.
@@ -152,64 +156,76 @@ def _pair_decomposition(cfg: WfConfig):
     tf = np.tile(axis, axis.size)[:, np.newaxis]
     qs, _ = np.linalg.qr(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
     proj = qs @ qs.conj().swapaxes(1, 2)                    # (n_pair, 5, 5)
+    # Q and P dropped early: more temporaries fragment the heap (+1 MB RSS).
+    del qs
     m, n = _UPPER
-    weights = np.concatenate([np.diagonal(proj, axis1=1, axis2=2).real,
-                              2.0 * proj[:, m, n].real,
-                              -2.0 * proj[:, m, n].imag], axis=1)
+    upper = proj[:, m, n]
+    weights = np.empty((len(proj), 25))
+    weights[:, :5] = np.diagonal(proj, axis1=1, axis2=2).real
+    del proj
+    np.multiply(upper.real, 2.0, out=weights[:, 5:15])
+    np.multiply(upper.imag, -2.0, out=weights[:, 15:])
     phase = np.exp(1j * np.outer(t[m] - t[n], cfg.offset_axis()))
     return weights, phase
 
 
-def _estimate_at(b, t, tw: float, tf: float, dw: float,
-                 omega_cs: float) -> WfEstimate:
-    """Amplitudes and fat fraction at the chosen candidate."""
-    sol = wf_design_solve(b, t, tw, tf, dw, omega_cs)
-    total = abs(sol.w) + abs(sol.f)
-    ff = abs(sol.f) / total if total > 0 else 0.0
-    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
-
-
-def _candidate_scores(b, init: float, cfg: WfConfig) -> np.ndarray:
-    """Residual of every (pair, offset) candidate, shape (n_pair, n_off):
-    |b|^2 - W @ F, with F built from b demodulated by the initializer and
-    the grid offsets entering through the phase table."""
-    weights, phase = _pair_decomposition(cfg)
-    x = b * np.exp(-1j * init * np.asarray(cfg.times))
+def _candidate_scores(x, norm_b, weights, phase) -> np.ndarray:
+    """Residuals |b|^2 - W @ F of n pixels, (n, n_pair * n_off) in search
+    order; F comes from the demodulated data x (n, 5) and the phase table."""
     m, n = _UPPER
-    cross = (x[m].conj() * x[n])[:, np.newaxis] * phase     # (10, n_off)
-    feats = np.empty((25, phase.shape[1]))
-    feats[:5] = (x.real ** 2 + x.imag ** 2)[:, np.newaxis]
-    feats[5:15] = cross.real
-    feats[15:] = cross.imag
-    norm_b = float(np.real(np.vdot(b, b)))
+    cross = (x[:, m].conj() * x[:, n])[..., None] * phase
+    feats = np.empty((len(x), 25, phase.shape[1]))
+    feats[:, :5] = (x.real ** 2 + x.imag ** 2)[..., None]
+    feats[:, 5:15] = cross.real
+    feats[:, 15:] = cross.imag
+    # One product per pixel, then in place: a second score-sized temporary
+    # is returned to the OS and page-faulted afresh on every block.
     scores = weights @ feats
-    # In place: a second score-sized temporary (1.5 MB at the default grid)
-    # is returned to the OS and page-faulted afresh on every call.
-    np.subtract(norm_b, scores, out=scores)
-    return scores
+    np.subtract(norm_b[:, None, None], scores, out=scores)
+    return scores.reshape(len(x), -1)
+
+
+def fit_waterfat_pixels(data, cfg: WfConfig) -> WfEstimate:
+    """Exhaustive-search water/fat fit of n pixels' FIDs (n, 5), each taking
+    its first minimum in (t2s_water, t2s_fat, d_omega0) axis order; every
+    field has shape (n,), and an all-zero row reads 0 and invalid.
+
+    Scores are taken in blocks of at most ``_BLOCK_ELEMENTS``, each dropped
+    once its winners are known; one batched solve on the winners' (n, 5, 2)
+    designs gives the amplitudes.  A row's bits depend on no other row.
+    """
+    b = np.asarray(data, dtype=complex)
+    t = np.asarray(cfg.times)
+    init = init_offres(b[:, 0], b[:, 2], t[2] - t[0])
+    x = b * np.exp(-1j * init[:, None] * t)
+    norm_b = (b[:, None].conj() @ b[..., None])[:, 0, 0].real  # np.vdot bits
+    weights, phase = _pair_decomposition(cfg)
+    step = max(1, _BLOCK_ELEMENTS // weights.shape[0] // phase.shape[1])
+    best = np.empty(len(b), dtype=np.intp)
+    for i in range(0, len(b), step):
+        best[i:i + step] = _candidate_scores(
+            x[i:i + step], norm_b[i:i + step], weights, phase).argmin(axis=1)
+    pair, off = np.divmod(best, phase.shape[1])
+    axis = cfg.t2s_axis()
+    tw, tf = axis[pair // axis.size], axis[pair % axis.size]
+    dw = init + cfg.offset_axis()[off]
+    a = wf_design(t, tw[:, None], tf[:, None], dw[:, None], cfg.omega_cs)
+    amps = np.linalg.pinv(a) @ b[..., None]                      # (n, 2, 1)
+    resid = np.linalg.norm(a @ amps - b[..., None], axis=(1, 2))
+    w, f = amps[:, 0, 0], amps[:, 1, 0]
+    total = np.abs(w) + np.abs(f)
+    valid = np.any(b != 0, axis=1)
+    return WfEstimate(*(np.where(valid, v, 0.0) for v in (
+        w, f, tw, tf, dw, np.abs(f) / np.where(total > 0, total, 1.0),
+        resid)), valid)
 
 
 def fit_waterfat(data, cfg: WfConfig) -> WfEstimate:
-    """Exhaustive-search water/fat fit for one pixel.
-
-    Ties in the residual are broken toward the first candidate in
-    (t2s_water, t2s_fat, d_omega0) axis order.  All-zero data is flagged
-    invalid.
-    """
+    """:func:`fit_waterfat_pixels` at one pixel, with Python scalar fields."""
     b = np.asarray(data, dtype=complex)
     if b.shape != (5,):
         raise ValueError("data must hold the five FID acquisitions")
-    if not np.any(b != 0):
-        return WfEstimate(0j, 0j, 0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
-    t = np.asarray(cfg.times)
-    init = init_offres(b[0], b[2], t[2] - t[0])
-    scores = _candidate_scores(b, init, cfg)
-    pair_idx, off_idx = divmod(int(np.argmin(scores)), scores.shape[1])
-    axis = cfg.t2s_axis()
-    tw = float(axis[pair_idx // axis.size])
-    tf = float(axis[pair_idx % axis.size])
-    dw = float(init + cfg.offset_axis()[off_idx])
-    return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
+    return WfEstimate(*(v.item() for v in fit_waterfat_pixels(b[None], cfg)))
 
 
 def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
@@ -225,15 +241,16 @@ def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
     init = init_offres(b[0], b[2], t[2] - t[0])
     axis = cfg.t2s_axis()
     offsets = init + cfg.offset_axis()
-    best = (np.inf,)
+    best = (WfSolve(0j, 0j, np.inf, False),)
     for tw in axis:
         for tf in axis:
             for dw in offsets:
-                res = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs).residual
-                if res < best[0]:
-                    best = (res, float(tw), float(tf), float(dw))
-    _, tw, tf, dw = best
-    return _estimate_at(b, t, tw, tf, dw, cfg.omega_cs)
+                sol = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs)
+                if sol.residual < best[0].residual:
+                    best = (sol, float(tw), float(tf), float(dw))
+    sol, tw, tf, dw = best
+    ff = abs(sol.f) / ((abs(sol.w) + abs(sol.f)) or 1.0)
+    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
 
 
 def echo_time_scale(w, f, t2s_water, t2s_fat, echo_time: float,

@@ -126,9 +126,21 @@ def test_pulse_samples_must_share_one_rf_axis():
                       * np.exp(1e-3j * np.arange(sinc.samples.size)),
                       dt=sinc.dt, slice_gradient=sinc.slice_gradient)
     assert sinc.axis_phase == pytest.approx(0.3, abs=1e-15)
+    # The off-axis part is measured against the peak: one at 1e-6 of the
+    # peak is rejected, while subnormal samples, which round off the axis,
+    # pass.
+    with pytest.raises(ValueError, match="RF axis"):
+        bloch.RfPulse(samples=np.array([1.0, 1e-6j]) * np.exp(0.7j),
+                      dt=1e-5)
     opposed = bloch.RfPulse(samples=np.array([-2j, 1j, 0.0, 5e-324j]),
                             dt=1e-5)
     assert opposed.axis_phase == pytest.approx(-np.pi / 2, abs=1e-15)
+    for samples in ([2.0, 5e-324], [3.0, -5e-324, 1e-310, 2.5e-320],
+                    [1e-300, 4e-320]):
+        for phase in (1.0, -2.1, 0.3):
+            pulse = bloch.RfPulse(
+                samples=np.array(samples) * np.exp(1j * phase), dt=1e-5)
+            assert pulse.axis_phase == pytest.approx(phase, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 33, 129])
@@ -362,10 +374,10 @@ def test_asymmetric_pulses_keep_the_full_product(monkeypatch):
                 _assert_bit_equal(g, want)
 
 
-# Real piece amplitudes in rad/s.  Zero pieces are dropped by the kernel;
-# tiny non-zero ones would leave the RF axis once rounded.
-_AMPLITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 3e4),
-                        st.floats(-3e4, -1e-3))
+# Real piece amplitudes in rad/s, down to subnormal ones (which round off
+# the RF axis); zero pieces are dropped by the kernel.
+_AMPLITUDES = st.one_of(st.just(0.0), st.floats(5e-324, 3e4),
+                        st.floats(-3e4, -5e-324))
 
 
 @given(st.lists(_AMPLITUDES, min_size=1, max_size=20), st.booleans(),

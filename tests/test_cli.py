@@ -133,6 +133,29 @@ def test_non_finite_fit_bound_exits_1(tmp_path, water_scan, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, name", [
+    ('{"wf": {"t2s_max": Infinity}}', "t2s_max"),
+    ('{"wf": {"omega_bound": Infinity}}', "omega_bound"),
+    ('{"b1": {"k_max": Infinity}}', "b1_k_max"),
+    ('{"wf": {"t2s_min": NaN}}', "t2s_min"),
+    ('{"wf": {"omega_bound": NaN}}', "omega_bound"),
+    ('{"wf": {"d_omega_step": NaN}}', "d_omega_step"),
+    ('{"b1": {"step": NaN}}', "b1_step")])
+def test_non_finite_grid_option_exits_1(tmp_path, water_scan, capsys, text,
+                                        name):
+    # These once ran B1 and T2 first, then wrote non-finite valid maps or
+    # ended in an OverflowError or an SVD failure.
+    images_dir = str(tmp_path / "images")
+    formats.write_imageset(water_scan, images_dir)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "maps"
+    assert cli.main(["estimate", "--config", str(cfg), "--images",
+                     images_dir, "--out", str(out)]) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("t1", float("nan")), ("water_amp", float("nan")),
     ("b1_scale", float("nan")), ("d_omega0", float("nan")),

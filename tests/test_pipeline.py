@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import fitcore, maskgen, phantom, pipeline, seqsim, t2fit
+from qmapkit import (fitcore, maskgen, phantom, pipeline, seqsim, t2fit,
+                     waterfat)
 
 from conftest import WATER
 
@@ -136,9 +137,9 @@ def noisy_bottles():
 
 
 def test_a_pixel_reads_the_same_in_any_stratum(noisy_bottles):
-    # T2 and T1/M0 are fitted as arrays over the masked pixels; a pixel's
-    # maps and flags are bit-equal whether it is estimated with the whole
-    # mask or with every seventh masked pixel.
+    # B1, T2, water/fat and T1/M0 are fitted as arrays over the masked
+    # pixels; a pixel's maps and flags are bit-equal whether it is estimated
+    # with the whole mask or with every seventh masked pixel.
     images, mask = noisy_bottles
     full = pipeline.estimate_all(images, mask)
     bits = np.zeros_like(mask.bits)
@@ -172,6 +173,31 @@ def test_estimate_all_fits_t2_and_t1_in_one_call_each(water_scan,
     calls.clear()
     maps = pipeline.estimate_all(water_scan)
     assert calls == [maps.mask.sum()] * 2 and calls[0] > 100
+
+
+def test_estimate_all_fits_waterfat_in_one_call(water_scan, monkeypatch):
+    calls = []
+    original = waterfat.fit_waterfat_pixels
+
+    def counted(data, cfg):
+        calls.append(len(data))
+        return original(data, cfg)
+
+    def one_row(data, cfg):
+        raise AssertionError("estimate_all fitted one pixel at a time")
+
+    monkeypatch.setattr(waterfat, "fit_waterfat_pixels", counted)
+    monkeypatch.setattr(waterfat, "fit_waterfat", one_row)
+    h, w = water_scan.data.shape[2:]
+    for n in (1, 8):
+        bits = np.zeros((h, w), dtype=bool)
+        bits[h // 2, 12:12 + n] = True
+        calls.clear()
+        maps = pipeline.estimate_all(water_scan, maskgen.Mask(bits=bits))
+        assert calls == [n] and maps.valid["fat_fraction"][bits].all()
+    calls.clear()
+    maps = pipeline.estimate_all(water_scan)
+    assert calls == [maps.mask.sum()] == [153]
 
 
 def test_t1_is_isolated_from_the_water_fat_stage():
@@ -217,6 +243,17 @@ def test_estimate_options_reject_non_finite_fit_bounds(name, bounds):
     # An infinite upper bound once gave T2 = inf at every masked pixel.
     with pytest.raises(ValueError, match="need finite 0 < low < high"):
         pipeline.EstimateOptions(**{name: bounds})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", [
+    "b1_k_min", "b1_k_max", "b1_step", "t2s_min", "t2s_max", "d_omega_step",
+    "omega_bound"])
+def test_estimate_options_reject_non_finite_grid_values(name, value):
+    # An infinite t2s_max once gave a non-finite, valid T2*water map, and an
+    # infinite omega_bound or k_max an OverflowError mid-estimate.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        pipeline.EstimateOptions(**{name: value})
 
 
 def test_non_finite_pixel_is_invalid_and_isolated(water_scan):

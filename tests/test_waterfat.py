@@ -33,6 +33,10 @@ def test_config_validation():
         waterfat.WfConfig(times=TIMES, d_omega_step=0.0)
     with pytest.raises(ValueError):
         waterfat.WfConfig(times=TIMES, omega_bound=0.5)
+    for name in ("t2s_min", "t2s_max", "d_omega_step", "omega_bound"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                waterfat.WfConfig(times=TIMES, **{name: value})
 
 
 def test_axes():
@@ -141,6 +145,50 @@ def test_fast_path_matches_reference():
         npt.assert_allclose([fast.w, fast.f], [slow.w, slow.f], rtol=1e-9)
 
 
+def _rows(est, i):
+    return tuple(field[i].item() for field in est)
+
+
+def test_array_call_equals_one_row_calls_and_the_oracle():
+    cases = _oracle_cases()
+    est = waterfat.fit_waterfat_pixels(np.array(cases), TINY)
+    assert all(field.shape == (len(cases),) for field in est)
+    for i, data in enumerate(cases):
+        assert _rows(est, i) == tuple(waterfat.fit_waterfat(data, TINY))
+        slow = waterfat.fit_waterfat_grid_minimize(data, TINY)
+        assert ((est.t2s_water[i], est.t2s_fat[i], est.d_omega0[i])
+                == (slow.t2s_water, slow.t2s_fat, slow.d_omega0))
+
+
+@pytest.mark.parametrize("cfg, rows", [
+    (TINY, 60), (waterfat.WfConfig(times=TIMES), 6)])
+def test_bits_do_not_depend_on_the_block_size(monkeypatch, cfg, rows):
+    # A default block holds every row of the tiny grid and one row of the
+    # default grid; 7-row blocks leave a short last block.
+    data = np.array(_oracle_cases()[:rows])
+    ref = waterfat.fit_waterfat_pixels(data, cfg)
+    per_px = cfg.t2s_points ** 2 * cfg.offset_axis().size
+    assert (waterfat._BLOCK_ELEMENTS // per_px >= rows) == (cfg is TINY)
+    for size in (1, 7 * per_px, 2 ** 30):
+        monkeypatch.setattr(waterfat, "_BLOCK_ELEMENTS", size)
+        got = waterfat.fit_waterfat_pixels(data, cfg)
+        for name, a, b in zip(waterfat.WfEstimate._fields, got, ref):
+            assert a.tobytes() == b.tobytes(), (size, name)
+
+
+def test_zero_rows_in_an_array_are_invalid_and_isolated():
+    data = np.array(_oracle_cases())
+    ref = waterfat.fit_waterfat_pixels(data, TINY)
+    zero = np.zeros(len(data), dtype=bool)
+    zero[[0, 5, 59]] = True
+    data[zero] = 0.0
+    est = waterfat.fit_waterfat_pixels(data, TINY)
+    assert not est.valid[zero].any() and est.valid[~zero].all()
+    for a, b in zip(est, ref):
+        assert not a[zero].any()
+        assert a[~zero].tobytes() == b[~zero].tobytes()
+
+
 def test_candidate_scores_are_the_squared_residuals():
     # The Gram form scores each candidate by its least-squares residual:
     # checked against one solve per candidate, in search order.
@@ -148,7 +196,10 @@ def test_candidate_scores_are_the_squared_residuals():
     axis, offsets = TINY.t2s_axis(), TINY.offset_axis()
     for data in _oracle_cases()[::6]:
         init = waterfat.init_offres(data[0], data[2], t[2] - t[0])
-        scores = waterfat._candidate_scores(data, init, TINY)
+        x = data * np.exp(-1j * init * t)
+        scores = waterfat._candidate_scores(
+            x[np.newaxis], np.vdot(data, data).real[np.newaxis],
+            *waterfat._pair_decomposition(TINY))
         resid = [waterfat.wf_design_solve(data, t, tw, tf, init + dw).residual
                  for tw in axis for tf in axis for dw in offsets]
         norm = np.vdot(data, data).real
@@ -165,6 +216,7 @@ cfg = waterfat.WfConfig(times=(0.002, 0.004, 0.006, 0.008, 0.010))
 rng = np.random.default_rng(3)
 t = np.asarray(cfg.times)
 digest = hashlib.sha256()
+rows = []
 for _ in range(64):
     tw, tf = rng.uniform(0.005, 0.120, size=2)
     dw = rng.uniform(-300.0, 300.0)
@@ -175,6 +227,9 @@ for _ in range(64):
     est = waterfat.fit_waterfat(data, cfg)
     digest.update(np.array([est.w, est.f]).tobytes())
     digest.update(np.array(est[2:7]).tobytes())
+    rows.append(data)
+for field in waterfat.fit_waterfat_pixels(np.array(rows), cfg):
+    digest.update(field.tobytes())
 print(digest.hexdigest())
 """
 
