@@ -44,42 +44,42 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     """Tabulate the readout ratio over a transmit-scale grid.
 
     The double pulse is the single pulse at twice the amplitude, so its
-    curve is the single pulse's at twice the scale.  Both complex curves
-    are analytic in the scale, so they are propagated only at ``m``
-    Chebyshev points of the first kind on [k_min, k_max] (and twice those
-    points), in one curve call, and interpolated onto the grid
-    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    ``m = 16 + ceil(2 * A * (k_max - k_min))`` grows with the pulse's
-    nutation area ``A``, which sets how fast the curves oscillate in k.
-    The coefficients and the series (Clenshaw's recurrence) are elementwise,
-    not matrix products, so they do not depend on BLAS threads.  Magnitudes
-    are taken only after interpolation: they have a kink at the signal null.
+    curve is the single pulse's at twice the scale.  That complex curve is
+    analytic in the scale, so it is propagated only at ``m`` Chebyshev
+    points of the first kind on [k_min, 2 k_max], in one curve call, and
+    one Chebyshev series read at both k and 2k on the grid (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8).
+    ``m = 16 + ceil(2 * A * (2 k_max - k_min))`` grows with the pulse's
+    nutation area ``A``, which sets how fast the curve oscillates in k:
+    25 points for [0.2, 1.8].  The coefficients and the series (Clenshaw's
+    recurrence) are elementwise, not matrix products, so they do not depend
+    on BLAS threads.  Magnitudes are taken only after interpolation: they
+    have a kink at the signal null.
 
     The raw ratio is non-monotone once the doubled flip passes the null, so
     the table keeps only the initial decreasing branch.
     """
-    if not (0 < k_min < k_max) or step <= 0:
-        raise ValueError("need 0 < k_min < k_max and step > 0")
+    if not (0 < k_min < k_max < np.inf and 0 < step < np.inf):
+        raise ValueError("need finite 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
     img = pulses.imaging
     area = np.sum(np.abs(img.samples)) * img.dt
-    m = 16 + int(np.ceil(2.0 * area * (k_max - k_min)))
+    m = 16 + int(np.ceil(2.0 * area * (2.0 * k_max - k_min)))
     theta = np.pi * (np.arange(m) + 0.5) / m
-    mid, half = 0.5 * (k_max + k_min), 0.5 * (k_max - k_min)
-    nodes = mid + half * np.cos(theta)
+    mid, half = 0.5 * (2.0 * k_max + k_min), 0.5 * (2.0 * k_max - k_min)
     values = bloch.integrated_transverse_curve(
-        img, np.concatenate([nodes, 2.0 * nodes]), pulses.z_grid())
+        img, mid + half * np.cos(theta), pulses.z_grid())
     # c_j = (2/m) sum_i f(x_i) cos(j theta_i), with c_0 halved.
-    cosines = np.cos(np.arange(m)[:, None] * theta)
-    coef = (2.0 / m) * np.sum(values.reshape(2, 1, m) * cosines, axis=-1)
-    coef[:, 0] *= 0.5
+    coef = (2.0 / m) * np.sum(values * np.cos(np.arange(m)[:, None] * theta),
+                              axis=-1)
+    coef[0] *= 0.5
     # Clenshaw's recurrence for sum_j c_j T_j(x), elementwise in x.
-    x = (k_axis - mid) / half
-    c0, c1 = coef[:, -2, None], coef[:, -1, None]
+    x = (np.concatenate([k_axis, 2.0 * k_axis]) - mid) / half
+    c0, c1 = coef[-2], coef[-1]
     for j in range(m - 3, -1, -1):
-        c0, c1 = coef[:, j, None] - c1, c0 + c1 * (2.0 * x)
-    lo, hi = np.abs(c0 + c1 * x)
+        c0, c1 = coef[j] - c1, c0 + c1 * (2.0 * x)
+    lo, hi = np.abs(c0 + c1 * x).reshape(2, n)
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Pieces x scales x |z| values whose factors cayley_klein computes in one
-# batch: bounds its temporaries whatever the pulse length.
-_BLOCK_ELEMENTS = 16384
+# Pieces x rows x |z| values of one block of piece factors (320 KiB of
+# block arrays), and rows x |z| values of one product pass (256 KiB complex
+# arrays, so that a pass stays in a 2-4 MiB L2 cache).
+_BLOCK_ELEMENTS, _PASS_ELEMENTS = 4096, 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def default_z_grid(slice_thickness: float, n: int = 129,
     return np.concatenate((-upper[n % 2:][::-1], upper))
 
 
-def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
+def cayley_klein(pulse, b1_scales, z_samples):
     """Cayley-Klein parameters ``(alpha, beta)`` of a scaled pulse.
 
     Returns two C-contiguous complex arrays of shape
@@ -145,6 +146,11 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     ``alpha_p = cos(phi/2) - i*(dw/omega)*sin(phi/2)`` and ``beta_p =
     i*(amp/omega)*sin(phi/2)``.  A piece whose scaled amplitude is zero is
     the identity: the slice gradient alone does not rotate.
+
+    ``pulse`` may also be a sequence of pulses that share ``dt``, slice
+    gradient, zero pieces and mirror symmetry (else ValueError), with one
+    scale array each, all of one shape: one product serves the set, and a
+    list of pairs comes back, each byte-equal to its pulse's own call.
 
     Every piece's field lies on the pulse's RF axis ``u = exp(i*p)``, so the
     rotation at -z is the one at +z turned by pi about u: ``alpha(-z) =
@@ -158,45 +164,72 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     pieces, W is V times the middle piece if n is odd, and only ceil(n/2)
     pieces are propagated.  Any other pulse takes the full product.
     """
-    ks = np.asarray(b1_scales, dtype=float)[..., None]
+    single = isinstance(pulse, RfPulse)
+    pulses = [pulse] if single else pulse
+    scales = np.array([b1_scales] if single else b1_scales, dtype=float)
+    samples = [p.samples[p.samples != 0.0] for p in pulses]
+    shared = {(p.dt, p.slice_gradient, (p.samples != 0.0).tobytes(),
+               np.array_equal(s, s[::-1])) for p, s in zip(pulses, samples)}
+    if len(scales) != len(pulses) or len(shared) > 1:
+        raise ValueError("a pulse set needs one scale array per pulse and "
+                         "one dt, slice gradient, zero pattern and symmetry")
+    samples = np.stack(samples, axis=-1)
+    symmetric, half = np.array_equal(samples, samples[::-1]), len(samples) // 2
+    dt, gradient = pulses[0].dt, pulses[0].slice_gradient
+    ks = scales.reshape(len(pulses), -1, 1)
+    turn = np.array([np.exp(2j * p.axis_phase) for p in pulses])[:, None, None]
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
     abs_z, where = np.unique(np.abs(z), return_inverse=True)
-    dw = np.where(ks != 0.0, pulse.slice_gradient * abs_z, 0.0)
-    alpha = np.ones(dw.shape, dtype=complex)
-    beta = np.zeros(dw.shape, dtype=complex)
-    samples = pulse.samples[pulse.samples != 0.0]
-    turn = np.exp(2j * pulse.axis_phase)
-    if np.array_equal(samples, samples[::-1]):
-        half = samples.size // 2
-        a_v, b_v = _product(samples[:half], ks, dw, pulse.dt, alpha, beta)
-        a_w, b_w = _product(samples[half:samples.size - half], ks, dw,
-                            pulse.dt, a_v, b_v)
-        alpha = a_v * a_w + turn.conjugate() * b_v * b_w
-        beta = a_v.conj() * b_w - turn * b_v.conj() * a_w
-    else:
-        alpha, beta = _product(samples, ks, dw, pulse.dt, alpha, beta)
+    alpha, beta = np.empty((2,) + ks.shape[:2] + abs_z.shape, dtype=complex)
+    step = max(1, _PASS_ELEMENTS // max(ks.shape[0] * abs_z.size, 1))
+    for rows in (slice(r, r + step) for r in range(0, ks.shape[1], step)):
+        dw = np.where(ks[:, rows] != 0.0, gradient * abs_z, 0.0)
+        args = (ks[:, rows], dw, dt)
+        a_0 = np.ones(dw.shape, dtype=complex)
+        b_0 = np.zeros(dw.shape, dtype=complex)
+        if symmetric:
+            a_v, b_v = _product(samples[:half], *args, a_0, b_0)
+            a_w, b_w = _product(samples[half:len(samples) - half], *args,
+                                a_v, b_v)
+            alpha[:, rows] = a_v * a_w + turn.conjugate() * b_v * b_w
+            beta[:, rows] = a_v.conj() * b_w - turn * b_v.conj() * a_w
+        else:
+            alpha[:, rows], beta[:, rows] = _product(samples, *args, a_0, b_0)
     alpha = np.take(alpha, where, axis=-1)
     beta = np.take(beta, where, axis=-1)
     below = z < 0.0
     np.conjugate(alpha, out=alpha, where=below)
     np.multiply(-turn, beta.conj(), out=beta, where=below)
-    return alpha, beta
+    alpha = alpha.reshape(scales.shape + z.shape)
+    beta = beta.reshape(scales.shape + z.shape)
+    return (alpha[0], beta[0]) if single else list(zip(alpha, beta))
 
 
 def _product(samples, ks, dw, dt, alpha, beta):
-    """``(alpha, beta)`` carried through the pieces ``samples`` in order, at
-    scales ``ks`` and off-resonances ``dw``, a block of pieces at a time."""
+    """``(alpha, beta)`` carried through the pieces ``samples`` (pieces x
+    pulses) in order, at scales ``ks`` and off-resonances ``dw`` (pulses x
+    scales x |z|), a block of pieces at a time."""
     per_block = max(1, _BLOCK_ELEMENTS // max(dw.size, 1))
-    half_dt = dt / 2.0
-    for start in range(0, samples.size, per_block):
-        block = samples[start:start + per_block].reshape(
-            (-1,) + (1,) * dw.ndim)
-        omega = np.sqrt((ks * np.abs(block)) ** 2 + dw * dw)
-        sin_over = np.sin(omega * half_dt) / np.where(omega == 0.0, 1.0, omega)
-        a_p = np.cos(omega * half_dt) - 1j * dw * sin_over
-        b_p = (1j * block) * ks * sin_over
-        for a, b, a_c, b_c in zip(a_p, b_p, a_p.conj(), b_p.conj()):
-            alpha, beta = a * alpha - b_c * beta, b * alpha + a_c * beta
+    shape = (min(per_block, len(samples)),) + dw.shape
+    size = int(np.prod(shape))
+    # One allocation for the six block arrays, past glibc's mmap threshold:
+    # freed, it goes back to the system instead of leaving a heap hole.
+    store = np.empty(10 * size)
+    buffers = [*store[:2 * size].reshape((2,) + shape),
+               *store[2 * size:].view(complex).reshape((4,) + shape)]
+    dw2 = dw * dw
+    for start in range(0, len(samples), per_block):
+        block = samples[start:start + per_block, :, None, None]
+        om, so, a, b, a_c, b_c = (x[:len(block)] for x in buffers)
+        np.sqrt(np.add((ks * np.abs(block)) ** 2, dw2, out=om), out=om)
+        np.cos(np.multiply(om, dt / 2.0, out=so), out=a.real)
+        np.divide(np.sin(so, out=so), om, out=so, where=om != 0.0)
+        # 0 - x, not -x: zeros keep the sign cos - 1j*dw*sin/omega gives.
+        np.subtract(0.0, np.multiply(dw, so, out=a.imag), out=a.imag)
+        np.multiply((1j * block) * ks, so, out=b)
+        for qa, qb, qa_c, qb_c in zip(a, b, np.conjugate(a, out=a_c),
+                                      np.conjugate(b, out=b_c)):
+            alpha, beta = qa * alpha - qb_c * beta, qb * alpha + qa_c * beta
     return alpha, beta
 
 

@@ -65,6 +65,11 @@ class SequenceTiming:
             raise ValueError("need three inversions and three echo offsets")
         if len(self.imaging_flips) != 2:
             raise ValueError("need one imaging flip per segment")
+        # A zero flip makes a pulse with no non-zero piece, which cannot
+        # join the other pulses in pixel_profiles' one Cayley-Klein product.
+        if 0.0 in (self.sat_flip, self.probe_flip, self.inversion_flip,
+                   *self.imaging_flips):
+            raise ValueError("flip angles must be non-zero")
         # Segment 2 plays segment 1's waveform at twice the amplitude.
         single, double = self.imaging_flips
         if not np.isclose(double, 2.0 * single, rtol=1e-9, atol=0.0):
@@ -123,6 +128,17 @@ class PulseParams:
     z_count: int = 129
     z_half_span: float = 2.0
     hard: bool = False
+
+    def __post_init__(self):
+        for name in ("slice_thickness", "duration", "time_bandwidth",
+                     "z_half_span"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"pulses {name} must be finite and > 0")
+        for name, least in (("n_pieces", 2), ("z_count", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"pulses {name} must be an integer >= "
+                                 f"{least}")
 
     def to_dict(self):
         return asdict(self)
@@ -193,22 +209,21 @@ class PixelProfiles:
 
 
 def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
-    """Slice responses of the pulse set at transmit scale(s) ``k``; segment
-    2's imaging response is the imaging pulse's at ``2 k``."""
+    """Slice responses of the pulse set at transmit scale(s) ``k``, from one
+    Cayley-Klein product over all five pulse-scale pairs; segment 2's
+    imaging response is the imaging pulse's at ``2 k``."""
     z = pulses.z_grid()
     ks = np.asarray(k, dtype=float)
-
-    def excite(pulse, scale=ks):
-        return bloch.transverse(pulse, *bloch.cayley_klein(pulse, scale, z),
-                                z)
-
-    probe = bloch.cayley_klein(pulses.probe, ks, z)
-    inv_alpha, _ = bloch.cayley_klein(pulses.inversion, ks, z)
-    txr_imaging = (excite(pulses.imaging), excite(pulses.imaging, 2.0 * ks))
+    excited = (pulses.imaging, pulses.imaging, pulses.sat)
+    probe, (inv_alpha, _), *ck = bloch.cayley_klein(
+        (pulses.probe, pulses.inversion) + excited, (ks, ks, ks, 2.0 * ks, ks),
+        z)
+    img_k, img_2k, txr_sat = (bloch.transverse(p, *ab, z)
+                              for p, ab in zip(excited, ck))
+    txr_imaging = (img_k, img_2k)
     theta_inv = bloch.refocusing_angle(inv_alpha)
     return PixelProfiles(
-        k=float(k) if ks.ndim == 0 else ks, z=z,
-        txr_sat=excite(pulses.sat),
+        k=float(k) if ks.ndim == 0 else ks, z=z, txr_sat=txr_sat,
         txr_imaging=txr_imaging,
         echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
                          for txr in txr_imaging),

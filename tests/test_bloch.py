@@ -393,3 +393,90 @@ def test_half_path_equals_full_path(half, odd, phase, gradient, k):
     npt.assert_allclose(beta, ref_beta, rtol=0, atol=1e-12)
     npt.assert_allclose(np.abs(alpha) ** 2 + np.abs(beta) ** 2, 1.0,
                         rtol=0, atol=1e-12)
+
+
+_SET_SCALES = {
+    "scalar": [1.37, 0.0, 0.85, 2.6, 1.0],
+    "1d": np.linspace(0.0, 3.6, 20).reshape(5, 4),
+    "2d": np.linspace(3.6, 0.0, 30).reshape(5, 2, 3),
+}
+
+
+def _pulse_set(hard, n_pieces=256):
+    """Probe, inversion, imaging twice and saturation: one time grid."""
+    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard,
+                                                    n_pieces=n_pieces))
+    return (pulses.probe, pulses.inversion, pulses.imaging, pulses.imaging,
+            pulses.sat), pulses.z_grid()
+
+
+@pytest.mark.parametrize("shape", sorted(_SET_SCALES))
+@pytest.mark.parametrize("hard, n_pieces", [
+    (False, 256), (False, 31), (True, 256)], ids=["sinc", "sinc-31", "hard"])
+def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
+                                             shape):
+    # The set runs ceil(n/2) pieces of all its pulses through one pass of
+    # the product (plus the middle piece's pass), not one pass per pulse,
+    # and each pulse's pair is byte-equal to its own call.
+    members, z = _pulse_set(hard, n_pieces)
+    scales = _SET_SCALES[shape]
+    counted = _counted_pieces(monkeypatch)
+    got = bloch.cayley_klein(members, scales, z)
+    n = np.count_nonzero(members[0].samples)
+    assert len(counted) == 2
+    assert sum(counted) == len(members) * ((n + 1) // 2)
+    assert len(got) == len(members)
+    for pulse, k, (alpha, beta) in zip(members, scales, got):
+        assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+        want_alpha, want_beta = bloch.cayley_klein(pulse, k, z)
+        _assert_bit_equal(alpha, want_alpha)
+        _assert_bit_equal(beta, want_beta)
+
+
+@pytest.mark.parametrize("hard, n_pieces", [(False, 48), (False, 31),
+                                            (True, 256)])
+def test_pulse_set_block_size_does_not_change_bits(monkeypatch, hard,
+                                                   n_pieces):
+    # Blocks of pieces, and passes over a few scales at a time (one scale
+    # per pass at 1 element, passes of 3 and 1 at 1000, one pass at
+    # 10**6), change no bit.
+    members, z = _pulse_set(hard, n_pieces)
+    scales = _SET_SCALES["1d"]
+    want = bloch.cayley_klein(members, scales, z)
+    for elements in (1, 17 * 7 * 5, 1000, 10 ** 6):
+        for name in ("_BLOCK_ELEMENTS", "_PASS_ELEMENTS"):
+            monkeypatch.setattr(bloch, name, elements)
+            for got, ref in zip(bloch.cayley_klein(members, scales, z),
+                                want):
+                _assert_bit_equal(got[0], ref[0])
+                _assert_bit_equal(got[1], ref[1])
+
+
+def test_pulse_set_must_share_its_time_grid_and_symmetry():
+    sinc = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, n_pieces=48)
+    z = bloch.default_z_grid(4e-3, n=9)
+
+    def variant(samples=sinc.samples, dt=sinc.dt,
+                gradient=sinc.slice_gradient):
+        return bloch.RfPulse(samples=samples, dt=dt, slice_gradient=gradient)
+
+    holed = sinc.samples.copy()
+    holed[3] = holed[-4] = 0.0
+    nudged = sinc.samples.copy()
+    nudged[0] = np.nextafter(nudged[0].real, np.inf)
+    for other in (variant(dt=2.0 * sinc.dt),
+                  variant(gradient=1.5 * sinc.slice_gradient),
+                  variant(samples=holed), variant(samples=sinc.samples[1:-1]),
+                  variant(samples=nudged)):
+        with pytest.raises(ValueError, match="pulse set"):
+            bloch.cayley_klein([sinc, other], [1.0, 1.0], z)
+    with pytest.raises(ValueError, match="pulse set"):
+        bloch.cayley_klein([sinc, sinc], [1.0], z)
+    with pytest.raises(ValueError):
+        bloch.cayley_klein([sinc, sinc], [1.0, [0.5, 1.0]], z)
+    # Different flips and RF phases on one time grid form a set.
+    other = bloch.hamming_sinc_pulse(np.pi, 1e-3, 4e-3, n_pieces=48,
+                                     phase=0.3)
+    (a0, b0), (a1, b1) = bloch.cayley_klein([sinc, other], [1.0, 0.5], z)
+    _assert_bit_equal(a1, bloch.cayley_klein(other, 0.5, z)[0])
+    _assert_bit_equal(b0, bloch.cayley_klein(sinc, 1.0, z)[1])

@@ -117,6 +117,31 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
         assert "radii must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
 
+    # Invalid pulse parameters, from the config or an image set's manifest,
+    # write nothing.
+    for bad in ({"slice_thickness": float("nan")}, {"z_half_span": -1.0},
+                {"z_count": 0}, {"n_pieces": 2.5}):
+        cfg5 = _write_config(tmp_path, {"pulses": bad})
+        assert cli.main(["simulate", "--config", cfg5,
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "pulses" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        manifest_path = tmp_path / "images" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["pulse_params"].update(bad)
+        bad_images = tmp_path / "bad_images"
+        bad_images.mkdir(exist_ok=True)
+        for entry in (tmp_path / "images").iterdir():
+            (bad_images / entry.name).write_bytes(entry.read_bytes())
+        (bad_images / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["mask", "--images", str(bad_images),
+                         "--out", str(tmp_path / "m.pbm")]) == 1
+        assert cli.main(["estimate", "--images", str(bad_images),
+                         "--out", str(tmp_path / "maps")]) == 1
+        assert "pulses" in capsys.readouterr().err
+        assert not (tmp_path / "m.pbm").exists()
+        assert not (tmp_path / "maps").exists()
+
 
 @pytest.mark.parametrize("text", [
     '{"t2": {"max": 1e400}}', '{"t1": {"min": NaN}}'])

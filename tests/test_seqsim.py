@@ -30,6 +30,11 @@ def test_timing_validation():
         seqsim.SequenceTiming(tr=1.0)      # acquisitions spill past TR
     with pytest.raises(ValueError):
         seqsim.SequenceTiming(fid_times=(0.002, 0.004))
+    for flip in ("sat_flip", "probe_flip", "inversion_flip"):
+        with pytest.raises(ValueError, match="non-zero"):
+            seqsim.SequenceTiming(**{flip: 0.0})
+    with pytest.raises(ValueError, match="non-zero"):
+        seqsim.SequenceTiming(imaging_flips=(0.0, 0.0))
 
 
 def test_second_imaging_flip_must_double_the_first():
@@ -42,6 +47,35 @@ def test_second_imaging_flip_must_double_the_first():
             imaging_flips=(np.pi / 3.0, 2.0 * np.pi / 3.0 * (1 + 1e-8)))
     t = seqsim.SequenceTiming(imaging_flips=(np.pi / 4.0, np.pi / 2.0))
     assert t.imaging_flips == (np.pi / 4.0, np.pi / 2.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"slice_thickness": float("nan")}, {"slice_thickness": 0.0},
+    {"duration": -1e-3}, {"duration": float("inf")},
+    {"time_bandwidth": float("nan")}, {"z_half_span": -1.0},
+    {"z_half_span": float("inf")}, {"n_pieces": 1}, {"n_pieces": 2.5},
+    {"n_pieces": 256.0}, {"z_count": 0}, {"z_count": 3.5},
+])
+def test_pulse_params_reject_invalid_values(bad):
+    # A negative span would build a reversed grid and negate every slice
+    # integral; a NaN thickness would give non-finite images.
+    with pytest.raises(ValueError, match="pulses"):
+        seqsim.PulseParams(**bad)
+    for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)}):
+        assert seqsim.PulseParams(**good).to_dict()["hard"] is False
+
+
+def test_pixel_profiles_make_one_kernel_call(monkeypatch):
+    # Probe, inversion, imaging at k and 2k, and saturation: one product.
+    calls = []
+    kernel = bloch.cayley_klein
+
+    def counted(pulse, b1_scales, z_samples):
+        calls.append(len(pulse))
+        return kernel(pulse, b1_scales, z_samples)
+    monkeypatch.setattr(bloch, "cayley_klein", counted)
+    seqsim.pixel_profiles(seqsim.build_pulses(), np.array([0.9, 1.1]))
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
