@@ -77,7 +77,7 @@ _OPTION_KEYS = {
            "step": ("b1_step", float)},
     "t2": {"min": ("t2_bounds", 0), "max": ("t2_bounds", 1)},
     "wf": {"t2s_min": ("t2s_min", float), "t2s_max": ("t2s_max", float),
-           "t2s_points": ("t2s_points", int),
+           "t2s_points": ("t2s_points", phantom.whole_number),
            "d_omega_step": ("d_omega_step", float),
            "omega_bound": ("omega_bound", float)},
     "t1": {"min": ("t1_bounds", 0), "max": ("t1_bounds", 1)},
@@ -107,6 +107,8 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
                 bounds = list(kw.get(field, getattr(defaults, field)))
                 bounds[convert] = float(given[key])
                 kw[field] = tuple(bounds)
+            elif convert is phantom.whole_number:
+                kw[field] = convert(given[key], f"{section} {key}")
             else:
                 kw[field] = convert(given[key])
     return pipeline.EstimateOptions(**kw)
@@ -117,8 +119,10 @@ def _mask_kwargs(cfg: dict, args) -> dict:
                        ("threshold", "close_radius", "erode_radius"))
     out = {
         "threshold": float(section.get("threshold", 0.1)),
-        "close_radius": int(section.get("close_radius", 2)),
-        "erode_radius": int(section.get("erode_radius", 1)),
+        "close_radius": phantom.whole_number(
+            section.get("close_radius", 2), "mask close_radius"),
+        "erode_radius": phantom.whole_number(
+            section.get("erode_radius", 1), "mask erode_radius"),
     }
     for key in out:
         flag = getattr(args, key, None)
@@ -135,7 +139,8 @@ def cmd_simulate(args) -> int:
     noise = _section(cfg, "noise", ("sigma", "seed"))
     sigma = args.noise_sigma if args.noise_sigma is not None \
         else float(noise.get("sigma", 0.0))
-    seed = args.seed if args.seed is not None else int(noise.get("seed", 0))
+    seed = args.seed if args.seed is not None else phantom.whole_number(
+        noise.get("seed", 0), "noise seed")
     images = seqsim.simulate_scan(
         pm, timing, pulses=seqsim.build_pulses(params, timing),
         noise_sigma=sigma, seed=seed)

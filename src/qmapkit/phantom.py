@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -26,18 +26,7 @@ class TissueParams:
     b1_scale: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("t1", "t2", "t2s_water", "t2s_fat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.water_amp < 0 or self.fat_amp < 0:
-            raise ValueError("species amplitudes must be non-negative")
-        if self.t2s_water > self.t2:
-            raise ValueError("t2s_water cannot exceed t2")
-        if self.b1_scale < 0:
-            raise ValueError("b1_scale must be non-negative")
+        check_tissues([astuple(self)])
 
     @property
     def m0(self):
@@ -47,6 +36,26 @@ class TissueParams:
     def fat_fraction(self):
         total = self.water_amp + self.fat_amp
         return self.fat_amp / total if total > 0 else 0.0
+
+
+TISSUE_FIELDS = tuple(f.name for f in fields(TissueParams))
+
+
+def check_tissues(tissues) -> None:
+    """Raise ValueError unless every (n, 8) row is a valid TissueParams."""
+    cols = dict(zip(TISSUE_FIELDS, np.asarray(tissues).T))
+    for name, values in cols.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
+    for name in ("t1", "t2", "t2s_water", "t2s_fat"):
+        if np.any(cols[name] <= 0):
+            raise ValueError(f"{name} must be strictly positive")
+    if np.any(cols["water_amp"] < 0) or np.any(cols["fat_amp"] < 0):
+        raise ValueError("species amplitudes must be non-negative")
+    if np.any(cols["t2s_water"] > cols["t2"]):
+        raise ValueError("t2s_water cannot exceed t2")
+    if np.any(cols["b1_scale"] < 0):
+        raise ValueError("b1_scale must be non-negative")
 
 
 # Background filler: zero signal, positive dummy time constants.
@@ -73,9 +82,6 @@ DEFAULT_BOTTLES = (
     TissueParams(water_amp=1.0, fat_amp=0.0, t1=0.75, t2=0.090,
                  t2s_water=0.048, t2s_fat=0.025),
 )
-
-TISSUE_FIELDS = tuple(f.name for f in fields(TissueParams))
-
 
 @dataclass
 class PhantomMap:
@@ -177,12 +183,13 @@ def bottle_from_dict(d: dict) -> TissueParams:
     return TissueParams(**base)
 
 
-def _grid_side(cfg: dict, key: str) -> int:
-    side = float(cfg.get(key, 64))
-    if not side.is_integer():
-        raise ValueError(f"phantom {key} must be a whole number, got "
-                         f"{cfg[key]!r}")
-    return int(side)
+def whole_number(value, name: str) -> int:
+    """A config value that counts something, as an int: 32 and 32.0 give
+    32, while 32.9 (or a non-finite value) raises ValueError naming it."""
+    if not isinstance(value, (int, np.integer)) and \
+            not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def phantom_from_config(cfg: dict) -> PhantomMap:
@@ -200,7 +207,8 @@ def phantom_from_config(cfg: dict) -> PhantomMap:
     unknown = set(cfg) - {"type", "width", "height", "b1_scale"} - own
     if unknown:
         raise ValueError(f"unknown {kind} phantom keys {sorted(unknown)}")
-    width, height = (_grid_side(cfg, key) for key in ("width", "height"))
+    width, height = (whole_number(cfg.get(key, 64), f"phantom {key}")
+                     for key in ("width", "height"))
     b1_scale = float(cfg.get("b1_scale", 1.0))
     if kind == "bottles":
         bottles = cfg.get("bottles")

@@ -104,6 +104,9 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     h, w = data.shape[2], data.shape[3]
     timing = images.timing
     pulses = build_pulses(images.pulse_params, timing)
+    wf_cfg = waterfat.WfConfig(
+        timing.fid_times, images.omega_cs, opts.t2s_min, opts.t2s_max,
+        opts.t2s_points, opts.d_omega_step, opts.omega_bound)
     if mask is None:
         mask = maskgen.make_mask(maskgen.mean_image(images))
     if mask.bits.shape != (h, w):
@@ -136,9 +139,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
 
     # Water/fat, T2* and off-resonance from the segment-averaged FIDs I1-I5.
     wf = waterfat.fit_waterfat_pixels(
-        0.5 * (px[:, 0, 0:5] + px[:, 1, 0:5]), waterfat.WfConfig(
-            timing.fid_times, images.omega_cs, opts.t2s_min, opts.t2s_max,
-            opts.t2s_points, opts.d_omega_step, opts.omega_bound))
+        0.5 * (px[:, 0, 0:5] + px[:, 1, 0:5]), wf_cfg)
     for name in ("t2s_water", "t2s_fat", "d_omega0", "fat_fraction"):
         est[name], ok[name] = getattr(wf, name), wf.valid
     est["delta_b0"], ok["delta_b0"] = waterfat.delta_b0(wf.d_omega0), wf.valid

@@ -1,6 +1,6 @@
 """Forward simulation of the two-segment saturation-recovery protocol.
 
-Each repetition (one per segment) plays, per pixel:
+Each repetition (one per segment) plays:
 
 * a 90-degree saturation pulse at t = 0 whose transverse response seeds the
   five FID acquisitions I1-I5;
@@ -16,18 +16,19 @@ imaging pulse is the exact walk the T1 fitter uses (shared implementation);
 the echo train reuses the T2 fitter's prediction kernel sourced by the
 imaging-pulse signal, and the two-species FID kernel is the water/fat
 fitter's design matrix.  Both repetitions start from thermal equilibrium, so
-the segments' I1-I7 are identical by construction.
+the segments' I1-I7 are identical by construction.  Every step is
+elementwise over an array of tissues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from . import bloch, t1fit, t2fit, waterfat
 from .constants import OMEGA_CS
-from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams
+from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues
 
 _MS = 1e-3
 
@@ -189,27 +190,16 @@ def build_pulses(params: PulseParams = PulseParams(),
 
 @dataclass(frozen=True)
 class PixelProfiles:
-    """Slice responses of the pulse set at one B1 scale, or at an array of
-    scales: every per-z array then has shape ``k.shape + (nz,)``."""
+    """Slice integrals of the pulse set at one B1 scale, or at an array of
+    scales: every field then has the leading axes of ``k``."""
 
-    k: float                   # or an array of scales
-    z: np.ndarray
-    txr_sat: np.ndarray        # rephased transverse response, per z
-    txr_imaging: tuple         # one complex array per segment
+    sat_gain: np.ndarray       # slice integral of the saturation response
     echo_bases: tuple          # one (..., 3) t2fit.echo_basis per segment
     t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
-    def at(self, i) -> "PixelProfiles":
-        """The profiles at entry ``i`` of an array of scales."""
-        return PixelProfiles(
-            k=float(self.k[i]), z=self.z, txr_sat=self.txr_sat[i],
-            txr_imaging=tuple(t[i] for t in self.txr_imaging),
-            echo_bases=tuple(b[i] for b in self.echo_bases),
-            t1_moments=self.t1_moments[i])
-
 
 def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
-    """Slice responses of the pulse set at transmit scale(s) ``k``, from one
+    """Slice integrals of the pulse set at transmit scale(s) ``k``, from one
     Cayley-Klein product over all five pulse-scale pairs; segment 2's
     imaging response is the imaging pulse's at ``2 k``."""
     z = pulses.z_grid()
@@ -218,13 +208,11 @@ def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
     probe, (inv_alpha, _), *ck = bloch.cayley_klein(
         (pulses.probe, pulses.inversion) + excited, (ks, ks, ks, 2.0 * ks, ks),
         z)
-    img_k, img_2k, txr_sat = (bloch.transverse(p, *ab, z)
-                              for p, ab in zip(excited, ck))
-    txr_imaging = (img_k, img_2k)
+    *txr_imaging, txr_sat = (bloch.transverse(p, *ab, z)
+                             for p, ab in zip(excited, ck))
     theta_inv = bloch.refocusing_angle(inv_alpha)
     return PixelProfiles(
-        k=float(k) if ks.ndim == 0 else ks, z=z, txr_sat=txr_sat,
-        txr_imaging=txr_imaging,
+        sat_gain=bloch.integrate_slice(txr_sat, z),
         echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
                          for txr in txr_imaging),
         t1_moments=t1fit.slice_moments(
@@ -233,47 +221,57 @@ def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
     )
 
 
-def simulate_pixel(p: TissueParams, timing: SequenceTiming,
-                   profiles: PixelProfiles,
-                   omega_cs: float = OMEGA_CS) -> np.ndarray:
-    """Noiseless (2, 11) complex acquisitions for one pixel."""
-    out = np.zeros((2, 11), dtype=complex)
-    m0 = p.water_amp + p.fat_amp
-    if m0 == 0.0:
-        return out
-    z = profiles.z
-    fracs = np.array([p.water_amp, p.fat_amp]) / m0
+def simulate_tissues(tissues, timing: SequenceTiming,
+                     profiles: PixelProfiles,
+                     omega_cs: float = OMEGA_CS) -> np.ndarray:
+    """Noiseless (n, 2, 11) complex acquisitions of the n rows of
+    ``tissues`` (n, 8), in ``TISSUE_FIELDS`` order.  Row i reads entry i of
+    the profiles, or their one entry at a scalar scale.  Every step is
+    elementwise over rows, so a row's images do not depend on the others; a
+    row without signal reads 0."""
+    water, fat, t1, t2, t2s_water, t2s_fat, d_omega0, k = np.asarray(
+        tissues, dtype=float).T
+    m0 = water + fat
+    fracs = np.stack([water, fat], -1) / np.where(m0 != 0.0, m0, 1.0)[:, None]
 
     def kernel(t):
         # Two-species FID kernel after a tip of the full magnetization.
-        cols = waterfat.wf_design(t, p.t2s_water, p.t2s_fat, p.d_omega0,
-                                  omega_cs)
-        return np.sum(cols * fracs, axis=-1)
+        cols = waterfat.wf_design(t, t2s_water[:, None], t2s_fat[:, None],
+                                  d_omega0[:, None], omega_cs)
+        return np.sum(cols * fracs[:, None], axis=-1)
 
+    out = np.empty((len(m0), 2, 11), dtype=complex)
     # Saturation FID: slice-integrated transverse response applied to the
     # equilibrium magnetization, evolving with the two-species kernel.
-    c_sat = bloch.integrate_slice(profiles.txr_sat, z)
-    fid = m0 * c_sat * kernel(timing.fid_times)
-    te = timing.echo_time
-    te_kernel = complex(kernel(te))
-    # Saturation leaves the hard-pulse-equivalent scalar residual.
+    out[:, :, 0:5] = (m0[:, None] * profiles.sat_gain[..., None]
+                      * kernel(timing.fid_times))[:, None]
+    # Saturation leaves the hard-pulse-equivalent residual cos(k sat_flip).
     ctx = t1fit.T1Context(
         moments=profiles.t1_moments, times=timing.acq_times[5:8],
-        echo_time=te, sat_residual=float(np.cos(p.b1_scale * timing.sat_flip)))
-    (s6, s7, *s8), _ = t1fit.recovery_signals(p.t1, m0, ctx)
-    out[:, 0:5] = fid
-    out[:, 5:8] = np.column_stack([[s6, s6], [s7, s7], s8]) * te_kernel
-    for seg, a_src in enumerate(s8):
-        # Echo train: magnitudes from the shared echo kernel sourced by the
-        # imaging-pulse signal; spin echoes refocus off-resonance and
-        # chemical shift, so decay is pure T2 and the phase is the source's.
-        gain = abs(bloch.integrate_slice(profiles.txr_imaging[seg], z))
-        if gain > 0 and abs(a_src) > 0:
-            mags = t2fit.predict_echoes(abs(a_src) / gain, p.t2,
-                                        profiles.echo_bases[seg],
-                                        timing.echo_offsets)
-            out[seg, 8:11] = (a_src / abs(a_src)) * mags
+        echo_time=timing.echo_time, sat_residual=np.cos(k * timing.sat_flip))
+    sig, _ = t1fit.recovery_signals(t1, m0, ctx)       # I6, I7, I8_1, I8_2
+    out[:, :, 5:8] = (sig[:, [0, 1, 2, 0, 1, 3]].reshape(-1, 2, 3)
+                      * kernel([timing.echo_time])[:, :, None])
+    # Echo train: the shared echo kernel sourced by the imaging signal, whose
+    # gain is its moment times mzf^0 = 1; spin echoes refocus off-resonance
+    # and chemical shift, so decay is pure T2 and the phase is the source's.
+    src = sig[:, 2:]
+    mag, gain = np.abs(src), np.abs(profiles.t1_moments[..., [2, 5]])
+    ok = (gain > 0) & (mag > 0)
+    amp = np.divide(mag, gain, out=np.zeros_like(mag), where=ok)
+    phase = np.divide(src, mag, out=np.zeros_like(src), where=ok)
+    out[:, :, 8:11] = phase[..., None] * t2fit.predict_echoes(
+        amp[..., None], t2[:, None, None],
+        np.stack(profiles.echo_bases, axis=-2), timing.echo_offsets)
     return out
+
+
+def simulate_pixel(p: TissueParams, timing: SequenceTiming,
+                   profiles: PixelProfiles,
+                   omega_cs: float = OMEGA_CS) -> np.ndarray:
+    """Noiseless (2, 11) complex acquisitions for one pixel: the one-row
+    :func:`simulate_tissues` call, with profiles at one scale."""
+    return simulate_tissues([astuple(p)], timing, profiles, omega_cs)[0]
 
 
 @dataclass
@@ -301,8 +299,9 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
                   seed: int = 0, omega_cs: float = OMEGA_CS) -> ImageSet:
     """Simulate the full scan over a phantom, each distinct tissue once.
 
-    A tissue's ``simulate_pixel`` result is scattered to all its pixels;
-    this is exact, as it is the very call each of those pixels would get.
+    The distinct tissues are the rows of one :func:`simulate_tissues` call,
+    each scattered to all its pixels; this is exact, as rows are
+    independent.
 
     Noise is complex white Gaussian with per-channel standard deviation
     ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a seeded
@@ -319,12 +318,12 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     signal = pm.water_amp + pm.fat_amp != 0.0
     stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
     tissues, which = np.unique(stacked, axis=0, return_inverse=True)
+    check_tissues(tissues)
     ks, k_of = np.unique(tissues[:, -1], return_inverse=True)  # b1_scale
     profs = pixel_profiles(pulses, ks)
-    sims = np.zeros((len(tissues), 2, 11), dtype=complex)
-    for i, (row, k) in enumerate(zip(tissues.tolist(), k_of)):
-        sims[i] = simulate_pixel(TissueParams(*row), timing, profs.at(k),
-                                 omega_cs)
+    sims = simulate_tissues(tissues, timing, PixelProfiles(
+        profs.sat_gain[k_of], tuple(b[k_of] for b in profs.echo_bases),
+        profs.t1_moments[k_of]), omega_cs)
     data[:, :, signal] = np.moveaxis(sims[which], 0, -1)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)

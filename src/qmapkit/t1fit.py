@@ -31,6 +31,7 @@ class T1Context:
         ``time - echo_time``).
     sat_residual : longitudinal magnetization right after saturation, as a
         fraction of m0 (cos of the saturation flip; 0 for a full saturation).
+        A scalar, or one value per pixel.
     echo_scale : common magnitude factor at the echo time from two-species
         T2* decay and chemical-shift interference; multiplies all three
         measured magnitudes, so the fitted amplitude is echo_scale * m0.  A

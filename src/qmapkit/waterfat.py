@@ -53,6 +53,8 @@ class WfConfig:
             raise ValueError("t2s_points must be at least 2")
         if not 0 < self.d_omega_step <= self.omega_bound < np.inf:
             raise ValueError("need finite 0 < d_omega_step <= omega_bound")
+        if not np.isfinite(self.omega_cs):
+            raise ValueError("omega_cs must be finite")
         object.__setattr__(self, "times", times)
 
     def t2s_axis(self) -> np.ndarray:

@@ -104,6 +104,11 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert cli.main(["simulate", "--config", cfg4,
                      "--out", str(tmp_path / "o")]) == 1
     assert "width" in capsys.readouterr().err
+    # So is a fractional noise seed, which would run as its integer part.
+    cfg6 = _write_config(tmp_path, {"noise": {"seed": 4.5}})
+    assert cli.main(["simulate", "--config", cfg6,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "noise seed must be a whole number" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
     assert cli.main(["mask", "--images", str(tmp_path / "absent"),
@@ -115,7 +120,18 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
         assert cli.main(["mask", "--images", images_dir, flag, "-1",
                          "--out", str(tmp_path / "m.pbm")]) == 1
         assert "radii must be >= 0" in capsys.readouterr().err
+    for key, value in (("close_radius", 2.7), ("erode_radius", 1.9)):
+        cfg7 = _write_config(tmp_path, {"mask": {key: value}})
+        assert cli.main(["mask", "--config", cfg7, "--images", images_dir,
+                         "--out", str(tmp_path / "m.pbm")]) == 1
+        assert f"mask {key} must be a whole number" in \
+            capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
+    cfg8 = _write_config(tmp_path, {"wf": {"t2s_points": 16.9}})
+    assert cli.main(["estimate", "--config", cfg8, "--images", images_dir,
+                     "--out", str(tmp_path / "maps")]) == 1
+    assert "wf t2s_points must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "maps").exists()
 
     # Invalid pulse parameters, from the config or an image set's manifest,
     # write nothing.
@@ -141,6 +157,23 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
         assert "pulses" in capsys.readouterr().err
         assert not (tmp_path / "m.pbm").exists()
         assert not (tmp_path / "maps").exists()
+
+
+def test_non_finite_omega_cs_in_manifest_exits_1(tmp_path, water_scan,
+                                                 capsys):
+    # This once ran B1, the profiles and T2 first, then stopped with "SVD
+    # did not converge".
+    images_dir = tmp_path / "images"
+    formats.write_imageset(water_scan, str(images_dir))
+    manifest_path = images_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["omega_cs"] = float("nan")
+    manifest_path.write_text(json.dumps(manifest))
+    out = tmp_path / "maps"
+    assert cli.main(["estimate", "--images", str(images_dir),
+                     "--out", str(out)]) == 1
+    assert "omega_cs must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

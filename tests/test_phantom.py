@@ -120,6 +120,14 @@ def test_non_integral_grid_side_is_rejected(key):
     assert pm.shape == ((40, 64) if key == "height" else (64, 40))
 
 
+def test_whole_number_keeps_integers_exact():
+    for value in (2 ** 60 + 1, np.int64(2 ** 60 + 1)):
+        assert phantom.whole_number(value, "seed") == 2 ** 60 + 1
+    assert phantom.whole_number(4.0, "seed") == 4
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        phantom.whole_number(4.5, "seed")
+
+
 def test_truth_arrays_formulas():
     pm = phantom.make_bottle_phantom(64, 64)
     truth = phantom.phantom_truth_arrays(pm)

@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import (fitcore, maskgen, phantom, pipeline, seqsim, t2fit,
-                     waterfat)
+from qmapkit import (b1map, fitcore, maskgen, phantom, pipeline, seqsim,
+                     t2fit, waterfat)
 
 from conftest import WATER
 
@@ -254,6 +254,27 @@ def test_estimate_options_reject_non_finite_grid_values(name, value):
     # infinite omega_bound or k_max an OverflowError mid-estimate.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         pipeline.EstimateOptions(**{name: value})
+
+
+@pytest.mark.parametrize("images, opts", [
+    ({}, {"t2s_min": 0.1, "t2s_max": 0.05}), ({}, {"t2s_points": 1}),
+    ({}, {"d_omega_step": 10.0, "omega_bound": 5.0}),
+    ({"omega_cs": np.nan}, {})],
+    ids=["t2s_range", "t2s_points", "offset_step", "omega_cs"])
+def test_bad_waterfat_setting_raises_before_any_stage(water_scan, monkeypatch,
+                                                      images, opts):
+    calls = []
+    original = b1map.estimate_b1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(b1map, "estimate_b1", counted)
+    with pytest.raises(ValueError):
+        pipeline.estimate_all(replace(water_scan, **images),
+                              opts=pipeline.EstimateOptions(**opts))
+    assert calls == []
 
 
 def test_non_finite_pixel_is_invalid_and_isolated(water_scan):

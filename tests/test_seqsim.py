@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -91,8 +93,8 @@ def test_imaging_at_twice_the_scale_is_the_doubled_pulse(hard):
                          bloch.cayley_klein(doubled, ks, z)):
         npt.assert_array_equal(got, want)
     npt.assert_array_equal(
-        seqsim.pixel_profiles(pulses, ks).txr_imaging[1],
-        bloch.transverse(doubled, *bloch.cayley_klein(doubled, ks, z), z))
+        seqsim.pixel_profiles(pulses, ks).t1_moments[..., 5],
+        bloch.integrated_transverse_curve(doubled, ks, z))
     npt.assert_array_equal(
         bloch.integrated_transverse_curve(img, 2.0 * ks, z),
         bloch.integrated_transverse_curve(doubled, ks, z))
@@ -196,17 +198,13 @@ def test_vectorised_profiles_equal_scalar_calls(hard):
     pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))
     ks = np.array([[0.0, 0.45], [1.0, 1.37]])
     stacked = seqsim.pixel_profiles(pulses, ks)
-    npt.assert_array_equal(stacked.k, ks)
     for idx in np.ndindex(ks.shape):
         one = seqsim.pixel_profiles(pulses, ks[idx])
-        assert one.k == ks[idx] and one.txr_sat.shape == one.z.shape
-        picked = stacked.at(idx)
-        for name in ("txr_sat", "t1_moments"):
-            npt.assert_array_equal(getattr(picked, name), getattr(one, name))
+        for name in ("sat_gain", "t1_moments"):
+            npt.assert_array_equal(getattr(stacked, name)[idx],
+                                   getattr(one, name))
         for seg in (0, 1):
-            npt.assert_array_equal(picked.txr_imaging[seg],
-                                   one.txr_imaging[seg])
-            npt.assert_array_equal(picked.echo_bases[seg],
+            npt.assert_array_equal(stacked.echo_bases[seg][idx],
                                    one.echo_bases[seg])
 
 
@@ -289,12 +287,48 @@ def test_simulate_scan_simulates_each_distinct_tissue_once(monkeypatch):
     tissues = {_params_at(banded, r, c) for r, c in zip(*np.nonzero(signal))}
     ramp = np.count_nonzero(banded.label == 4)
     assert len(tissues) > ramp > 100    # one-pixel tissues on the ramp
-    calls = _counting_simulate_pixel(monkeypatch)
+    pixel_calls = _counting_simulate_pixel(monkeypatch)
+    calls = []
+    original = seqsim.simulate_tissues
+
+    def counted(rows, *args):
+        calls.append([phantom.TissueParams(*row) for row in rows.tolist()])
+        return original(rows, *args)
+
+    monkeypatch.setattr(seqsim, "simulate_tissues", counted)
     seqsim.simulate_scan(plain)
-    assert len(calls) == 6 and set(calls) == set(phantom.DEFAULT_BOTTLES)
+    assert len(calls) == 1 and len(calls[0]) == 6
+    assert set(calls[0]) == set(phantom.DEFAULT_BOTTLES)
     calls.clear()
     seqsim.simulate_scan(banded)
-    assert len(calls) == len(tissues) and set(calls) == tissues
+    assert len(calls) == 1 and len(calls[0]) == len(tissues)
+    assert set(calls[0]) == tissues
+    assert pixel_calls == []
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
+def test_simulate_tissues_rows_are_independent(hard):
+    # Rows: on resonance, fat only and off resonance, no transmit, no
+    # signal, and a water/fat mix off resonance at k = 0.85.
+    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))
+    timing = seqsim.SequenceTiming()
+    rows = np.array([dataclasses.astuple(p) for p in (
+        WATER, FAT, dataclasses.replace(WATER, b1_scale=0.0),
+        dataclasses.replace(WATER, water_amp=0.0),
+        dataclasses.replace(phantom.DEFAULT_BOTTLES[2], d_omega0=-40.0,
+                            b1_scale=0.85))])
+    # The suite turns a RuntimeWarning into an error (pyproject.toml).
+    batch, flipped = (
+        seqsim.simulate_tissues(r, timing,
+                                seqsim.pixel_profiles(pulses, r[:, -1]))
+        for r in (rows, rows[::-1]))
+    alone = np.array([seqsim.simulate_pixel(
+        phantom.TissueParams(*row), timing,
+        seqsim.pixel_profiles(pulses, row[-1])) for row in rows])
+    for got in (batch, flipped[::-1]):
+        npt.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                               alone.view(np.uint64))
+    assert not np.any(alone[2:4]) and np.all(np.abs(alone[[0, 1, 4]]) > 0)
 
 
 def test_phantom_without_signal_gives_zeros_or_pure_noise(monkeypatch):
@@ -309,6 +343,18 @@ def test_phantom_without_signal_gives_zeros_or_pure_noise(monkeypatch):
     npt.assert_array_equal(noisy.data,
                            0.0 + 1e-4 * (draw[..., 0] + 1j * draw[..., 1]))
     assert calls == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t1", np.nan, "t1 must be finite"),
+    ("t2s_water", 1.0, "t2s_water cannot exceed t2"),
+    ("b1_scale", -0.5, "b1_scale must be non-negative")],
+    ids=["t1", "t2s_water", "b1_scale"])
+def test_simulate_scan_rejects_an_invalid_tissue(field, value, message):
+    pm = phantom.make_bottle_phantom(64, 64)
+    getattr(pm, field)[pm.label == 3] = value
+    with pytest.raises(ValueError, match=message):
+        seqsim.simulate_scan(pm)
 
 
 @pytest.mark.parametrize("sigma", [-1e-3, float("nan"), float("inf")])
