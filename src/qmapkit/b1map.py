@@ -8,7 +8,10 @@ measured ratio recovers the scale per pixel.
 
 For ideal hard pulses the ratio is ``|2 cos(k * flip)|``; for shaped pulses
 the table integrates the simulated slice response, which is what makes the
-inversion exact for the same waveforms the scan used.
+inversion exact for the same waveforms the scan used.  That response comes
+from the pulse set's Cayley-Klein series in k^2 (one propagation), and the
+table hands the series on: the estimator reads the set's slice profiles at
+the estimated scales from it.
 """
 
 from __future__ import annotations
@@ -18,15 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .seqsim import SequencePulses
+from .seqsim import SequencePulses, profile_series
 
 
 @dataclass(frozen=True)
 class RatioTable:
-    """Monotone branch of the double-to-single readout magnitude ratio."""
+    """Monotone branch of the double-to-single readout magnitude ratio, and
+    the Cayley-Klein series it was read from (None for a hand-made table),
+    which also serves the set's slice profiles."""
 
     k_values: np.ndarray   # ascending transmit scales
     ratios: np.ndarray     # strictly decreasing magnitudes
+    series: bloch.CayleyKleinSeries = None
 
     def __post_init__(self):
         k = np.asarray(self.k_values, dtype=float)
@@ -44,17 +50,13 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     """Tabulate the readout ratio over a transmit-scale grid.
 
     The double pulse is the single pulse at twice the amplitude, so its
-    curve is the single pulse's at twice the scale.  That complex curve is
-    analytic in the scale, so it is propagated only at ``m`` Chebyshev
-    points of the first kind on [k_min, 2 k_max], in one curve call, and
-    one Chebyshev series read at both k and 2k on the grid (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 8).
-    ``m = 16 + ceil(2 * A * (2 k_max - k_min))`` grows with the pulse's
-    nutation area ``A``, which sets how fast the curve oscillates in k:
-    25 points for [0.2, 1.8].  The coefficients and the series (Clenshaw's
-    recurrence) are elementwise, not matrix products, so they do not depend
-    on BLAS threads.  Magnitudes are taken only after interpolation: they
-    have a kink at the signal null.
+    curve is the single pulse's at twice the scale.  The pulse set's
+    Cayley-Klein series up to k_max (``seqsim.profile_series``: one
+    propagation, 15 scales for k_max = 1.8) gives the imaging curve at its
+    nodes.  The curve is odd in the scale, so curve / k is one Chebyshev
+    series in k^2, read at both k and 2k on the grid by the series'
+    Clenshaw recurrence.  Magnitudes are taken only after interpolation:
+    they have a kink at the signal null.
 
     The raw ratio is non-monotone once the doubled flip passes the null, so
     the table keeps only the initial decreasing branch.
@@ -63,23 +65,14 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
         raise ValueError("need finite 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
-    img = pulses.imaging
-    area = np.sum(np.abs(img.samples)) * img.dt
-    m = 16 + int(np.ceil(2.0 * area * (2.0 * k_max - k_min)))
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    mid, half = 0.5 * (2.0 * k_max + k_min), 0.5 * (2.0 * k_max - k_min)
-    values = bloch.integrated_transverse_curve(
-        img, mid + half * np.cos(theta), pulses.z_grid())
-    # c_j = (2/m) sum_i f(x_i) cos(j theta_i), with c_0 halved.
-    coef = (2.0 / m) * np.sum(values * np.cos(np.arange(m)[:, None] * theta),
-                              axis=-1)
-    coef[0] *= 0.5
-    # Clenshaw's recurrence for sum_j c_j T_j(x), elementwise in x.
-    x = (np.concatenate([k_axis, 2.0 * k_axis]) - mid) / half
-    c0, c1 = coef[-2], coef[-1]
-    for j in range(m - 3, -1, -1):
-        c0, c1 = coef[j] - c1, c0 + c1 * (2.0 * x)
-    lo, hi = np.abs(c0 + c1 * x).reshape(2, n)
+    img, series = pulses.imaging, profile_series(pulses, k_max)
+    z, nodes = series.z_samples, series.scales
+    [(alpha, beta)] = series.cayley_klein([img], [nodes], z)
+    coef = bloch.chebyshev_coefficients(bloch.integrate_slice(
+        bloch.transverse(img, alpha, beta, z), z) / nodes)
+    ks = np.concatenate([k_axis, 2.0 * k_axis])
+    lo, hi = np.abs(ks * bloch.clenshaw(coef, series.argument(ks))).reshape(
+        2, n)
     if np.any(lo <= 0):
         raise ValueError("single-pulse response vanished inside the k range")
     ratios = hi / lo
@@ -88,7 +81,8 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     keep = upticks[0] + 1 if upticks.size else n
     if keep < 2:
         raise ValueError("ratio curve has no decreasing branch")
-    return RatioTable(k_values=k_axis[:keep], ratios=ratios[:keep])
+    return RatioTable(k_values=k_axis[:keep], ratios=ratios[:keep],
+                      series=series)
 
 
 def estimate_b1(mag_single, mag_double, table: RatioTable):

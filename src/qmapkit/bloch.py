@@ -1,5 +1,6 @@
-"""Piecewise-constant RF pulses, their Cayley-Klein spinor propagation and
-slice-profile integration.
+"""Piecewise-constant RF pulses, their Cayley-Klein spinor propagation (and
+its Chebyshev series in the squared transmit scale) and slice-profile
+integration.
 
 Conventions (fixed for the whole toolkit):
 
@@ -231,6 +232,109 @@ def _product(samples, ks, dw, dt, alpha, beta):
                                       np.conjugate(b, out=b_c)):
             alpha, beta = qa * alpha - qb_c * beta, qb * alpha + qa_c * beta
     return alpha, beta
+
+
+def shape_constant(shape: RfPulse, pulse: RfPulse) -> complex:
+    """The ``c`` with ``pulse.samples == c * shape.samples`` to 1e-12 of the
+    pulse's peak, on the shape's ``dt`` and gradient; else ValueError."""
+    same = (pulse.dt == shape.dt and pulse.samples.shape == shape.samples.shape
+            and pulse.slice_gradient == shape.slice_gradient)
+    peak = np.argmax(np.abs(shape.samples))
+    c = pulse.samples[peak] / shape.samples[peak] if same else 0.0
+    if not same or np.max(np.abs(pulse.samples - c * shape.samples)) > \
+            1e-12 * np.max(np.abs(pulse.samples)):
+        raise ValueError("pulse is not the series' shape times a constant")
+    return c
+
+
+def chebyshev_coefficients(values) -> np.ndarray:
+    """Coefficients ``c`` of ``sum_j c[j] T_j(x)`` through ``values`` (along
+    the first axis) at the points ``x_i = cos(pi (i + 1/2) / n)``; summed
+    elementwise, so that no BLAS thread count can change a bit."""
+    n = len(values)
+    cos = np.cos(np.outer(np.arange(n), np.pi * (np.arange(n) + 0.5) / n))
+    coef = sum(np.multiply.outer(w, v) for w, v in zip(cos.T, values))
+    coef *= 2.0 / n
+    coef[0] *= 0.5
+    return coef
+
+
+def clenshaw(coef, x):
+    """``sum_j coef[j] T_j(x)`` by Clenshaw's recurrence, elementwise: the
+    trailing axes of ``coef`` broadcast against ``x``."""
+    c0, c1, x2 = coef[-2], coef[-1], 2.0 * x
+    for c in coef[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+@dataclass(frozen=True, eq=False)
+class CayleyKleinSeries:
+    """Chebyshev series in ``u = s^2`` of the Cayley-Klein parameters of
+    ``pulse`` at every z and scale ``|s| <= scale_max``.
+
+    A piece factor's ``alpha_p`` depends on ``s`` only through ``s^2`` and
+    its ``beta_p`` is linear in ``s``, so ``alpha`` and ``beta / s`` are
+    smooth in ``u``.  The pulse ``c * pulse`` at scale ``k`` is ``pulse`` at
+    ``|c| k`` with ``beta`` turned by ``c / |c|``, so one series serves
+    every multiple of the shape.
+    """
+
+    pulse: RfPulse
+    scale_max: float
+    z_samples: np.ndarray
+    scales: np.ndarray    # the n node scales
+    alpha: np.ndarray     # (n, nz) coefficients of alpha
+    beta: np.ndarray      # (n, nz) coefficients of beta / s
+
+    def argument(self, scales):
+        """Chebyshev argument ``2 (s / scale_max)^2 - 1`` of scales ``s``."""
+        return 2.0 * (np.asarray(scales) / self.scale_max) ** 2 - 1.0
+
+    def cayley_klein(self, pulses, b1_scales, z_samples):
+        """:func:`cayley_klein` of a pulse set, one scale array per pulse,
+        read from the series a pass of rows at a time.  ValueError for a
+        pulse not the shape times a constant, another z grid or a scale
+        beyond ``scale_max``."""
+        z = self.z_samples
+        if not np.array_equal(np.atleast_1d(z_samples), z):
+            raise ValueError("the series was built on another z grid")
+        c = np.array([shape_constant(self.pulse, p) for p in pulses])
+        scales = np.array(b1_scales, dtype=float)
+        shape = scales.shape + z.shape
+        if len(scales) != len(c):
+            raise ValueError("a pulse set needs one scale array per pulse")
+        scales = scales.reshape(len(c), -1)
+        kappa = np.abs(c)[:, None] * scales
+        if np.any(np.abs(kappa) > self.scale_max * (1.0 + 1e-9)):
+            raise ValueError(f"scales beyond the series' {self.scale_max}")
+        x = self.argument(kappa).reshape(-1, 1)
+        alpha, beta = np.empty((2, x.size, z.size), dtype=complex)
+        # As (re, im) pairs: a real x scales both parts exactly.
+        coefs = [f.view(float) for f in (self.alpha, self.beta)]
+        step = max(1, _PASS_ELEMENTS // z.size)
+        for rows in (slice(r, r + step) for r in range(0, x.size, step)):
+            for out, coef in zip((alpha, beta), coefs):
+                out[rows] = clenshaw(coef, x[rows]).view(complex)
+        beta *= (c[:, None] * scales).reshape(-1, 1)
+        return list(zip(alpha.reshape(shape), beta.reshape(shape)))
+
+
+def cayley_klein_series(pulse: RfPulse, scale_max: float,
+                        z_samples) -> CayleyKleinSeries:
+    """The series of ``pulse`` up to ``scale_max`` from one
+    :func:`cayley_klein` call at ``n = 8 + ceil(A * scale_max)`` Chebyshev
+    points in ``u``, ``A`` the pulse's nutation area (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8)."""
+    area = np.sum(np.abs(pulse.samples)) * pulse.dt
+    n = 8 + int(np.ceil(area * scale_max))
+    scales = scale_max * np.sqrt(
+        0.5 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    z = np.atleast_1d(np.asarray(z_samples, dtype=float))
+    alpha, beta = cayley_klein(pulse, scales, z)
+    return CayleyKleinSeries(pulse, scale_max, z, scales,
+                             chebyshev_coefficients(alpha),
+                             chebyshev_coefficients(beta / scales[:, None]))
 
 
 def transverse(pulse: RfPulse, alpha, beta, z_samples) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .maskgen import Mask
+from .phantom import whole_number
 from .pipeline import MAP_NAMES, QuantMaps
 from .seqsim import ImageSet, PulseParams, SequenceTiming
 
@@ -48,6 +49,17 @@ class DimensionError(FormatError):
 
 class ChecksumError(FormatError):
     pass
+
+
+class FieldError(FormatError):
+    """A manifest field that counts something holds no whole number."""
+
+
+def _whole(manifest: dict, key: str) -> int:
+    try:
+        return whole_number(manifest[key], f"manifest {key}")
+    except (TypeError, ValueError) as exc:
+        raise FieldError(str(exc)) from None
 
 
 def _sha256(data: bytes) -> str:
@@ -137,9 +149,9 @@ def write_imageset(images: ImageSet, out_dir) -> None:
 def read_imageset(in_dir) -> ImageSet:
     src = Path(in_dir)
     manifest = _load_manifest(src, "imageset")
-    h, w = int(manifest["height"]), int(manifest["width"])
-    segs = int(manifest["segments"])
-    count = int(manifest["images_per_segment"])
+    h, w = _whole(manifest, "height"), _whole(manifest, "width")
+    segs = _whole(manifest, "segments")
+    count = _whole(manifest, "images_per_segment")
     if h <= 0 or w <= 0 or segs != 2 or count != 11:
         raise DimensionError(
             f"unsupported geometry: {segs} segments x {count} images, "
@@ -160,7 +172,7 @@ def read_imageset(in_dir) -> ImageSet:
         pulse_params=PulseParams.from_dict(manifest["pulse_params"]),
         omega_cs=float(manifest["omega_cs"]),
         noise_sigma=float(manifest["noise_sigma"]),
-        seed=int(manifest["seed"]),
+        seed=_whole(manifest, "seed"),
     )
 
 
@@ -195,7 +207,7 @@ def write_maps(maps: QuantMaps, out_dir) -> None:
 def read_maps(in_dir) -> QuantMaps:
     src = Path(in_dir)
     manifest = _load_manifest(src, "quantmaps")
-    h, w = int(manifest["height"]), int(manifest["width"])
+    h, w = _whole(manifest, "height"), _whole(manifest, "width")
     if h <= 0 or w <= 0:
         raise DimensionError(f"bad dimensions {w}x{h}")
     names = manifest["maps"]

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import b1map, maskgen, t1fit, t2fit, waterfat
+from . import b1map, bloch, maskgen, t1fit, t2fit, waterfat
 from .maskgen import Mask
-from .seqsim import ImageSet, SequencePulses, build_pulses, pixel_profiles
+from .seqsim import (ImageSet, SequencePulses, build_pulses, pixel_profiles,
+                     series_reach)
 
 MAP_NAMES = ("b1", "t2", "t2s_water", "t2s_fat", "d_omega0", "delta_b0",
              "fat_fraction", "t1", "m0", "t1_over_m0")
@@ -83,6 +84,21 @@ def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
                                    opts.b1_step)
 
 
+def _check_series(series, pulses: SequencePulses, opts: EstimateOptions):
+    """A table's series feeds the T2 and T1 models as well as B1: it must
+    be the image set's imaging pulse on its z grid, and reach every scale
+    of the options' k range (ValueError otherwise)."""
+    if series is None:
+        return
+    if not np.array_equal(series.z_samples, pulses.z_grid()) or abs(
+            bloch.shape_constant(series.pulse, pulses.imaging) - 1.0) > 1e-12:
+        raise ValueError("the ratio table was built for other pulses")
+    if series.scale_max < opts.b1_k_max * series_reach(pulses):
+        raise ValueError(
+            f"the ratio table's series does not reach b1_k_max "
+            f"{opts.b1_k_max}")
+
+
 def _quantize(k, opts: EstimateOptions):
     """Snap estimated scales (a scalar or an array) to the table grid so
     pixels share slice profiles."""
@@ -98,7 +114,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
 
     The masked pixels are gathered once; the B1, T2, water/fat and T1 stages
     are one array call each over them, in that order, and each map is
-    scattered back once at the end.
+    scattered back once at the end.  The slice profiles are read from the
+    ratio table's series (built here unless ``ratio_table`` is given).
     """
     data = images.data
     h, w = data.shape[2], data.shape[3]
@@ -113,6 +130,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         raise ValueError("mask dimensions do not match the images")
     if ratio_table is None:
         ratio_table = _ratio_table(pulses, opts)
+    _check_series(ratio_table.series, pulses, opts)
 
     # A pixel with any non-finite sample stays in the mask but reads 0 and
     # invalid in every map; no solver sees it.
@@ -121,12 +139,12 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     px = data.transpose(2, 3, 0, 1)[rows, cols]         # (n, 2, 11)
     est, ok = {}, {}
 
-    # B1 from the double-angle pair I8; the slice profiles are computed once
-    # per distinct quantized scale.
+    # B1 from the double-angle pair I8; the slice profiles are read once per
+    # distinct quantized scale.
     est["b1"], ok["b1"] = b1map.estimate_b1(
         np.abs(px[:, 0, 7]), np.abs(px[:, 1, 7]), ratio_table)
     ks, which = np.unique(_quantize(est["b1"], opts), return_inverse=True)
-    profs = pixel_profiles(pulses, ks)
+    profs = pixel_profiles(pulses, ks, ratio_table.series)
 
     # T2 from the spin echoes I9-I11 of both segments.  T2 and T1/M0 are
     # fitted at k-hat, so they are valid only where B1 is; a T2 or T1

@@ -198,14 +198,32 @@ class PixelProfiles:
     t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
 
-def pixel_profiles(pulses: SequencePulses, k) -> PixelProfiles:
+def series_reach(pulses: SequencePulses) -> float:
+    """Largest scale of the imaging shape that :func:`pixel_profiles` reads
+    per unit of k: 2 for segment 2's imaging pulse, or the largest pulse of
+    the set against the imaging one (3 for the default inversion)."""
+    return max(2.0, *(abs(bloch.shape_constant(pulses.imaging, p))
+                      for p in (pulses.sat, pulses.probe, pulses.inversion)))
+
+
+def profile_series(pulses: SequencePulses,
+                   k_max: float) -> bloch.CayleyKleinSeries:
+    """The Cayley-Klein series of the imaging shape from which
+    ``pixel_profiles(pulses, k, series)`` reads any ``|k| <= k_max``."""
+    return bloch.cayley_klein_series(
+        pulses.imaging, k_max * series_reach(pulses), pulses.z_grid())
+
+
+def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
     """Slice integrals of the pulse set at transmit scale(s) ``k``, from one
-    Cayley-Klein product over all five pulse-scale pairs; segment 2's
+    Cayley-Klein product over all five pulse-scale pairs, or read from
+    ``series`` (:func:`profile_series`) without propagating; segment 2's
     imaging response is the imaging pulse's at ``2 k``."""
     z = pulses.z_grid()
     ks = np.asarray(k, dtype=float)
     excited = (pulses.imaging, pulses.imaging, pulses.sat)
-    probe, (inv_alpha, _), *ck = bloch.cayley_klein(
+    propagate = bloch.cayley_klein if series is None else series.cayley_klein
+    probe, (inv_alpha, _), *ck = propagate(
         (pulses.probe, pulses.inversion) + excited, (ks, ks, ks, 2.0 * ks, ks),
         z)
     *txr_imaging, txr_sat = (bloch.transverse(p, *ab, z)

@@ -119,23 +119,25 @@ def test_table_from_nodes_matches_direct_table(pulses, k_min, k_max, step):
     npt.assert_allclose(table.ratios, ratios, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("k_max, n_scales", [(1.8, 25), (6.0, 45)])
-def test_table_makes_one_curve_call_at_the_nodes(monkeypatch, k_max,
-                                                 n_scales):
-    # One series on [k_min, 2 k_max] serves both k and 2k: m = 16 +
-    # ceil(2 A (2 k_max - k_min)) nodes, A = 1.19 for the default imaging
-    # pulse: 25 for k in [0.2, 1.8], 45 for [0.2, 6.0].
+@pytest.mark.parametrize("k_max, n_scales", [(1.8, 15), (6.0, 30)])
+def test_table_makes_one_kernel_call_at_the_nodes(monkeypatch, k_max,
+                                                  n_scales):
+    # One series in k^2 serves the table's k and 2k and every pulse of the
+    # set: 8 + ceil(A K) nodes, A = 1.19 for the default imaging pulse and
+    # K = 3 k_max (the inversion is 3x the imaging flip): 15 for k_max 1.8,
+    # 30 for k_max 6.
     calls = []
-    curve = bloch.integrated_transverse_curve
+    kernel = bloch.cayley_klein
 
     def counted(pulse, b1_scales, z_samples):
-        calls.append(np.array(b1_scales))
-        return curve(pulse, b1_scales, z_samples)
-    monkeypatch.setattr(bloch, "integrated_transverse_curve", counted)
+        calls.append((pulse, np.array(b1_scales)))
+        return kernel(pulse, b1_scales, z_samples)
+    monkeypatch.setattr(bloch, "cayley_klein", counted)
     table = b1map.build_ratio_table(_SINC, 0.2, k_max, 0.002)
-    assert len(calls) == 1 and calls[0].shape == (n_scales,)
-    assert np.all((calls[0] > 0.2) & (calls[0] < 2.0 * k_max))
-    assert table.k_values.size > 2
+    assert len(calls) == 1 and calls[0][0] is _SINC.imaging
+    assert calls[0][1].shape == (n_scales,)
+    assert np.all((calls[0][1] > 0.0) & (calls[0][1] < 3.0 * k_max))
+    assert table.k_values.size > 2 and table.series.scale_max == 3.0 * k_max
 
 
 @pytest.mark.parametrize("bad", [

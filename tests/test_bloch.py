@@ -480,3 +480,37 @@ def test_pulse_set_must_share_its_time_grid_and_symmetry():
     (a0, b0), (a1, b1) = bloch.cayley_klein([sinc, other], [1.0, 0.5], z)
     _assert_bit_equal(a1, bloch.cayley_klein(other, 0.5, z)[0])
     _assert_bit_equal(b0, bloch.cayley_klein(sinc, 1.0, z)[1])
+
+
+def test_series_reads_multiples_of_its_shape_only():
+    sinc = bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3, n_pieces=48)
+    z = bloch.default_z_grid(4e-3, n=9)
+    series = bloch.cayley_klein_series(sinc, 2.0, z)
+
+    def variant(samples=sinc.samples, dt=sinc.dt,
+                gradient=sinc.slice_gradient):
+        return bloch.RfPulse(samples=samples, dt=dt, slice_gradient=gradient)
+
+    tilted = sinc.samples * (1.0 + 1e-9 * np.arange(48))
+    for other in (variant(dt=2.0 * sinc.dt),
+                  variant(gradient=1.5 * sinc.slice_gradient),
+                  variant(samples=sinc.samples[1:-1]),
+                  variant(samples=tilted),
+                  bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3,
+                                           time_bandwidth=6.0, n_pieces=48)):
+        with pytest.raises(ValueError, match="shape times a constant"):
+            series.cayley_klein([sinc, other], [1.0, 1.0], z)
+    with pytest.raises(ValueError, match="another z grid"):
+        series.cayley_klein([sinc], [1.0], z[1:])
+    with pytest.raises(ValueError, match="beyond"):
+        series.cayley_klein([sinc], [2.1], z)
+    # Another flip and RF phase on the same shape: |c| = 3, turned by 0.3.
+    other = bloch.hamming_sinc_pulse(np.pi, 1e-3, 4e-3, n_pieces=48,
+                                     phase=0.3)
+    scales = [[0.0, 0.7, 2.0], [0.2, 0.5, 2.0 / 3.0]]
+    got = series.cayley_klein([sinc, other], scales, z)
+    for (alpha, beta), (want_a, want_b) in zip(
+            got, bloch.cayley_klein([sinc, other], scales, z)):
+        assert alpha.shape == want_a.shape == (3, z.size)
+        npt.assert_allclose(alpha, want_a, rtol=0, atol=1e-13)
+        npt.assert_allclose(beta, want_b, rtol=0, atol=1e-13)

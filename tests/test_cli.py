@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmapkit import b1map, cli, formats, maskgen, seqsim
+from qmapkit import b1map, cli, formats, maskgen, pipeline, seqsim
 
 CHAIN_CONFIG = {
     "phantom": {
@@ -174,6 +174,29 @@ def test_non_finite_omega_cs_in_manifest_exits_1(tmp_path, water_scan,
                      "--out", str(out)]) == 1
     assert "omega_cs must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fractional_manifest_counts_exit_1(tmp_path, water_scan, capsys):
+    # An image set whose manifest says "seed": 4.5 and maps whose manifest
+    # says "height": 32.7 are rejected, not truncated.
+    images_dir = tmp_path / "images"
+    formats.write_imageset(water_scan, str(images_dir))
+    maps_dir = tmp_path / "maps"
+    formats.write_maps(pipeline.QuantMaps.zeros((32, 32)), maps_dir)
+    for path, key, value in ((images_dir, "seed", 4.5),
+                             (maps_dir, "height", 32.7)):
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["estimate", "--images", str(images_dir),
+                     "--out", str(tmp_path / "maps2")]) == 1
+    assert "manifest seed must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "maps2").exists()
+    assert cli.main(["compare", "--maps", str(maps_dir)]) == 1
+    assert "manifest height must be a whole number" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

@@ -64,6 +64,26 @@ def test_imageset_geometry_tamper(water_scan, tmp_path):
         formats.read_imageset(tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 4.5), ("height", 32.7), ("width", float("nan")),
+    ("segments", 2.5), ("images_per_segment", 11.5)])
+def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
+                                                 value):
+    # A count is read as a whole number or refused, never truncated.
+    formats.write_imageset(water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update({key: value}))
+    with pytest.raises(formats.FieldError, match=f"manifest {key}"):
+        formats.read_imageset(tmp_path)
+
+
+def test_imageset_whole_float_counts_read_as_ints(water_scan, tmp_path):
+    formats.write_imageset(water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update(seed=7.0, height=32.0))
+    back = formats.read_imageset(tmp_path)
+    assert back.seed == 7 and type(back.seed) is int
+    assert back.data.shape == water_scan.data.shape
+
+
 def test_imageset_truncated_payload(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
     target = tmp_path / "seg1_img03.f32"
@@ -113,6 +133,14 @@ def test_maps_manifest_tamper(tmp_path):
     formats.write_maps(maps, tmp_path)
     _edit_manifest(tmp_path, lambda m: m["payloads"].pop())
     with pytest.raises(formats.DimensionError):
+        formats.read_maps(tmp_path)
+
+
+@pytest.mark.parametrize("key, value", [("height", 4.5), ("width", 5.2)])
+def test_maps_fractional_dimensions_are_rejected(tmp_path, key, value):
+    formats.write_maps(_sample_maps(np.random.default_rng(7)), tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update({key: value}))
+    with pytest.raises(formats.FieldError, match=f"manifest {key}"):
         formats.read_maps(tmp_path)
 
 

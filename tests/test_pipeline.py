@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import (b1map, fitcore, maskgen, phantom, pipeline, seqsim,
-                     t2fit, waterfat)
+from qmapkit import (b1map, bloch, fitcore, maskgen, phantom, pipeline,
+                     seqsim, t2fit, waterfat)
 
 from conftest import WATER
 
@@ -84,9 +84,10 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
     images = seqsim.simulate_scan(pm)
     calls = []
 
-    def counted(pulses, k):
+    def counted(pulses, k, series):
         calls.append(np.asarray(k).copy())
-        return seqsim.pixel_profiles(pulses, k)
+        assert series is not None
+        return seqsim.pixel_profiles(pulses, k, series)
 
     monkeypatch.setattr(pipeline, "pixel_profiles", counted)
     bits = np.zeros(pm.shape, dtype=bool)
@@ -99,6 +100,68 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
     npt.assert_allclose(calls[0], [0.9, 1.0], atol=0.005)
     npt.assert_allclose(maps.b1[bits], np.where(np.arange(8) < 4, 0.9, 1.0),
                         atol=0.005)
+
+
+def _disc_k11():
+    pm = phantom.make_disc_phantom(32, 32, replace(WATER, b1_scale=1.1),
+                                   radius_frac=0.25)
+    bits = np.zeros(pm.shape, dtype=bool)
+    bits[16, 15:18] = True
+    return seqsim.simulate_scan(pm), maskgen.Mask(bits=bits)
+
+
+def test_estimate_all_with_a_table_propagates_nothing(monkeypatch):
+    images, mask = _disc_k11()
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
+    table = pipeline._ratio_table(seqsim.build_pulses(timing=images.timing),
+                                  opts)
+    calls = []
+    kernel = bloch.cayley_klein
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(bloch, "cayley_klein", counted)
+    maps = pipeline.estimate_all(images, mask, opts, ratio_table=table)
+    assert calls == []
+    npt.assert_allclose(maps.b1[mask.bits], 1.1, atol=0.005)
+
+
+@pytest.mark.parametrize("other", [
+    {"timing": {"imaging_flips": (np.pi / 4.0, np.pi / 2.0)}},
+    {"params": {"slice_thickness": 0.005}},
+    {"params": {"z_count": 65}},
+    {"params": {"hard": True}},
+], ids=["flips", "thickness", "z-grid", "hard"])
+def test_estimate_all_rejects_a_table_for_other_pulses(other):
+    # A table for other pulses reads this k = 1.1 disc far off (b1 1.46,
+    # every pixel valid, for 45/90-degree imaging flips over the default k
+    # range), and its series would give T2 and T1 the wrong profiles.
+    images, mask = _disc_k11()
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
+    pulses = seqsim.build_pulses(
+        replace(images.pulse_params, **other.get("params", {})),
+        replace(images.timing, **other.get("timing", {})))
+    table = pipeline._ratio_table(pulses, opts)
+    with pytest.raises(ValueError, match="other pulses|shape times"):
+        pipeline.estimate_all(images, mask, opts, ratio_table=table)
+
+
+def test_estimate_all_rejects_a_table_short_of_the_k_range():
+    images, mask = _disc_k11()
+    table = b1map.build_ratio_table(
+        seqsim.build_pulses(timing=images.timing), 0.7, 1.3, 0.002)
+    with pytest.raises(ValueError, match="does not reach b1_k_max 1.8"):
+        pipeline.estimate_all(images, mask, pipeline.EstimateOptions(),
+                              ratio_table=table)
+    # A table without a series (built by hand) is read as before, with the
+    # profiles propagated directly.
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
+    bare = b1map.RatioTable(table.k_values, table.ratios)
+    npt.assert_allclose(
+        pipeline.estimate_all(images, mask, opts, ratio_table=bare).t1,
+        pipeline.estimate_all(images, mask, opts, ratio_table=table).t1,
+        rtol=1e-12, atol=0)
 
 
 def test_estimate_all_builds_echo_bases_once_per_segment(monkeypatch):

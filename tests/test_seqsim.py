@@ -208,6 +208,38 @@ def test_vectorised_profiles_equal_scalar_calls(hard):
                                    one.echo_bases[seg])
 
 
+_SETS = {
+    "sinc": seqsim.build_pulses(),
+    "hard": seqsim.build_pulses(seqsim.PulseParams(hard=True),
+                                seqsim.default_timing()),
+    "sinc-90-180": seqsim.build_pulses(
+        seqsim.PulseParams(),
+        dataclasses.replace(seqsim.default_timing(),
+                            imaging_flips=(np.pi / 2, np.pi))),
+}
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0.2, 1.8), (0.7, 1.3),
+                                          (0.1, 6.0)])
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_profiles_from_the_series_match_direct_propagation(name, k_min,
+                                                           k_max):
+    # Error budget of the series: each profile quantity (the saturation
+    # gain, each echo-basis column, each T1 moment) within 1e-12 of its
+    # largest value over the range, ends included.
+    pulses = _SETS[name]
+    ks = np.linspace(k_min, k_max, 37)
+
+    def columns(profs):
+        return np.column_stack((profs.sat_gain, *profs.echo_bases,
+                                profs.t1_moments))
+    want = columns(seqsim.pixel_profiles(pulses, ks))
+    got = columns(seqsim.pixel_profiles(
+        pulses, ks, seqsim.profile_series(pulses, k_max)))
+    assert got.shape == want.shape == (37, 15)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+
 def test_simulate_scan_computes_profiles_once(monkeypatch):
     pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
     pm.b1_scale[:, :16] = 0.8
