@@ -67,7 +67,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     k_axis = k_min + step * np.arange(n)
     img, series = pulses.imaging, profile_series(pulses, k_max)
     z, nodes = series.z_samples, series.scales
-    [(alpha, beta)] = series.cayley_klein([img], [nodes], z)
+    alpha, beta = series.cayley_klein(nodes, z)
     coef = bloch.chebyshev_coefficients(bloch.integrate_slice(
         bloch.transverse(img, alpha, beta, z), z) / nodes)
     ks = np.concatenate([k_axis, 2.0 * k_axis])

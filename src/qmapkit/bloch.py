@@ -48,8 +48,10 @@ class RfPulse:
         samples = np.atleast_1d(np.asarray(self.samples, dtype=complex))
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # Finite first: the axis test's inf * conj(inf) would warn.
+        if not (np.all(np.isfinite(samples)) and 0.0 < self.dt < np.inf
+                and np.isfinite(self.slice_gradient)):
+            raise ValueError("need finite samples and gradient, 0 < dt < inf")
         # Off-axis parts are measured against the peak: subnormals pass.
         peak = samples[np.argmax(np.abs(samples))]
         cross = np.abs((samples * peak.conjugate()).imag)
@@ -72,6 +74,8 @@ def hard_pulse(flip: float, duration: float = 1e-5,
                phase: float = 0.0) -> RfPulse:
     """Single-piece pulse, no gradient: an ideal instantaneous rotation,
     with RF phase ``phase`` measured from +x."""
+    if not (np.all(np.isfinite((flip, phase))) and 0 < duration < np.inf):
+        raise ValueError("need finite flip and phase, 0 < duration < inf")
     return RfPulse(
         samples=np.array([flip / duration * np.exp(1j * phase)]),
         dt=duration,
@@ -136,7 +140,7 @@ def default_z_grid(slice_thickness: float, n: int = 129,
     return np.concatenate((-upper[n % 2:][::-1], upper))
 
 
-def cayley_klein(pulse, b1_scales, z_samples):
+def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     """Cayley-Klein parameters ``(alpha, beta)`` of a scaled pulse.
 
     Returns two C-contiguous complex arrays of shape
@@ -147,11 +151,6 @@ def cayley_klein(pulse, b1_scales, z_samples):
     ``alpha_p = cos(phi/2) - i*(dw/omega)*sin(phi/2)`` and ``beta_p =
     i*(amp/omega)*sin(phi/2)``.  A piece whose scaled amplitude is zero is
     the identity: the slice gradient alone does not rotate.
-
-    ``pulse`` may also be a sequence of pulses that share ``dt``, slice
-    gradient, zero pieces and mirror symmetry (else ValueError), with one
-    scale array each, all of one shape: one product serves the set, and a
-    list of pairs comes back, each byte-equal to its pulse's own call.
 
     Every piece's field lies on the pulse's RF axis ``u = exp(i*p)``, so the
     rotation at -z is the one at +z turned by pi about u: ``alpha(-z) =
@@ -165,51 +164,41 @@ def cayley_klein(pulse, b1_scales, z_samples):
     pieces, W is V times the middle piece if n is odd, and only ceil(n/2)
     pieces are propagated.  Any other pulse takes the full product.
     """
-    single = isinstance(pulse, RfPulse)
-    pulses = [pulse] if single else pulse
-    scales = np.array([b1_scales] if single else b1_scales, dtype=float)
-    samples = [p.samples[p.samples != 0.0] for p in pulses]
-    shared = {(p.dt, p.slice_gradient, (p.samples != 0.0).tobytes(),
-               np.array_equal(s, s[::-1])) for p, s in zip(pulses, samples)}
-    if len(scales) != len(pulses) or len(shared) > 1:
-        raise ValueError("a pulse set needs one scale array per pulse and "
-                         "one dt, slice gradient, zero pattern and symmetry")
-    samples = np.stack(samples, axis=-1)
+    scales = np.asarray(b1_scales, dtype=float)
+    samples = pulse.samples[pulse.samples != 0.0]
     symmetric, half = np.array_equal(samples, samples[::-1]), len(samples) // 2
-    dt, gradient = pulses[0].dt, pulses[0].slice_gradient
-    ks = scales.reshape(len(pulses), -1, 1)
-    turn = np.array([np.exp(2j * p.axis_phase) for p in pulses])[:, None, None]
+    ks = scales.reshape(-1, 1)
+    turn = np.exp(2j * pulse.axis_phase)
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
     abs_z, where = np.unique(np.abs(z), return_inverse=True)
-    alpha, beta = np.empty((2,) + ks.shape[:2] + abs_z.shape, dtype=complex)
-    step = max(1, _PASS_ELEMENTS // max(ks.shape[0] * abs_z.size, 1))
-    for rows in (slice(r, r + step) for r in range(0, ks.shape[1], step)):
-        dw = np.where(ks[:, rows] != 0.0, gradient * abs_z, 0.0)
-        args = (ks[:, rows], dw, dt)
+    alpha, beta = np.empty((2, len(ks), abs_z.size), dtype=complex)
+    step = max(1, _PASS_ELEMENTS // max(abs_z.size, 1))
+    for rows in (slice(r, r + step) for r in range(0, len(ks), step)):
+        dw = np.where(ks[rows] != 0.0, pulse.slice_gradient * abs_z, 0.0)
+        args = (ks[rows], dw, pulse.dt)
         a_0 = np.ones(dw.shape, dtype=complex)
         b_0 = np.zeros(dw.shape, dtype=complex)
         if symmetric:
             a_v, b_v = _product(samples[:half], *args, a_0, b_0)
             a_w, b_w = _product(samples[half:len(samples) - half], *args,
                                 a_v, b_v)
-            alpha[:, rows] = a_v * a_w + turn.conjugate() * b_v * b_w
-            beta[:, rows] = a_v.conj() * b_w - turn * b_v.conj() * a_w
+            alpha[rows] = a_v * a_w + turn.conjugate() * b_v * b_w
+            beta[rows] = a_v.conj() * b_w - turn * b_v.conj() * a_w
         else:
-            alpha[:, rows], beta[:, rows] = _product(samples, *args, a_0, b_0)
+            alpha[rows], beta[rows] = _product(samples, *args, a_0, b_0)
     alpha = np.take(alpha, where, axis=-1)
     beta = np.take(beta, where, axis=-1)
     below = z < 0.0
     np.conjugate(alpha, out=alpha, where=below)
     np.multiply(-turn, beta.conj(), out=beta, where=below)
-    alpha = alpha.reshape(scales.shape + z.shape)
-    beta = beta.reshape(scales.shape + z.shape)
-    return (alpha[0], beta[0]) if single else list(zip(alpha, beta))
+    shape = scales.shape + z.shape
+    return alpha.reshape(shape), beta.reshape(shape)
 
 
 def _product(samples, ks, dw, dt, alpha, beta):
-    """``(alpha, beta)`` carried through the pieces ``samples`` (pieces x
-    pulses) in order, at scales ``ks`` and off-resonances ``dw`` (pulses x
-    scales x |z|), a block of pieces at a time."""
+    """``(alpha, beta)`` carried through the pieces ``samples`` in order, at
+    scales ``ks`` and off-resonances ``dw`` (scales x |z|), a block of
+    pieces at a time."""
     per_block = max(1, _BLOCK_ELEMENTS // max(dw.size, 1))
     shape = (min(per_block, len(samples)),) + dw.shape
     size = int(np.prod(shape))
@@ -220,7 +209,7 @@ def _product(samples, ks, dw, dt, alpha, beta):
                *store[2 * size:].view(complex).reshape((4,) + shape)]
     dw2 = dw * dw
     for start in range(0, len(samples), per_block):
-        block = samples[start:start + per_block, :, None, None]
+        block = samples[start:start + per_block, None, None]
         om, so, a, b, a_c, b_c = (x[:len(block)] for x in buffers)
         np.sqrt(np.add((ks * np.abs(block)) ** 2, dw2, out=om), out=om)
         np.cos(np.multiply(om, dt / 2.0, out=so), out=a.real)
@@ -243,7 +232,7 @@ def shape_constant(shape: RfPulse, pulse: RfPulse) -> complex:
     c = pulse.samples[peak] / shape.samples[peak] if same else 0.0
     if not same or np.max(np.abs(pulse.samples - c * shape.samples)) > \
             1e-12 * np.max(np.abs(pulse.samples)):
-        raise ValueError("pulse is not the series' shape times a constant")
+        raise ValueError("pulse is not the shape times a constant")
     return c
 
 
@@ -291,24 +280,17 @@ class CayleyKleinSeries:
         """Chebyshev argument ``2 (s / scale_max)^2 - 1`` of scales ``s``."""
         return 2.0 * (np.asarray(scales) / self.scale_max) ** 2 - 1.0
 
-    def cayley_klein(self, pulses, b1_scales, z_samples):
-        """:func:`cayley_klein` of a pulse set, one scale array per pulse,
-        read from the series a pass of rows at a time.  ValueError for a
-        pulse not the shape times a constant, another z grid or a scale
+    def cayley_klein(self, b1_scales, z_samples):
+        """:func:`cayley_klein` of the series' pulse, read from the series
+        a pass of rows at a time.  ValueError for another z grid or a scale
         beyond ``scale_max``."""
         z = self.z_samples
         if not np.array_equal(np.atleast_1d(z_samples), z):
             raise ValueError("the series was built on another z grid")
-        c = np.array([shape_constant(self.pulse, p) for p in pulses])
-        scales = np.array(b1_scales, dtype=float)
-        shape = scales.shape + z.shape
-        if len(scales) != len(c):
-            raise ValueError("a pulse set needs one scale array per pulse")
-        scales = scales.reshape(len(c), -1)
-        kappa = np.abs(c)[:, None] * scales
-        if np.any(np.abs(kappa) > self.scale_max * (1.0 + 1e-9)):
+        scales = np.asarray(b1_scales, dtype=float)
+        if np.any(np.abs(scales) > self.scale_max * (1.0 + 1e-9)):
             raise ValueError(f"scales beyond the series' {self.scale_max}")
-        x = self.argument(kappa).reshape(-1, 1)
+        x = self.argument(scales).reshape(-1, 1)
         alpha, beta = np.empty((2, x.size, z.size), dtype=complex)
         # As (re, im) pairs: a real x scales both parts exactly.
         coefs = [f.view(float) for f in (self.alpha, self.beta)]
@@ -316,8 +298,9 @@ class CayleyKleinSeries:
         for rows in (slice(r, r + step) for r in range(0, x.size, step)):
             for out, coef in zip((alpha, beta), coefs):
                 out[rows] = clenshaw(coef, x[rows]).view(complex)
-        beta *= (c[:, None] * scales).reshape(-1, 1)
-        return list(zip(alpha.reshape(shape), beta.reshape(shape)))
+        beta *= scales.reshape(-1, 1)
+        shape = scales.shape + z.shape
+        return alpha.reshape(shape), beta.reshape(shape)
 
 
 def cayley_klein_series(pulse: RfPulse, scale_max: float,

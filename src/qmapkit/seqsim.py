@@ -66,8 +66,10 @@ class SequenceTiming:
             raise ValueError("need three inversions and three echo offsets")
         if len(self.imaging_flips) != 2:
             raise ValueError("need one imaging flip per segment")
-        # A zero flip makes a pulse with no non-zero piece, which cannot
-        # join the other pulses in pixel_profiles' one Cayley-Klein product.
+        if not np.all(np.isfinite(np.hstack(astuple(self)))):
+            raise ValueError("every timing value must be finite")
+        # A zero flip leaves a pulse no RF axis for pixel_profiles to turn
+        # the imaging shape onto (and a zero imaging flip leaves no shape).
         if 0.0 in (self.sat_flip, self.probe_flip, self.inversion_flip,
                    *self.imaging_flips):
             raise ValueError("flip angles must be non-zero")
@@ -140,6 +142,9 @@ class PulseParams:
             if not (isinstance(value, (int, np.integer)) and value >= least):
                 raise ValueError(f"pulses {name} must be an integer >= "
                                  f"{least}")
+        if not isinstance(self.hard, (bool, np.bool_)):
+            raise ValueError("pulses hard must be true or false")
+        object.__setattr__(self, "hard", bool(self.hard))
 
     def to_dict(self):
         return asdict(self)
@@ -198,12 +203,21 @@ class PixelProfiles:
     t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
 
+def _shape_constants(pulses: SequencePulses) -> np.ndarray:
+    """The ``c`` of each pulse ``c * imaging`` of :func:`pixel_profiles`:
+    probe, inversion, imaging, segment 2's imaging (2) and saturation.
+    ValueError for a pulse of another shape (:func:`bloch.shape_constant`)."""
+    probe, inversion, sat = (bloch.shape_constant(pulses.imaging, p)
+                             for p in (pulses.probe, pulses.inversion,
+                                       pulses.sat))
+    return np.array([probe, inversion, 1.0, 2.0, sat])
+
+
 def series_reach(pulses: SequencePulses) -> float:
     """Largest scale of the imaging shape that :func:`pixel_profiles` reads
-    per unit of k: 2 for segment 2's imaging pulse, or the largest pulse of
-    the set against the imaging one (3 for the default inversion)."""
-    return max(2.0, *(abs(bloch.shape_constant(pulses.imaging, p))
-                      for p in (pulses.sat, pulses.probe, pulses.inversion)))
+    per unit of k: the largest pulse of the set against the imaging one (3
+    for the default inversion)."""
+    return float(np.max(np.abs(_shape_constants(pulses))))
 
 
 def profile_series(pulses: SequencePulses,
@@ -215,27 +229,26 @@ def profile_series(pulses: SequencePulses,
 
 
 def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
-    """Slice integrals of the pulse set at transmit scale(s) ``k``, from one
-    Cayley-Klein product over all five pulse-scale pairs, or read from
-    ``series`` (:func:`profile_series`) without propagating; segment 2's
-    imaging response is the imaging pulse's at ``2 k``."""
-    z = pulses.z_grid()
-    ks = np.asarray(k, dtype=float)
-    excited = (pulses.imaging, pulses.imaging, pulses.sat)
-    propagate = bloch.cayley_klein if series is None else series.cayley_klein
-    probe, (inv_alpha, _), *ck = propagate(
-        (pulses.probe, pulses.inversion) + excited, (ks, ks, ks, 2.0 * ks, ks),
-        z)
-    *txr_imaging, txr_sat = (bloch.transverse(p, *ab, z)
-                             for p, ab in zip(excited, ck))
-    theta_inv = bloch.refocusing_angle(inv_alpha)
+    """Slice integrals of the pulse set at transmit scale(s) ``k``.  Each
+    pulse is the imaging shape times a constant ``c``, i.e. the shape at
+    ``|c| k`` with ``beta`` turned by ``c / |c|``: one Cayley-Klein product
+    of the shape serves the set, or it is read from ``series``
+    (:func:`profile_series`) without propagating."""
+    z, img = pulses.z_grid(), pulses.imaging
+    c = _shape_constants(pulses)
+    scales = np.multiply.outer(np.abs(c), np.asarray(k, dtype=float))
+    alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
+                   else series.cayley_klein(scales, z))
+    beta *= (c / np.abs(c)).reshape(c.shape + (1,) * (beta.ndim - 1))
+    *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
+    theta_inv = bloch.refocusing_angle(alpha[1])
     return PixelProfiles(
         sat_gain=bloch.integrate_slice(txr_sat, z),
         echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
                          for txr in txr_imaging),
         t1_moments=t1fit.slice_moments(
-            bloch.transverse(pulses.probe, *probe, z),
-            bloch.longitudinal(*probe), txr_imaging, z),
+            bloch.transverse(img, alpha[0], beta[0], z),
+            bloch.longitudinal(alpha[0], beta[0]), txr_imaging, z),
     )
 
 

@@ -105,6 +105,21 @@ def test_integrate_slice_constant_and_single_sample():
         bloch.integrate_slice(np.ones(3), z)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: bloch.hard_pulse(np.nan), lambda: bloch.hard_pulse(np.inf),
+    lambda: bloch.hard_pulse(1.0, duration=np.inf),
+    lambda: bloch.RfPulse(samples=np.array([1.0, 2.0]), dt=np.nan),
+    lambda: bloch.RfPulse(samples=np.array([1.0, np.inf * 1j]), dt=1e-5),
+    lambda: bloch.RfPulse(samples=np.array([1.0]), dt=1e-5,
+                          slice_gradient=np.nan),
+], ids=["nan-flip", "inf-flip", "inf-duration", "nan-dt", "inf-sample",
+        "nan-gradient"])
+def test_pulse_rejects_non_finite_values(make):
+    # Each was once accepted, and cayley_klein returned NaN.
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_pulse_validation():
     with pytest.raises(ValueError):
         bloch.RfPulse(samples=np.array([]), dt=1e-5)
@@ -395,42 +410,45 @@ def test_half_path_equals_full_path(half, odd, phase, gradient, k):
                         rtol=0, atol=1e-12)
 
 
-_SET_SCALES = {
-    "scalar": [1.37, 0.0, 0.85, 2.6, 1.0],
-    "1d": np.linspace(0.0, 3.6, 20).reshape(5, 4),
-    "2d": np.linspace(3.6, 0.0, 30).reshape(5, 2, 3),
+_SET_KS = {
+    "scalar": 1.37,
+    "1d": np.linspace(0.0, 1.8, 4),
+    "2d": np.linspace(1.8, 0.0, 6).reshape(2, 3),
 }
 
 
-def _pulse_set(hard, n_pieces=256):
-    """Probe, inversion, imaging twice and saturation: one time grid."""
-    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard,
-                                                    n_pieces=n_pieces))
-    return (pulses.probe, pulses.inversion, pulses.imaging, pulses.imaging,
-            pulses.sat), pulses.z_grid()
-
-
-@pytest.mark.parametrize("shape", sorted(_SET_SCALES))
+@pytest.mark.parametrize("shape", sorted(_SET_KS))
 @pytest.mark.parametrize("hard, n_pieces", [
     (False, 256), (False, 31), (True, 256)], ids=["sinc", "sinc-31", "hard"])
 def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
                                              shape):
-    # The set runs ceil(n/2) pieces of all its pulses through one pass of
-    # the product (plus the middle piece's pass), not one pass per pulse,
-    # and each pulse's pair is byte-equal to its own call.
-    members, z = _pulse_set(hard, n_pieces)
-    scales = _SET_SCALES[shape]
-    counted = _counted_pieces(monkeypatch)
-    got = bloch.cayley_klein(members, scales, z)
-    n = np.count_nonzero(members[0].samples)
-    assert len(counted) == 2
-    assert sum(counted) == len(members) * ((n + 1) // 2)
-    assert len(got) == len(members)
-    for pulse, k, (alpha, beta) in zip(members, scales, got):
-        assert alpha.flags.c_contiguous and beta.flags.c_contiguous
-        want_alpha, want_beta = bloch.cayley_klein(pulse, k, z)
-        _assert_bit_equal(alpha, want_alpha)
-        _assert_bit_equal(beta, want_beta)
+    # pixel_profiles propagates the imaging shape once, at |c| k for each
+    # pulse c * shape of the set, and turns beta by c / |c|: each pair is
+    # the pulse's own call to 1e-14 of the field's peak.
+    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard,
+                                                    n_pieces=n_pieces))
+    z, k = pulses.z_grid(), _SET_KS[shape]
+    calls = []
+    kernel = bloch.cayley_klein
+
+    def counted(*args):
+        out = kernel(*args)
+        calls.append([x.copy() for x in out])
+        return out
+    monkeypatch.setattr(bloch, "cayley_klein", counted)
+    seqsim.pixel_profiles(pulses, k)
+    [(alpha, beta)] = calls
+    c = seqsim._shape_constants(pulses)
+    beta *= (c / np.abs(c)).reshape((5,) + (1,) * np.ndim(k) + (1,))
+    members = (pulses.probe, pulses.inversion, pulses.imaging,
+               pulses.imaging, pulses.sat)
+    for pulse, scale, a, b in zip(members, (1, 1, 1, 2, 1), alpha, beta):
+        want_a, want_b = kernel(pulse, scale * np.asarray(k), z)
+        assert a.shape == want_a.shape == np.shape(k) + z.shape
+        npt.assert_allclose(a, want_a, rtol=0,
+                            atol=1e-14 * np.max(np.abs(want_a)))
+        npt.assert_allclose(b, want_b, rtol=0,
+                            atol=1e-14 * np.max(np.abs(want_b)))
 
 
 @pytest.mark.parametrize("hard, n_pieces", [(False, 48), (False, 31),
@@ -439,78 +457,33 @@ def test_pulse_set_block_size_does_not_change_bits(monkeypatch, hard,
                                                    n_pieces):
     # Blocks of pieces, and passes over a few scales at a time (one scale
     # per pass at 1 element, passes of 3 and 1 at 1000, one pass at
-    # 10**6), change no bit.
-    members, z = _pulse_set(hard, n_pieces)
-    scales = _SET_SCALES["1d"]
-    want = bloch.cayley_klein(members, scales, z)
+    # 10**6), change no bit of one pulse at a (5, n) scale array.
+    pulse = seqsim.build_pulses(seqsim.PulseParams(
+        hard=hard, n_pieces=n_pieces)).imaging
+    z = bloch.default_z_grid(4e-3)
+    scales = np.linspace(0.0, 3.6, 20).reshape(5, 4)
+    want = bloch.cayley_klein(pulse, scales, z)
     for elements in (1, 17 * 7 * 5, 1000, 10 ** 6):
         for name in ("_BLOCK_ELEMENTS", "_PASS_ELEMENTS"):
             monkeypatch.setattr(bloch, name, elements)
-            for got, ref in zip(bloch.cayley_klein(members, scales, z),
-                                want):
-                _assert_bit_equal(got[0], ref[0])
-                _assert_bit_equal(got[1], ref[1])
-
-
-def test_pulse_set_must_share_its_time_grid_and_symmetry():
-    sinc = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, n_pieces=48)
-    z = bloch.default_z_grid(4e-3, n=9)
-
-    def variant(samples=sinc.samples, dt=sinc.dt,
-                gradient=sinc.slice_gradient):
-        return bloch.RfPulse(samples=samples, dt=dt, slice_gradient=gradient)
-
-    holed = sinc.samples.copy()
-    holed[3] = holed[-4] = 0.0
-    nudged = sinc.samples.copy()
-    nudged[0] = np.nextafter(nudged[0].real, np.inf)
-    for other in (variant(dt=2.0 * sinc.dt),
-                  variant(gradient=1.5 * sinc.slice_gradient),
-                  variant(samples=holed), variant(samples=sinc.samples[1:-1]),
-                  variant(samples=nudged)):
-        with pytest.raises(ValueError, match="pulse set"):
-            bloch.cayley_klein([sinc, other], [1.0, 1.0], z)
-    with pytest.raises(ValueError, match="pulse set"):
-        bloch.cayley_klein([sinc, sinc], [1.0], z)
-    with pytest.raises(ValueError):
-        bloch.cayley_klein([sinc, sinc], [1.0, [0.5, 1.0]], z)
-    # Different flips and RF phases on one time grid form a set.
-    other = bloch.hamming_sinc_pulse(np.pi, 1e-3, 4e-3, n_pieces=48,
-                                     phase=0.3)
-    (a0, b0), (a1, b1) = bloch.cayley_klein([sinc, other], [1.0, 0.5], z)
-    _assert_bit_equal(a1, bloch.cayley_klein(other, 0.5, z)[0])
-    _assert_bit_equal(b0, bloch.cayley_klein(sinc, 1.0, z)[1])
+            for got, ref in zip(bloch.cayley_klein(pulse, scales, z), want):
+                _assert_bit_equal(got, ref)
 
 
 def test_series_reads_multiples_of_its_shape_only():
-    sinc = bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3, n_pieces=48)
+    # The series holds one shape: the pulse set's other pulses are mapped
+    # onto it by seqsim.pixel_profiles (test_seqsim).
+    sinc = bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3, n_pieces=48,
+                                    phase=0.3)
     z = bloch.default_z_grid(4e-3, n=9)
     series = bloch.cayley_klein_series(sinc, 2.0, z)
-
-    def variant(samples=sinc.samples, dt=sinc.dt,
-                gradient=sinc.slice_gradient):
-        return bloch.RfPulse(samples=samples, dt=dt, slice_gradient=gradient)
-
-    tilted = sinc.samples * (1.0 + 1e-9 * np.arange(48))
-    for other in (variant(dt=2.0 * sinc.dt),
-                  variant(gradient=1.5 * sinc.slice_gradient),
-                  variant(samples=sinc.samples[1:-1]),
-                  variant(samples=tilted),
-                  bloch.hamming_sinc_pulse(np.pi / 3, 1e-3, 4e-3,
-                                           time_bandwidth=6.0, n_pieces=48)):
-        with pytest.raises(ValueError, match="shape times a constant"):
-            series.cayley_klein([sinc, other], [1.0, 1.0], z)
     with pytest.raises(ValueError, match="another z grid"):
-        series.cayley_klein([sinc], [1.0], z[1:])
+        series.cayley_klein(1.0, z[1:])
     with pytest.raises(ValueError, match="beyond"):
-        series.cayley_klein([sinc], [2.1], z)
-    # Another flip and RF phase on the same shape: |c| = 3, turned by 0.3.
-    other = bloch.hamming_sinc_pulse(np.pi, 1e-3, 4e-3, n_pieces=48,
-                                     phase=0.3)
-    scales = [[0.0, 0.7, 2.0], [0.2, 0.5, 2.0 / 3.0]]
-    got = series.cayley_klein([sinc, other], scales, z)
-    for (alpha, beta), (want_a, want_b) in zip(
-            got, bloch.cayley_klein([sinc, other], scales, z)):
-        assert alpha.shape == want_a.shape == (3, z.size)
-        npt.assert_allclose(alpha, want_a, rtol=0, atol=1e-13)
-        npt.assert_allclose(beta, want_b, rtol=0, atol=1e-13)
+        series.cayley_klein(2.1, z)
+    for scales in (0.7, [[0.0, 0.7, 2.0], [0.2, 0.5, -2.0 / 3.0]]):
+        got = series.cayley_klein(scales, z)
+        for field, want in zip(got, bloch.cayley_klein(sinc, scales, z)):
+            assert field.shape == want.shape == np.shape(scales) + z.shape
+            assert field.flags.c_contiguous
+            npt.assert_allclose(field, want, rtol=0, atol=1e-13)

@@ -136,7 +136,7 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     # Invalid pulse parameters, from the config or an image set's manifest,
     # write nothing.
     for bad in ({"slice_thickness": float("nan")}, {"z_half_span": -1.0},
-                {"z_count": 0}, {"n_pieces": 2.5}):
+                {"z_count": 0}, {"n_pieces": 2.5}, {"hard": "false"}):
         cfg5 = _write_config(tmp_path, {"pulses": bad})
         assert cli.main(["simulate", "--config", cfg5,
                          "--out", str(tmp_path / "o")]) == 1
@@ -249,6 +249,35 @@ def test_non_finite_tissue_value_exits_1(tmp_path, capsys, field, value):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert f"{field} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("timing", [
+    {"t_sat": float("nan")}, {"echo_time": float("nan")},
+    {"fid_times": [0.002, float("nan"), 0.006, 0.008, 0.01]},
+    {"tr": float("nan")}, {"tr": float("inf")},
+    {"sat_flip": float("inf")}, {"probe_flip": float("inf")},
+    {"sat_flip": float("nan")}], ids=lambda t: "-".join(map(str, t.items())))
+def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
+    # These once wrote image sets with non-finite samples (a NaN sat_flip
+    # was rejected only by a pulse-set error of the Cayley-Klein kernel).
+    cfg = _write_config(tmp_path, {"timing": timing})
+    out = tmp_path / "images"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "every timing value must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    # A tampered manifest fails as it is read.
+    images_dir = tmp_path / "good"
+    formats.write_imageset(water_scan, str(images_dir))
+    manifest_path = images_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["timing"].update(timing)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="must be finite"):
+        formats.read_imageset(str(images_dir))
+    maps = tmp_path / "maps"
+    assert cli.main(["estimate", "--images", str(images_dir),
+                     "--out", str(maps)]) == 1
+    assert not maps.exists()
 
 
 @pytest.mark.parametrize("command, cfg, names", [

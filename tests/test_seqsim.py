@@ -57,6 +57,7 @@ def test_second_imaging_flip_must_double_the_first():
     {"time_bandwidth": float("nan")}, {"z_half_span": -1.0},
     {"z_half_span": float("inf")}, {"n_pieces": 1}, {"n_pieces": 2.5},
     {"n_pieces": 256.0}, {"z_count": 0}, {"z_count": 3.5},
+    {"hard": "false"}, {"hard": 0}, {"hard": None},
 ])
 def test_pulse_params_reject_invalid_values(bad):
     # A negative span would build a reversed grid and negate every slice
@@ -65,19 +66,47 @@ def test_pulse_params_reject_invalid_values(bad):
         seqsim.PulseParams(**bad)
     for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)}):
         assert seqsim.PulseParams(**good).to_dict()["hard"] is False
+    assert seqsim.PulseParams(hard=np.bool_(True)).to_dict()["hard"] is True
 
 
 def test_pixel_profiles_make_one_kernel_call(monkeypatch):
-    # Probe, inversion, imaging at k and 2k, and saturation: one product.
+    # Probe, inversion, imaging at k and 2k, and saturation: one product of
+    # the imaging shape at the five pulses' scales.
     calls = []
     kernel = bloch.cayley_klein
 
     def counted(pulse, b1_scales, z_samples):
-        calls.append(len(pulse))
+        calls.append((pulse, np.shape(b1_scales)))
         return kernel(pulse, b1_scales, z_samples)
     monkeypatch.setattr(bloch, "cayley_klein", counted)
-    seqsim.pixel_profiles(seqsim.build_pulses(), np.array([0.9, 1.1]))
-    assert calls == [5]
+    pulses = seqsim.build_pulses()
+    seqsim.pixel_profiles(pulses, np.array([0.9, 1.1]))
+    assert len(calls) == 1 and calls[0][0] is pulses.imaging
+    assert calls[0][1] == (5, 2)
+
+
+_NOT_THE_SHAPE = {
+    "dt": lambda p: dataclasses.replace(p, dt=2.0 * p.dt),
+    "gradient": lambda p: dataclasses.replace(
+        p, slice_gradient=1.5 * p.slice_gradient),
+    "length": lambda p: dataclasses.replace(p, samples=p.samples[1:-1]),
+    "tilted": lambda p: dataclasses.replace(
+        p, samples=p.samples * (1.0 + 1e-9 * np.arange(p.samples.size))),
+    "time-bandwidth": lambda p: bloch.hamming_sinc_pulse(
+        np.pi / 2, 1e-3, 4e-3, time_bandwidth=6.0, phase=-np.pi / 2),
+}
+
+
+@pytest.mark.parametrize("path", ["direct", "series"])
+@pytest.mark.parametrize("name", sorted(_NOT_THE_SHAPE))
+def test_pixel_profiles_reject_a_pulse_of_another_shape(name, path):
+    # Every pulse of the set must be the imaging shape times a constant.
+    pulses = seqsim.build_pulses()
+    series = seqsim.profile_series(pulses, 1.2) if path == "series" else None
+    other = dataclasses.replace(pulses,
+                                sat=_NOT_THE_SHAPE[name](pulses.sat))
+    with pytest.raises(ValueError, match="shape times a constant"):
+        seqsim.pixel_profiles(other, 1.0, series)
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
