@@ -94,6 +94,8 @@ def hamming_sinc_pulse(flip: float, duration: float, slice_thickness: float,
     so the windowed envelope never contains an exactly-zero piece.  It is
     evaluated at the non-negative times and mirrored: samples[::-1] == samples.
     """
+    if not np.all(np.isfinite((flip, phase))):
+        raise ValueError("need finite flip and phase")
     if duration <= 0 or slice_thickness <= 0 or time_bandwidth <= 0:
         raise ValueError("duration, slice_thickness, time_bandwidth must be > 0")
     if n_pieces < 2:

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import b1map, bloch, maskgen, t1fit, t2fit, waterfat
+from . import b1map, maskgen, t1fit, t2fit, waterfat
 from .maskgen import Mask
-from .seqsim import (ImageSet, SequencePulses, build_pulses, pixel_profiles,
-                     series_reach)
+from .seqsim import ImageSet, SequencePulses, build_pulses, pixel_profiles
 
 MAP_NAMES = ("b1", "t2", "t2s_water", "t2s_fat", "d_omega0", "delta_b0",
              "fat_fraction", "t1", "m0", "t1_over_m0")
@@ -54,7 +53,9 @@ class QuantMaps:
 @dataclass(frozen=True)
 class EstimateOptions:
     """Stage configuration; defaults match the standard protocol.  Grid
-    values and fit bounds (0 < low < high) must be finite; checked here."""
+    values and fit bounds (0 < low < high) must be finite; checked here.
+    The ``b1_*`` grid only builds the ratio table when none is given: a
+    given table sets the B1 stage's range and grid."""
 
     b1_k_min: float = 0.2
     b1_k_max: float = 1.8
@@ -84,27 +85,12 @@ def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):
                                    opts.b1_step)
 
 
-def _check_series(series, pulses: SequencePulses, opts: EstimateOptions):
-    """A table's series feeds the T2 and T1 models as well as B1: it must
-    be the image set's imaging pulse on its z grid, and reach every scale
-    of the options' k range (ValueError otherwise)."""
-    if series is None:
-        return
-    if not np.array_equal(series.z_samples, pulses.z_grid()) or abs(
-            bloch.shape_constant(series.pulse, pulses.imaging) - 1.0) > 1e-12:
-        raise ValueError("the ratio table was built for other pulses")
-    if series.scale_max < opts.b1_k_max * series_reach(pulses):
-        raise ValueError(
-            f"the ratio table's series does not reach b1_k_max "
-            f"{opts.b1_k_max}")
-
-
-def _quantize(k, opts: EstimateOptions):
-    """Snap estimated scales (a scalar or an array) to the table grid so
-    pixels share slice profiles."""
-    k = np.clip(k, opts.b1_k_min, opts.b1_k_max)
-    steps = np.round((k - opts.b1_k_min) / opts.b1_step)
-    return np.round(opts.b1_k_min + steps * opts.b1_step, 9)
+def _quantize(k, table: b1map.RatioTable):
+    """Snap estimated scales (a scalar or an array) to the nearest point of
+    the table's grid, so that pixels share slice profiles."""
+    grid = table.k_values
+    at = np.round(np.interp(k, grid, np.arange(grid.size))).astype(int)
+    return np.round(grid[at], 9)
 
 
 def estimate_all(images: ImageSet, mask: Mask = None,
@@ -114,8 +100,9 @@ def estimate_all(images: ImageSet, mask: Mask = None,
 
     The masked pixels are gathered once; the B1, T2, water/fat and T1 stages
     are one array call each over them, in that order, and each map is
-    scattered back once at the end.  The slice profiles are read from the
-    ratio table's series (built here unless ``ratio_table`` is given).
+    scattered back once at the end.  A given ``ratio_table`` (else one built
+    from the ``b1_*`` options) sets the B1 range and grid: k-hat snaps to its
+    grid, where the table's series, if any, gives the slice profiles.
     """
     data = images.data
     h, w = data.shape[2], data.shape[3]
@@ -130,7 +117,6 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         raise ValueError("mask dimensions do not match the images")
     if ratio_table is None:
         ratio_table = _ratio_table(pulses, opts)
-    _check_series(ratio_table.series, pulses, opts)
 
     # A pixel with any non-finite sample stays in the mask but reads 0 and
     # invalid in every map; no solver sees it.
@@ -139,19 +125,19 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     px = data.transpose(2, 3, 0, 1)[rows, cols]         # (n, 2, 11)
     est, ok = {}, {}
 
-    # B1 from the double-angle pair I8; the slice profiles are read once per
-    # distinct quantized scale.
+    # B1 from the double-angle pair I8; the slice profiles are read at k-hat
+    # snapped to the table's grid.
     est["b1"], ok["b1"] = b1map.estimate_b1(
         np.abs(px[:, 0, 7]), np.abs(px[:, 1, 7]), ratio_table)
-    ks, which = np.unique(_quantize(est["b1"], opts), return_inverse=True)
-    profs = pixel_profiles(pulses, ks, ratio_table.series)
+    profs = pixel_profiles(pulses, _quantize(est["b1"], ratio_table),
+                           ratio_table.series)
 
     # T2 from the spin echoes I9-I11 of both segments.  T2 and T1/M0 are
     # fitted at k-hat, so they are valid only where B1 is; a T2 or T1
     # pinned at a fit bound is invalid too.
     t2 = t2fit.fit_t2_pixels(
         np.abs(px[:, :, 8:11]).reshape(-1, 6),
-        np.concatenate(profs.echo_bases, axis=-1)[which],
+        np.concatenate(profs.echo_bases, axis=-1),
         timing.echo_offsets, opts.t2_bounds)
     est["t2"], ok["t2"] = t2.t2, t2.valid & ~t2.at_bound & ok["b1"]
 
@@ -172,7 +158,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     t1 = t1fit.fit_t1_m0_pixels(
         np.column_stack([probes, np.abs(px[:, 0, 7])]),
         t1fit.T1Context(
-            moments=profs.t1_moments[which], times=timing.acq_times[5:8],
+            moments=profs.t1_moments, times=timing.acq_times[5:8],
             echo_time=timing.echo_time, sat_residual=0.0,
             echo_scale=echo_scale, t1_bounds=opts.t1_bounds))
     for name in ("t1", "m0", "t1_over_m0"):

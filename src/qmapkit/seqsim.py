@@ -22,7 +22,7 @@ elementwise over an array of tissues.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,14 @@ from .constants import OMEGA_CS
 from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues
 
 _MS = 1e-3
+
+
+def _number(value, name: str) -> float:
+    """``float(value)``, or ValueError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,11 @@ class SequenceTiming:
     inversion_flip: float = np.pi
 
     def __post_init__(self):
-        for name in ("fid_times", "probe_times", "inversion_offsets",
-                     "echo_offsets", "imaging_flips"):
-            object.__setattr__(
-                self, name, tuple(float(v) for v in getattr(self, name)))
+        for f in fields(self):
+            value, name = getattr(self, f.name), f"timing {f.name}"
+            value = (tuple(_number(v, name) for v in value)
+                     if isinstance(f.default, tuple) else _number(value, name))
+            object.__setattr__(self, f.name, value)
         if len(self.fid_times) != 5 or len(self.probe_times) != 2:
             raise ValueError("need five FID times and two probe times")
         if len(self.inversion_offsets) != 3 or len(self.echo_offsets) != 3:
@@ -135,8 +144,10 @@ class PulseParams:
     def __post_init__(self):
         for name in ("slice_thickness", "duration", "time_bandwidth",
                      "z_half_span"):
-            if not 0.0 < getattr(self, name) < np.inf:
+            value = _number(getattr(self, name), f"pulses {name}")
+            if not 0.0 < value < np.inf:
                 raise ValueError(f"pulses {name} must be finite and > 0")
+            object.__setattr__(self, name, value)
         for name, least in (("n_pieces", 2), ("z_count", 1)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= least):
@@ -213,42 +224,44 @@ def _shape_constants(pulses: SequencePulses) -> np.ndarray:
     return np.array([probe, inversion, 1.0, 2.0, sat])
 
 
-def series_reach(pulses: SequencePulses) -> float:
-    """Largest scale of the imaging shape that :func:`pixel_profiles` reads
-    per unit of k: the largest pulse of the set against the imaging one (3
-    for the default inversion)."""
-    return float(np.max(np.abs(_shape_constants(pulses))))
-
-
 def profile_series(pulses: SequencePulses,
                    k_max: float) -> bloch.CayleyKleinSeries:
     """The Cayley-Klein series of the imaging shape from which
-    ``pixel_profiles(pulses, k, series)`` reads any ``|k| <= k_max``."""
-    return bloch.cayley_klein_series(
-        pulses.imaging, k_max * series_reach(pulses), pulses.z_grid())
+    ``pixel_profiles(pulses, k, series)`` reads any ``|k| <= k_max``, up to
+    ``k_max`` times the set's largest ``|c|`` (3 for the default inversion)."""
+    reach = np.max(np.abs(_shape_constants(pulses)))
+    return bloch.cayley_klein_series(pulses.imaging, k_max * reach,
+                                     pulses.z_grid())
 
 
 def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
-    """Slice integrals of the pulse set at transmit scale(s) ``k``.  Each
-    pulse is the imaging shape times a constant ``c``, i.e. the shape at
-    ``|c| k`` with ``beta`` turned by ``c / |c|``: one Cayley-Klein product
-    of the shape serves the set, or it is read from ``series``
-    (:func:`profile_series`) without propagating."""
+    """Slice integrals of the pulse set at transmit scales ``k`` of any
+    shape, each distinct scale computed once; every field has the leading
+    axes of ``k``.  Each pulse is the imaging shape times a constant ``c``,
+    i.e. the shape at ``|c| k`` with ``beta`` turned by ``c / |c|``: one
+    Cayley-Klein product of the shape serves the set, or it is read from
+    this set's ``series`` (:func:`profile_series`; else ValueError)."""
     z, img = pulses.z_grid(), pulses.imaging
     c = _shape_constants(pulses)
-    scales = np.multiply.outer(np.abs(c), np.asarray(k, dtype=float))
+    if series is not None and not (
+            np.array_equal(series.z_samples, z) and abs(
+                bloch.shape_constant(series.pulse, img) - 1.0) <= 1e-12):
+        raise ValueError("the profile series was built for other pulses")
+    ks, which = np.unique(np.asarray(k, dtype=float), return_inverse=True)
+    which = which.reshape(np.shape(k))
+    scales = np.multiply.outer(np.abs(c), ks)
     alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
                    else series.cayley_klein(scales, z))
-    beta *= (c / np.abs(c)).reshape(c.shape + (1,) * (beta.ndim - 1))
+    beta *= (c / np.abs(c))[:, None, None]
     *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
     theta_inv = bloch.refocusing_angle(alpha[1])
     return PixelProfiles(
-        sat_gain=bloch.integrate_slice(txr_sat, z),
-        echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)
+        sat_gain=bloch.integrate_slice(txr_sat, z)[which],
+        echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)[which]
                          for txr in txr_imaging),
         t1_moments=t1fit.slice_moments(
             bloch.transverse(img, alpha[0], beta[0], z),
-            bloch.longitudinal(alpha[0], beta[0]), txr_imaging, z),
+            bloch.longitudinal(alpha[0], beta[0]), txr_imaging, z)[which],
     )
 
 
@@ -350,11 +363,8 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
     tissues, which = np.unique(stacked, axis=0, return_inverse=True)
     check_tissues(tissues)
-    ks, k_of = np.unique(tissues[:, -1], return_inverse=True)  # b1_scale
-    profs = pixel_profiles(pulses, ks)
-    sims = simulate_tissues(tissues, timing, PixelProfiles(
-        profs.sat_gain[k_of], tuple(b[k_of] for b in profs.echo_bases),
-        profs.t1_moments[k_of]), omega_cs)
+    sims = simulate_tissues(tissues, timing,
+                            pixel_profiles(pulses, tissues[:, -1]), omega_cs)
     data[:, :, signal] = np.moveaxis(sims[which], 0, -1)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)

@@ -112,10 +112,14 @@ def test_integrate_slice_constant_and_single_sample():
     lambda: bloch.RfPulse(samples=np.array([1.0, np.inf * 1j]), dt=1e-5),
     lambda: bloch.RfPulse(samples=np.array([1.0]), dt=1e-5,
                           slice_gradient=np.nan),
+    lambda: bloch.hamming_sinc_pulse(np.inf, 1e-3, 4e-3),
+    lambda: bloch.hamming_sinc_pulse(1.0, 1e-3, 4e-3, phase=np.inf),
 ], ids=["nan-flip", "inf-flip", "inf-duration", "nan-dt", "inf-sample",
-        "nan-gradient"])
+        "nan-gradient", "inf-sinc-flip", "inf-sinc-phase"])
 def test_pulse_rejects_non_finite_values(make):
-    # Each was once accepted, and cayley_klein returned NaN.
+    # Each was once accepted, and cayley_klein returned NaN; an infinite
+    # sinc flip or phase once warned "invalid value encountered in
+    # multiply" (an error under the suite's filterwarnings) first.
     with pytest.raises(ValueError, match="finite"):
         make()
 
@@ -423,11 +427,13 @@ _SET_KS = {
 def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
                                              shape):
     # pixel_profiles propagates the imaging shape once, at |c| k for each
-    # pulse c * shape of the set, and turns beta by c / |c|: each pair is
-    # the pulse's own call to 1e-14 of the field's peak.
+    # pulse c * shape of the set and each distinct k (sorted), and turns
+    # beta by c / |c|: each pair is the pulse's own call to 1e-14 of the
+    # field's peak.
     pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard,
                                                     n_pieces=n_pieces))
     z, k = pulses.z_grid(), _SET_KS[shape]
+    ks = np.unique(k)
     calls = []
     kernel = bloch.cayley_klein
 
@@ -439,12 +445,12 @@ def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
     seqsim.pixel_profiles(pulses, k)
     [(alpha, beta)] = calls
     c = seqsim._shape_constants(pulses)
-    beta *= (c / np.abs(c)).reshape((5,) + (1,) * np.ndim(k) + (1,))
+    beta *= (c / np.abs(c)).reshape(5, 1, 1)
     members = (pulses.probe, pulses.inversion, pulses.imaging,
                pulses.imaging, pulses.sat)
     for pulse, scale, a, b in zip(members, (1, 1, 1, 2, 1), alpha, beta):
-        want_a, want_b = kernel(pulse, scale * np.asarray(k), z)
-        assert a.shape == want_a.shape == np.shape(k) + z.shape
+        want_a, want_b = kernel(pulse, scale * ks, z)
+        assert a.shape == want_a.shape == ks.shape + z.shape
         npt.assert_allclose(a, want_a, rtol=0,
                             atol=1e-14 * np.max(np.abs(want_a)))
         npt.assert_allclose(b, want_b, rtol=0,

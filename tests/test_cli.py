@@ -256,14 +256,21 @@ def test_non_finite_tissue_value_exits_1(tmp_path, capsys, field, value):
     {"fid_times": [0.002, float("nan"), 0.006, 0.008, 0.01]},
     {"tr": float("nan")}, {"tr": float("inf")},
     {"sat_flip": float("inf")}, {"probe_flip": float("inf")},
-    {"sat_flip": float("nan")}], ids=lambda t: "-".join(map(str, t.items())))
+    {"sat_flip": float("nan")}, {"echo_time": "abc"},
+    {"fid_times": [0.002, "x", 0.006, 0.008, 0.01]}, {"probe_flip": None}],
+    ids=lambda t: "-".join(map(str, t.items())))
 def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
     # These once wrote image sets with non-finite samples (a NaN sat_flip
-    # was rejected only by a pulse-set error of the Cayley-Klein kernel).
+    # was rejected only by a pulse-set error of the Cayley-Klein kernel);
+    # a value that is not a number once failed in numpy, unnamed.
+    [(field, value)] = timing.items()
+    message = ("every timing value must be finite"
+               if np.asarray(value).dtype.kind == "f"
+               else f"timing {field} must be a number")
     cfg = _write_config(tmp_path, {"timing": timing})
     out = tmp_path / "images"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    assert "every timing value must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     # A tampered manifest fails as it is read.
     images_dir = tmp_path / "good"
@@ -272,7 +279,7 @@ def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
     manifest = json.loads(manifest_path.read_text())
     manifest["timing"].update(timing)
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=message):
         formats.read_imageset(str(images_dir))
     maps = tmp_path / "maps"
     assert cli.main(["estimate", "--images", str(images_dir),

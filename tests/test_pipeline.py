@@ -56,11 +56,16 @@ def test_mask_shape_mismatch(water_scan):
 
 
 def test_quantize_snaps_to_table_grid():
-    opts = pipeline.EstimateOptions()
-    assert pipeline._quantize(1.0004, opts) == 1.0
-    assert pipeline._quantize(1.0012, opts) == 1.002
-    assert pipeline._quantize(0.05, opts) == opts.b1_k_min
-    assert pipeline._quantize(7.0, opts) == opts.b1_k_max
+    table = pipeline._ratio_table(seqsim.build_pulses(),
+                                  pipeline.EstimateOptions())
+    assert pipeline._quantize(1.0004, table) == 1.0
+    assert pipeline._quantize(1.0012, table) == 1.002
+    assert pipeline._quantize(0.05, table) == table.k_values[0] == 0.2
+    assert pipeline._quantize(7.0, table) == table.k_values[-1]
+    # The table's own grid, uneven for a hand-made table.
+    uneven = b1map.RatioTable([0.5, 0.9, 1.0, 1.5], [4.0, 3.0, 2.0, 1.0])
+    npt.assert_array_equal(pipeline._quantize([0.94, 0.96, 1.3], uneven),
+                           [0.9, 1.0, 1.5])
 
 
 def test_ratio_table_cache_keys_on_imaging_flip():
@@ -82,22 +87,33 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
     pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
     pm.b1_scale[:, :16] = 0.9
     images = seqsim.simulate_scan(pm)
-    calls = []
+    calls, reads = [], []
+    read = bloch.CayleyKleinSeries.cayley_klein
 
     def counted(pulses, k, series):
         calls.append(np.asarray(k).copy())
         assert series is not None
         return seqsim.pixel_profiles(pulses, k, series)
 
+    def counted_read(series, scales, z):
+        reads.append(np.shape(scales))
+        return read(series, scales, z)
+
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
+    table = pipeline._ratio_table(seqsim.build_pulses(), opts)
     monkeypatch.setattr(pipeline, "pixel_profiles", counted)
+    monkeypatch.setattr(bloch.CayleyKleinSeries, "cayley_klein",
+                        counted_read)
     bits = np.zeros(pm.shape, dtype=bool)
     bits[16, 12:20] = True
-    maps = pipeline.estimate_all(images, maskgen.Mask(bits=bits),
-                                 pipeline.EstimateOptions(b1_k_min=0.7,
-                                                          b1_k_max=1.3))
-    # One call, on the two distinct quantized scales.
-    assert len(calls) == 1
-    npt.assert_allclose(calls[0], [0.9, 1.0], atol=0.005)
+    maps = pipeline.estimate_all(images, maskgen.Mask(bits=bits), opts,
+                                 ratio_table=table)
+    # One call with the 8 pixels' snapped scales, read at the 2 distinct
+    # ones.
+    assert len(calls) == 1 and calls[0].shape == (8,)
+    npt.assert_allclose(calls[0], np.where(np.arange(8) < 4, 0.9, 1.0),
+                        atol=0.005)
+    assert np.unique(calls[0]).size == 2 and reads == [(5, 2)]
     npt.assert_allclose(maps.b1[bits], np.where(np.arange(8) < 4, 0.9, 1.0),
                         atol=0.005)
 
@@ -147,15 +163,28 @@ def test_estimate_all_rejects_a_table_for_other_pulses(other):
         pipeline.estimate_all(images, mask, opts, ratio_table=table)
 
 
-def test_estimate_all_rejects_a_table_short_of_the_k_range():
+def test_a_given_table_sets_the_b1_range_and_grid():
+    # The options' b1 grid only builds a table: with a [0.7, 1.3] table,
+    # the default options give the maps of the matching ones, bit for bit.
     images, mask = _disc_k11()
     table = b1map.build_ratio_table(
         seqsim.build_pulses(timing=images.timing), 0.7, 1.3, 0.002)
-    with pytest.raises(ValueError, match="does not reach b1_k_max 1.8"):
-        pipeline.estimate_all(images, mask, pipeline.EstimateOptions(),
-                              ratio_table=table)
+    got = pipeline.estimate_all(images, mask, pipeline.EstimateOptions(),
+                                ratio_table=table)
+    want = pipeline.estimate_all(
+        images, mask, pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3),
+        ratio_table=table)
+    for name in pipeline.MAP_NAMES:
+        npt.assert_array_equal(getattr(got, name), getattr(want, name))
+        npt.assert_array_equal(got.valid[name], want.valid[name])
+
+
+def test_estimate_all_reads_a_table_without_a_series():
     # A table without a series (built by hand) is read as before, with the
     # profiles propagated directly.
+    images, mask = _disc_k11()
+    table = b1map.build_ratio_table(
+        seqsim.build_pulses(timing=images.timing), 0.7, 1.3, 0.002)
     opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
     bare = b1map.RatioTable(table.k_values, table.ratios)
     npt.assert_allclose(

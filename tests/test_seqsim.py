@@ -58,14 +58,17 @@ def test_second_imaging_flip_must_double_the_first():
     {"z_half_span": float("inf")}, {"n_pieces": 1}, {"n_pieces": 2.5},
     {"n_pieces": 256.0}, {"z_count": 0}, {"z_count": 3.5},
     {"hard": "false"}, {"hard": 0}, {"hard": None},
+    {"duration": "x"}, {"slice_thickness": None}, {"z_half_span": [2.0]},
 ])
 def test_pulse_params_reject_invalid_values(bad):
     # A negative span would build a reversed grid and negate every slice
     # integral; a NaN thickness would give non-finite images.
-    with pytest.raises(ValueError, match="pulses"):
+    with pytest.raises(ValueError, match="pulses " + next(iter(bad))):
         seqsim.PulseParams(**bad)
     for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)}):
         assert seqsim.PulseParams(**good).to_dict()["hard"] is False
+    # A numeric string converts, as in the timing's tuple fields.
+    assert seqsim.PulseParams(duration="0.002").duration == 0.002
     assert seqsim.PulseParams(hard=np.bool_(True)).to_dict()["hard"] is True
 
 
@@ -107,6 +110,51 @@ def test_pixel_profiles_reject_a_pulse_of_another_shape(name, path):
                                 sat=_NOT_THE_SHAPE[name](pulses.sat))
     with pytest.raises(ValueError, match="shape times a constant"):
         seqsim.pixel_profiles(other, 1.0, series)
+
+
+@pytest.mark.parametrize("other", [
+    {"timing": {"imaging_flips": (np.pi / 4.0, np.pi / 2.0)}},
+    {"params": {"time_bandwidth": 6.0}},
+], ids=["flip", "time-bandwidth"])
+def test_pixel_profiles_reject_a_series_of_other_pulses(other):
+    # A 45/90-degree set once read the 60-degree set's series without a
+    # word, with its imaging moment 24% high.
+    pulses = seqsim.build_pulses()
+    series = seqsim.profile_series(seqsim.build_pulses(
+        dataclasses.replace(pulses.params, **other.get("params", {})),
+        dataclasses.replace(seqsim.SequenceTiming(),
+                            **other.get("timing", {}))), 2.0)
+    with pytest.raises(ValueError, match="other pulses|shape times"):
+        seqsim.pixel_profiles(pulses, 1.0, series)
+
+
+@pytest.mark.parametrize("path", ["direct", "series"])
+def test_pixel_profiles_compute_each_distinct_scale_once(monkeypatch, path):
+    # Repeated, unsorted scales in a 2-D array: one read at the distinct
+    # ones, and each entry bit-equal to its scalar call.
+    pulses = seqsim.build_pulses()
+    series = seqsim.profile_series(pulses, 1.8) if path == "series" else None
+    ks = np.array([[1.1, 0.9, 1.1], [0.7, 0.9, 1.1]])
+    singles = {k: seqsim.pixel_profiles(pulses, k, series)
+               for k in np.unique(ks)}
+    reads = []
+    owner = bloch if series is None else bloch.CayleyKleinSeries
+    read = owner.cayley_klein
+
+    def counted(first, scales, z):
+        reads.append(np.shape(scales))
+        return read(first, scales, z)
+    monkeypatch.setattr(owner, "cayley_klein", counted)
+    stacked = seqsim.pixel_profiles(pulses, ks, series)
+    assert reads == [(5, 3)] and stacked.sat_gain.shape == ks.shape
+    for idx in np.ndindex(ks.shape):
+        one = singles[ks[idx]]
+        for field in ("sat_gain", "t1_moments"):
+            npt.assert_array_equal(getattr(stacked, field)[idx],
+                                   getattr(one, field))
+        for seg in (0, 1):
+            npt.assert_array_equal(stacked.echo_bases[seg][idx],
+                                   one.echo_bases[seg])
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
