@@ -59,8 +59,8 @@ def _timing_from_config(cfg: dict, t_sat=None, tr=None) -> seqsim.SequenceTiming
     if tr is not None:
         section["tr"] = tr
     base = dataclasses.asdict(seqsim.default_timing(
-        t_sat=float(section.pop("t_sat", 1.2)),
-        tr=float(section.pop("tr", 2.4))))
+        t_sat=seqsim.number(section.pop("t_sat", 1.2), "timing t_sat"),
+        tr=seqsim.number(section.pop("tr", 2.4), "timing tr")))
     return seqsim.SequenceTiming(**{**base, **section})
 
 
@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
     params = _pulse_params_from_config(cfg)
     noise = _section(cfg, "noise", ("sigma", "seed"))
     sigma = args.noise_sigma if args.noise_sigma is not None \
-        else float(noise.get("sigma", 0.0))
+        else seqsim.number(noise.get("sigma", 0.0), "noise sigma")
     seed = args.seed if args.seed is not None else phantom.whole_number(
         noise.get("seed", 0), "noise seed")
     images = seqsim.simulate_scan(

@@ -101,7 +101,7 @@ def _read_payload(dir_path: Path, entry: dict, count: int) -> np.ndarray:
     if len(blob) != 4 * count:
         raise DimensionError(
             f"{path.name}: {len(blob)} bytes, expected {4 * count}")
-    return np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    return np.frombuffer(blob, dtype="<f4")
 
 
 def _payload_entry(dir_path: Path, name: str, values: np.ndarray) -> dict:
@@ -118,13 +118,9 @@ def write_imageset(images: ImageSet, out_dir) -> None:
     payloads = []
     for s in range(segs):
         for i in range(count):
-            img = images.data[s, i]
-            inter = np.empty((h, w, 2), dtype="<f4")
-            inter[..., 0] = img.real
-            inter[..., 1] = img.imag
+            pairs = images.data[s, i].astype(np.complex64).view(np.float32)
             payloads.append(
-                _payload_entry(out, f"seg{s + 1}_img{i + 1:02d}.f32",
-                               inter))
+                _payload_entry(out, f"seg{s + 1}_img{i + 1:02d}.f32", pairs))
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": "imageset",
@@ -160,11 +156,11 @@ def read_imageset(in_dir) -> ImageSet:
     if len(payloads) != segs * count:
         raise DimensionError(
             f"{len(payloads)} payloads for {segs * count} images")
-    data = np.empty((segs, count, h, w), dtype=complex)
+    # The payloads' own precision: (real, imaginary) float32 pairs.
+    data = np.empty((segs, count, h, w), dtype=np.complex64)
+    pairs = data.reshape(segs * count, h * w).view(np.float32)
     for idx, entry in enumerate(payloads):
-        flat = _read_payload(src, entry, h * w * 2)
-        pairs = flat.reshape(h, w, 2)
-        data[idx // count, idx % count] = pairs[..., 0] + 1j * pairs[..., 1]
+        pairs[idx] = _read_payload(src, entry, h * w * 2)
     timing = SequenceTiming(**manifest["timing"])
     return ImageSet(
         data=data,
@@ -221,7 +217,8 @@ def read_maps(in_dir) -> QuantMaps:
     def grab(fname):
         if fname not in entries:
             raise DimensionError(f"manifest lists no payload {fname!r}")
-        return _read_payload(src, entries[fname], h * w).reshape(h, w)
+        return _read_payload(src, entries[fname], h * w).reshape(
+            h, w).astype(float)
 
     out = QuantMaps.zeros((h, w))
     for name in MAP_NAMES:

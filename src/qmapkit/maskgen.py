@@ -64,8 +64,8 @@ def mean_image(images) -> np.ndarray:
     data = np.asarray(images.data if hasattr(images, "data") else images)
     if data.ndim != 4:
         raise ValueError("expected (segments, acquisitions, h, w) data")
-    flat = np.abs(data).reshape(-1, data.shape[2], data.shape[3])
-    return flat.mean(axis=0)
+    flat = data.reshape(-1, data.shape[2], data.shape[3])
+    return sum(np.abs(image.astype(complex)) for image in flat) / len(flat)
 
 
 def make_mask(mean: np.ndarray, threshold: float = 0.1,

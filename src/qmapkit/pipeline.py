@@ -122,7 +122,7 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     # invalid in every map; no solver sees it.
     rows, cols = np.nonzero(mask.bits & np.all(np.isfinite(data),
                                                axis=(0, 1)))
-    px = data.transpose(2, 3, 0, 1)[rows, cols]         # (n, 2, 11)
+    px = data.transpose(2, 3, 0, 1)[rows, cols].astype(complex, copy=False)
     est, ok = {}, {}
 
     # B1 from the double-angle pair I8; the slice profiles are read at k-hat

@@ -33,7 +33,7 @@ from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues
 _MS = 1e-3
 
 
-def _number(value, name: str) -> float:
+def number(value, name: str) -> float:
     """``float(value)``, or ValueError naming the field."""
     try:
         return float(value)
@@ -66,8 +66,10 @@ class SequenceTiming:
     def __post_init__(self):
         for f in fields(self):
             value, name = getattr(self, f.name), f"timing {f.name}"
-            value = (tuple(_number(v, name) for v in value)
-                     if isinstance(f.default, tuple) else _number(value, name))
+            if isinstance(f.default, tuple) and np.ndim(value) != 1:
+                raise ValueError(f"{name} must be a list of numbers")
+            value = (tuple(number(v, name) for v in value)
+                     if isinstance(f.default, tuple) else number(value, name))
             object.__setattr__(self, f.name, value)
         if len(self.fid_times) != 5 or len(self.probe_times) != 2:
             raise ValueError("need five FID times and two probe times")
@@ -144,7 +146,7 @@ class PulseParams:
     def __post_init__(self):
         for name in ("slice_thickness", "duration", "time_bandwidth",
                      "z_half_span"):
-            value = _number(getattr(self, name), f"pulses {name}")
+            value = number(getattr(self, name), f"pulses {name}")
             if not 0.0 < value < np.inf:
                 raise ValueError(f"pulses {name} must be finite and > 0")
             object.__setattr__(self, name, value)
@@ -249,20 +251,22 @@ def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
         raise ValueError("the profile series was built for other pulses")
     ks, which = np.unique(np.asarray(k, dtype=float), return_inverse=True)
     which = which.reshape(np.shape(k))
-    scales = np.multiply.outer(np.abs(c), ks)
-    alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
-                   else series.cayley_klein(scales, z))
-    beta *= (c / np.abs(c))[:, None, None]
-    *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
-    theta_inv = bloch.refocusing_angle(alpha[1])
-    return PixelProfiles(
-        sat_gain=bloch.integrate_slice(txr_sat, z)[which],
-        echo_bases=tuple(t2fit.echo_basis(txr, theta_inv, z)[which]
-                         for txr in txr_imaging),
-        t1_moments=t1fit.slice_moments(
-            bloch.transverse(img, alpha[0], beta[0], z),
-            bloch.longitudinal(alpha[0], beta[0]), txr_imaging, z)[which],
-    )
+    # One kernel pass of scales at a time: all (alpha, beta) never coexist.
+    step, parts = max(1, bloch._PASS_ELEMENTS // (c.size * z.size)), []
+    for r in range(0, max(ks.size, 1), step):
+        scales = np.multiply.outer(np.abs(c), ks[r:r + step])
+        alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
+                       else series.cayley_klein(scales, z))
+        beta *= (c / np.abs(c))[:, None, None]
+        *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
+        theta_inv = bloch.refocusing_angle(alpha[1])
+        parts.append((bloch.integrate_slice(txr_sat, z), *(
+            t2fit.echo_basis(txr, theta_inv, z) for txr in txr_imaging),
+            t1fit.slice_moments(bloch.transverse(img, alpha[0], beta[0], z),
+                                bloch.longitudinal(alpha[0], beta[0]),
+                                txr_imaging, z)))
+    sat_gain, *bases, moments = (np.concatenate(f)[which] for f in zip(*parts))
+    return PixelProfiles(sat_gain, tuple(bases), moments)
 
 
 def simulate_tissues(tissues, timing: SequenceTiming,
@@ -349,7 +353,8 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
 
     Noise is complex white Gaussian with per-channel standard deviation
     ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a seeded
-    generator so the result is independent of pixel evaluation order.
+    generator straight into the image buffer, so the result is independent
+    of pixel evaluation order.
     """
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError(f"noise sigma must be finite and >= 0: {noise_sigma}")
@@ -358,17 +363,16 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     if pulses is None:
         pulses = build_pulses(timing=timing)
     h, w = pm.shape
-    data = np.zeros((2, 11, h, w), dtype=complex)
+    data = (np.random.default_rng(seed).standard_normal((2, 11, h, w, 2))
+            .view(complex)[..., 0] if noise_sigma > 0.0
+            else np.zeros((2, 11, h, w), dtype=complex))
+    data *= noise_sigma
     signal = pm.water_amp + pm.fat_amp != 0.0
     stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
     tissues, which = np.unique(stacked, axis=0, return_inverse=True)
     check_tissues(tissues)
     sims = simulate_tissues(tissues, timing,
                             pixel_profiles(pulses, tissues[:, -1]), omega_cs)
-    data[:, :, signal] = np.moveaxis(sims[which], 0, -1)
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((2, 11, h, w, 2))
-        data = data + noise_sigma * (noise[..., 0] + 1j * noise[..., 1])
+    data[:, :, signal] += np.moveaxis(sims[which], 0, -1)
     return ImageSet(data=data, timing=timing, pulse_params=pulses.params,
                     omega_cs=omega_cs, noise_sigma=noise_sigma, seed=seed)

@@ -12,12 +12,12 @@ problem; the three nonlinear parameters are found by exhaustive search over
 log-spaced T2* axes and an off-resonance axis centered on a phase-difference
 initializer and bounded by a search half-width.
 
-The search needs only each candidate's residual, |b|^2 minus the energy of
-the demodulated data x in the span of the pair's design, x^H P x with P the
-pair's 5x5 projector.  That Gram form is linear in P's 25 real degrees of
-freedom, so one real (n_pair, 25) @ (25, n_off) product scores every
-candidate of a pixel.  :func:`fit_waterfat_pixels` scores pixels in blocks
-and does the rest as array expressions over all of them.
+The search needs only each candidate's residual, |b|^2 minus the energy
+x^H P x of the demodulated data x in the span of the pair's design (P from
+a two-column Gram-Schmidt; no LAPACK call).  The offset enters only through
+the time lags t_n - t_m, so a complex product over the pairs and a real one
+with a lag table score a pixel's candidates.  :func:`fit_waterfat_pixels`
+scores pixels in blocks and does the rest as arrays over all of them.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ class WfConfig:
             raise ValueError("times must be five increasing positive values")
         if not 0 < self.t2s_min < self.t2s_max < np.inf:
             raise ValueError("need finite 0 < t2s_min < t2s_max")
+        if np.exp(-2.0 * times[0] / self.t2s_min) == 0.0:
+            raise ValueError("t2s_min leaves no signal at the first time")
         if self.t2s_points < 2:
             raise ValueError("t2s_points must be at least 2")
         if not 0 < self.d_omega_step <= self.omega_bound < np.inf:
@@ -125,66 +127,80 @@ def delta_b0(d_omega0, gamma: float = GAMMA):
     return np.asarray(d_omega0, dtype=float) / gamma
 
 
-# Index pairs (m, n), m < n, of the five acquisition times.
-_UPPER = np.triu_indices(5, 1)
+# Index pairs (m, n), m <= n, of the five acquisition times.
+_PAIRS = np.triu_indices(5)
 
-# Largest score block in pixels x pairs x offsets (256 KB), but at least one
-# pixel (1.5 MB at the default grid); bigger blocks cost time and peak RSS.
+# Largest score block in pixels x pairs x offsets (256 KB): whole pixels, or
+# a run of one pixel's pairs; bigger blocks cost time and peak RSS.
 _BLOCK_ELEMENTS = 1 << 15
 
 
+def _gram_schmidt(a):
+    """Orthonormal columns q1, q2 and R's r11, r12, r22 of designs a (..., 5,
+    2), elementwise.  A second column within rounding of the first's span
+    (t2s_water = t2s_fat at omega_cs = 0) has q2 = 0, r22 = 0: rank one."""
+    r11, norm_f = np.moveaxis(np.hypot.reduce(np.abs(a), axis=-2), -1, 0)
+    q1 = a[..., 0] / r11[..., None]
+    r12 = np.sum(q1.conj() * a[..., 1], axis=-1)
+    v = a[..., 1] - q1 * r12[..., None]
+    r22 = np.hypot.reduce(np.abs(v), axis=-1)
+    r22[r22 <= np.sqrt(np.finfo(float).eps) * norm_f] = 0.0
+    q2 = v / np.where(r22 > 0.0, r22, np.inf)[..., None]
+    return q1, q2, r11, r12, r22
+
+
 def _pair_decomposition(cfg: WfConfig):
-    """Gram weights W for every (t2s_water, t2s_fat) pair, plus the pairwise
-    phase table for the off-resonance axis.
+    """Projector entries P_mn, m <= n, of every (t2s_water, t2s_fat) pair,
+    the lag index of each (m, n) and the lag table of the offset axis.
 
     The d_omega0 phase is unitary and common to both columns, so the design
-    at (tw, tf, dw) is exp(i*dw*t) * B(tw, tf): the residual against data b
-    equals the residual of B against x = exp(-i*dw*t) * b, that is
-    |b|^2 - x^H P x with P = Q Q^H the projector onto B's columns (Q from
-    one QR per pair).  Over the five times m < n,
+    at (tw, tf, dw) is exp(i*dw*t) * B(tw, tf), and the residual against b
+    is |b|^2 - x^H P x, x = exp(-i*dw*t) * b.  At the initializer, d_mn =
+    conj(x_m) x_n turns by exp(-i*o*L) at an offset o and the lag L = t_n -
+    t_m, so with c_0 = 1 and c_L = 2 else
 
-        x^H P x = sum_m P_mm |x_m|^2
-                  + sum_{m<n} 2 Re P_mn Re(c_mn) - 2 Im P_mn Im(c_mn),
-        c_mn = conj(b_m) b_n exp(i*dw*(t_m - t_n)),
+        x^H P x = sum_L c_L Re(S_L exp(-i*o*L)),  S_L = sum P_mn d_mn
 
-    so the projected energy is a real dot product of the pair's 25 weights
-    (diag P, 2 Re P_mn, -2 Im P_mn) with 25 data features.  The phase table
-    holds exp(i*offset*(t_m - t_n)), one row per m < n.
+    over the (m, n) at lag L.  The table's rows -c_L (cos(o L), sin(o L))
+    read S's (real, imaginary) parts; S_0 is real, and its imaginary part
+    carries |b|^2 to a row of ones.
     """
     t = np.asarray(cfg.times)
     axis = cfg.t2s_axis()
     # Pair p is (axis[p // n], axis[p % n]), the order of the search.
     tw = np.repeat(axis, axis.size)[:, np.newaxis]
     tf = np.tile(axis, axis.size)[:, np.newaxis]
-    qs, _ = np.linalg.qr(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
-    proj = qs @ qs.conj().swapaxes(1, 2)                    # (n_pair, 5, 5)
-    # Q and P dropped early: more temporaries fragment the heap (+1 MB RSS).
-    del qs
-    m, n = _UPPER
-    upper = proj[:, m, n]
-    weights = np.empty((len(proj), 25))
-    weights[:, :5] = np.diagonal(proj, axis1=1, axis2=2).real
-    del proj
-    np.multiply(upper.real, 2.0, out=weights[:, 5:15])
-    np.multiply(upper.imag, -2.0, out=weights[:, 15:])
-    phase = np.exp(1j * np.outer(t[m] - t[n], cfg.offset_axis()))
-    return weights, phase
+    q1, q2, *_ = _gram_schmidt(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
+    proj = np.empty((len(q1), 15), dtype=complex)
+    for j, (m, n) in enumerate(zip(*_PAIRS)):  # a column at a time: less RSS
+        proj[:, j] = q1[:, m] * q1[:, n].conj() + q2[:, m] * q2[:, n].conj()
+    lags, lag_of = np.unique(t[_PAIRS[1]] - t[_PAIRS[0]], return_inverse=True)
+    turns = np.outer(lags, cfg.offset_axis())
+    table = -2.0 * np.stack([np.cos(turns), np.sin(turns)], axis=1)
+    table[0] = [[-1.0], [1.0]]
+    return proj, lag_of, table.reshape(-1, turns.shape[1])
 
 
-def _candidate_scores(x, norm_b, weights, phase) -> np.ndarray:
-    """Residuals |b|^2 - W @ F of n pixels, (n, n_pair * n_off) in search
-    order; F comes from the demodulated data x (n, 5) and the phase table."""
-    m, n = _UPPER
-    cross = (x[:, m].conj() * x[:, n])[..., None] * phase
-    feats = np.empty((len(x), 25, phase.shape[1]))
-    feats[:, :5] = (x.real ** 2 + x.imag ** 2)[..., None]
-    feats[:, 5:15] = cross.real
-    feats[:, 15:] = cross.imag
-    # One product per pixel, then in place: a second score-sized temporary
-    # is returned to the OS and page-faulted afresh on every block.
-    scores = weights @ feats
-    np.subtract(norm_b[:, None, None], scores, out=scores)
-    return scores.reshape(len(x), -1)
+def _lag_gram(x, norm_b, proj, lag_of) -> np.ndarray:
+    """S of n pixels' demodulated data x (n, 5), (n, n_pair, 2 n_lag) real,
+    |b|^2 in S_0's imaginary part: times the lag table, the scores."""
+    lags = np.zeros((len(x), 15, lag_of.max() + 1), dtype=complex)
+    lags[:, np.arange(15), lag_of] = x[:, _PAIRS[0]].conj() * x[:, _PAIRS[1]]
+    gram = proj @ lags
+    gram[..., 0] += 1j * norm_b[:, None]
+    return gram.view(float)
+
+
+def _solve_winners(a, b):
+    """Least-squares (w, f) and residual norms of designs a (n, 5, 2) against
+    data b (n, 5), elementwise; minimum-norm at rank one."""
+    q1, q2, r11, r12, r22 = _gram_schmidt(a)
+    c1, c2 = (np.sum(q.conj() * b, axis=-1) for q in (q1, q2))
+    f = np.divide(c2, r22, where=r22 > 0.0,
+                  out=c1 * r12.conj() / (r11 ** 2 + np.abs(r12) ** 2))
+    w = (c1 - r12 * f) / r11
+    r = a[..., 0] * w[:, None] + a[..., 1] * f[:, None] - b
+    return w, f, np.hypot.reduce(np.abs(r), axis=-1)
 
 
 def fit_waterfat_pixels(data, cfg: WfConfig) -> WfEstimate:
@@ -192,29 +208,37 @@ def fit_waterfat_pixels(data, cfg: WfConfig) -> WfEstimate:
     its first minimum in (t2s_water, t2s_fat, d_omega0) axis order; every
     field has shape (n,), and an all-zero row reads 0 and invalid.
 
-    Scores are taken in blocks of at most ``_BLOCK_ELEMENTS``, each dropped
-    once its winners are known; one batched solve on the winners' (n, 5, 2)
-    designs gives the amplitudes.  A row's bits depend on no other row.
+    Scores are taken in blocks of at most ``_BLOCK_ELEMENTS``, keeping the
+    first minimum over blocks; :func:`_solve_winners` gives the winners'
+    amplitudes.  A row's bits depend on no other row.
     """
     b = np.asarray(data, dtype=complex)
     t = np.asarray(cfg.times)
     init = init_offres(b[:, 0], b[:, 2], t[2] - t[0])
     x = b * np.exp(-1j * init[:, None] * t)
     norm_b = (b[:, None].conj() @ b[..., None])[:, 0, 0].real  # np.vdot bits
-    weights, phase = _pair_decomposition(cfg)
-    step = max(1, _BLOCK_ELEMENTS // weights.shape[0] // phase.shape[1])
+    proj, lag_of, table = _pair_decomposition(cfg)
+    n_pair, n_off = len(proj), table.shape[1]
+    run = min(n_pair, max(1, _BLOCK_ELEMENTS // n_off))    # pairs a block
+    step = max(1, _BLOCK_ELEMENTS // (n_pair * n_off))     # pixels a block
     best = np.empty(len(b), dtype=np.intp)
+    scores = np.empty((min(step, len(b)), run, n_off))
     for i in range(0, len(b), step):
-        best[i:i + step] = _candidate_scores(
-            x[i:i + step], norm_b[i:i + step], weights, phase).argmin(axis=1)
-    pair, off = np.divmod(best, phase.shape[1])
+        gram = _lag_gram(x[i:i + step], norm_b[i:i + step], proj, lag_of)
+        px, at, low = np.arange(len(gram)), [], []
+        for p in range(0, n_pair, run):
+            g = gram[:, p:p + run]
+            block = np.matmul(g, table, scores[:len(px), :g.shape[1]])
+            at.append(block.reshape(len(px), -1).argmin(axis=1))
+            low.append(block.reshape(len(px), -1)[px, at[-1]])
+        j = np.argmin(low, axis=0)
+        best[i:i + step] = np.array(at)[j, px] + j * run * n_off
+    pair, off = np.divmod(best, n_off)
     axis = cfg.t2s_axis()
     tw, tf = axis[pair // axis.size], axis[pair % axis.size]
     dw = init + cfg.offset_axis()[off]
     a = wf_design(t, tw[:, None], tf[:, None], dw[:, None], cfg.omega_cs)
-    amps = np.linalg.pinv(a) @ b[..., None]                      # (n, 2, 1)
-    resid = np.linalg.norm(a @ amps - b[..., None], axis=(1, 2))
-    w, f = amps[:, 0, 0], amps[:, 1, 0]
+    w, f, resid = _solve_winners(a, b)
     total = np.abs(w) + np.abs(f)
     valid = np.any(b != 0, axis=1)
     return WfEstimate(*(np.where(valid, v, 0.0) for v in (

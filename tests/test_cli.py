@@ -287,6 +287,20 @@ def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
     assert not maps.exists()
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"timing": {"t_sat": "abc"}}, "timing t_sat must be a number"),
+    ({"timing": {"fid_times": 5}}, "timing fid_times must be a list"),
+    ({"noise": {"sigma": "x"}}, "noise sigma must be a number")],
+    ids=("t_sat", "fid_times", "sigma"))
+def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys,
+                                                          cfg, message):
+    out = tmp_path / "images"
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg, names", [
     ("simulate", {"noise": {"sigm": 1e-3}}, ["noise", "sigm"]),
     ("simulate", {"phantom": {"type": "disc", "radius": 0.05}}, ["radius"]),

@@ -157,6 +157,25 @@ def test_pixel_profiles_compute_each_distinct_scale_once(monkeypatch, path):
                                    one.echo_bases[seg])
 
 
+@pytest.mark.parametrize("path", ["direct", "series"])
+def test_pixel_profiles_bits_do_not_depend_on_the_pass_size(monkeypatch,
+                                                           path):
+    # Passes of one scale, and of two with a short last pass, give the bytes
+    # of one pass over all five distinct scales.
+    pulses = seqsim.build_pulses()
+    series = seqsim.profile_series(pulses, 1.8) if path == "series" else None
+    ks = np.array([[1.1, 0.9, 0.5], [0.7, 1.3, 1.1]])
+
+    def fields(profs):
+        return (profs.sat_gain, *profs.echo_bases, profs.t1_moments)
+    want = fields(seqsim.pixel_profiles(pulses, ks, series))
+    for elements in (1, 2 * 5 * pulses.params.z_count):
+        monkeypatch.setattr(bloch, "_PASS_ELEMENTS", elements)
+        for got, ref in zip(fields(seqsim.pixel_profiles(pulses, ks, series)),
+                            want):
+            assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])
 def test_imaging_at_twice_the_scale_is_the_doubled_pulse(hard):
     pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import waterfat
+from qmapkit import fitcore, waterfat
 from qmapkit.constants import GAMMA, OMEGA_CS
 
 TIMES = (0.002, 0.004, 0.006, 0.008, 0.010)
@@ -29,6 +31,8 @@ def test_config_validation():
         waterfat.WfConfig(times=TIMES, t2s_min=0.05, t2s_max=0.02)
     with pytest.raises(ValueError):
         waterfat.WfConfig(times=TIMES, t2s_points=1)
+    with pytest.raises(ValueError, match="no signal"):
+        waterfat.WfConfig(times=TIMES, t2s_min=1e-6)
     with pytest.raises(ValueError):
         waterfat.WfConfig(times=TIMES, d_omega_step=0.0)
     with pytest.raises(ValueError):
@@ -191,20 +195,41 @@ def test_zero_rows_in_an_array_are_invalid_and_isolated():
 
 def test_candidate_scores_are_the_squared_residuals():
     # The Gram form scores each candidate by its least-squares residual:
-    # checked against one solve per candidate, in search order.
+    # checked against one solve per candidate, in search order.  Without a
+    # chemical shift the pairs t2s_water = t2s_fat have two equal columns.
     t = np.asarray(TIMES)
-    axis, offsets = TINY.t2s_axis(), TINY.offset_axis()
-    for data in _oracle_cases()[::6]:
+    for cfg, data in itertools.product(
+            (TINY, dataclasses.replace(TINY, omega_cs=0.0, t2s_points=8)),
+            _oracle_cases()[::6]):
+        axis, offsets = cfg.t2s_axis(), cfg.offset_axis()
         init = waterfat.init_offres(data[0], data[2], t[2] - t[0])
         x = data * np.exp(-1j * init * t)
-        scores = waterfat._candidate_scores(
-            x[np.newaxis], np.vdot(data, data).real[np.newaxis],
-            *waterfat._pair_decomposition(TINY))
-        resid = [waterfat.wf_design_solve(data, t, tw, tf, init + dw).residual
+        proj, lag_of, table = waterfat._pair_decomposition(cfg)
+        scores = waterfat._lag_gram(
+            x[np.newaxis], np.vdot(data, data).real[np.newaxis], proj,
+            lag_of) @ table
+        resid = [waterfat.wf_design_solve(data, t, tw, tf, init + dw,
+                                          cfg.omega_cs).residual
                  for tw in axis for tf in axis for dw in offsets]
         norm = np.vdot(data, data).real
         npt.assert_allclose(scores.ravel(), np.square(resid),
                             rtol=0, atol=1e-12 * norm)
+
+
+@pytest.mark.parametrize("omega_cs, tw, tf", [
+    (OMEGA_CS, 0.02, 0.05), (0.0, 0.02, 0.05), (0.0, 0.03, 0.03)],
+    ids=["shifted", "unshifted", "rank-one"])
+def test_winner_solve_is_the_minimum_norm_least_squares(omega_cs, tw, tf):
+    # Rank one (equal columns) takes the minimum-norm amplitudes, as the
+    # SVD solve does.
+    rng = np.random.default_rng(5)
+    a = waterfat.wf_design(TIMES, tw, tf, 40.0, omega_cs)
+    for data in rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)):
+        w, f, resid = waterfat._solve_winners(a[None], data[None])
+        ref = fitcore.lsq_solve(a, data)
+        npt.assert_allclose([w[0], f[0]], ref.x, rtol=1e-9)
+        assert resid[0] == pytest.approx(ref.residual_norm, rel=1e-9)
+        assert ref.rank_deficient == (tw == tf)
 
 
 _THREAD_SCRIPT = """
