@@ -1,10 +1,10 @@
 """Command line: simulate a scan, build a mask, estimate maps, compare
 against ground truth, and dump the transmit-scale lookup table.
 
-All commands read one JSON config document with optional sections
-``phantom``, ``timing``, ``noise``, ``pulses``, ``mask``, ``b1``, ``t2``,
-``wf``, ``t1``; command-line flags override matching config keys.  Exit
-codes: 0 success, 1 validation failure, 2 I/O failure.
+All commands read one JSON config document, whole, through one table of
+its sections and keys (``_CONFIG``), so every command rejects an unknown
+key or a value of the wrong kind, naming it; flags override their keys.
+Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import formats, maskgen, phantom, pipeline, seqsim
+from .phantom import number, whole_number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,124 +27,71 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_SECTIONS = ("phantom", "timing", "noise", "pulses", "mask", "b1", "t2",
-             "wf", "t1")
+# Every config section: key -> kind (see ``phantom.read``).
+_CONFIG = {
+    "phantom": phantom.read_phantom,
+    "timing": seqsim.TIMING_KINDS,
+    "noise": {"sigma": number, "seed": whole_number},
+    "pulses": seqsim.PULSE_KINDS,
+    "mask": {"threshold": number, "close_radius": whole_number,
+             "erode_radius": whole_number},
+    "b1": dict.fromkeys(("k_min", "k_max", "step"), number),
+    "t2": dict.fromkeys(("min", "max"), number),
+    "wf": {"t2s_min": number, "t2s_max": number, "t2s_points": whole_number,
+           "d_omega_step": number, "omega_bound": number},
+    # t1.starts is retired: accepted, and ignored with a warning.
+    "t1": {"min": number, "max": number, "starts": None},
+}
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = sorted(set(cfg) - set(_SECTIONS))
-    if unknown:
-        raise ValueError(f"unknown config sections {unknown}")
+def _load_config(args) -> dict:
+    """The config document of ``args.config`` ({} without one), read whole,
+    with each flag given whose dest is ``<section>.<key>`` in place of that
+    key."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = phantom.read(doc, _CONFIG, "config")
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg[section] = {**cfg.get(section, {}), key: value}
     return cfg
 
 
-def _section(cfg: dict, name: str, known) -> dict:
-    """A copy of one config section, rejecting keys outside ``known``."""
-    section = dict(cfg.get(name, {}))
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {name} keys {unknown}")
-    return section
-
-
-def _timing_from_config(cfg: dict, t_sat=None, tr=None) -> seqsim.SequenceTiming:
-    known = {f.name for f in dataclasses.fields(seqsim.SequenceTiming)}
-    section = _section(cfg, "timing", known)
-    if t_sat is not None:
-        section["t_sat"] = t_sat
-    if tr is not None:
-        section["tr"] = tr
-    base = dataclasses.asdict(seqsim.default_timing(
-        t_sat=seqsim.number(section.pop("t_sat", 1.2), "timing t_sat"),
-        tr=seqsim.number(section.pop("tr", 2.4), "timing tr")))
-    return seqsim.SequenceTiming(**{**base, **section})
-
-
-def _pulse_params_from_config(cfg: dict) -> seqsim.PulseParams:
-    known = {f.name for f in dataclasses.fields(seqsim.PulseParams)}
-    return seqsim.PulseParams(**_section(cfg, "pulses", known))
-
-
-# The estimate sections of a config: section -> key -> (EstimateOptions
-# field, converter).  A bound key gives, in place of a converter, its index
-# in the field's (low, high) pair; the other bound keeps its default.
-_OPTION_KEYS = {
-    "b1": {"k_min": ("b1_k_min", float), "k_max": ("b1_k_max", float),
-           "step": ("b1_step", float)},
-    "t2": {"min": ("t2_bounds", 0), "max": ("t2_bounds", 1)},
-    "wf": {"t2s_min": ("t2s_min", float), "t2s_max": ("t2s_max", float),
-           "t2s_points": ("t2s_points", phantom.whole_number),
-           "d_omega_step": ("d_omega_step", float),
-           "omega_bound": ("omega_bound", float)},
-    "t1": {"min": ("t1_bounds", 0), "max": ("t1_bounds", 1)},
-}
-
-# Keys of older configs that no longer set anything: accepted and ignored,
-# with a warning on stderr.
-_IGNORED_KEYS = {"t1.starts"}
+def _schedule(cfg: dict):
+    """The standard timing at the config's ``t_sat`` and ``tr`` with its
+    other timing fields replaced, and the pulse set built for it."""
+    section = cfg.get("timing", {})
+    timing = dataclasses.replace(seqsim.default_timing(
+        **{k: v for k, v in section.items() if k in ("t_sat", "tr")}),
+        **section)
+    params = seqsim.PulseParams(**cfg.get("pulses", {}))
+    return timing, seqsim.build_pulses(params, timing)
 
 
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
-    named = {f"{s}.{k}" for s in _OPTION_KEYS for k in cfg.get(s, {})}
-    known = {f"{s}.{k}" for s, keys in _OPTION_KEYS.items() for k in keys}
-    unknown = sorted(named - known - _IGNORED_KEYS)
-    if unknown:
-        raise ValueError(f"unknown estimate option keys {unknown}")
-    for key in sorted(named & _IGNORED_KEYS):
-        print(f"warning: config key {key} is ignored", file=sys.stderr)
+    """The estimate options that a config document, read again, sets."""
+    cfg = phantom.read(cfg, _CONFIG, "config")
+    if "starts" in cfg.get("t1", {}):
+        print("warning: config key t1.starts is ignored", file=sys.stderr)
+    kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
+    kw.update(cfg.get("wf", {}))
     defaults = pipeline.EstimateOptions()
-    kw = {}
-    for section, keys in _OPTION_KEYS.items():
-        given = cfg.get(section, {})
-        for key, (field, convert) in keys.items():
-            if key not in given:
-                continue
-            if isinstance(convert, int):
-                bounds = list(kw.get(field, getattr(defaults, field)))
-                bounds[convert] = float(given[key])
-                kw[field] = tuple(bounds)
-            elif convert is phantom.whole_number:
-                kw[field] = convert(given[key], f"{section} {key}")
-            else:
-                kw[field] = convert(given[key])
+    for stage in ("t2", "t1"):
+        low, high = getattr(defaults, f"{stage}_bounds")
+        given = cfg.get(stage, {})
+        kw[f"{stage}_bounds"] = (given.get("min", low),
+                                 given.get("max", high))
     return pipeline.EstimateOptions(**kw)
 
 
-def _mask_kwargs(cfg: dict, args) -> dict:
-    section = _section(cfg, "mask",
-                       ("threshold", "close_radius", "erode_radius"))
-    out = {
-        "threshold": float(section.get("threshold", 0.1)),
-        "close_radius": phantom.whole_number(
-            section.get("close_radius", 2), "mask close_radius"),
-        "erode_radius": phantom.whole_number(
-            section.get("erode_radius", 1), "mask erode_radius"),
-    }
-    for key in out:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-    return out
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
-    timing = _timing_from_config(cfg, t_sat=args.t_sat, tr=args.tr)
-    params = _pulse_params_from_config(cfg)
-    noise = _section(cfg, "noise", ("sigma", "seed"))
-    sigma = args.noise_sigma if args.noise_sigma is not None \
-        else seqsim.number(noise.get("sigma", 0.0), "noise sigma")
-    seed = args.seed if args.seed is not None else phantom.whole_number(
-        noise.get("seed", 0), "noise seed")
+    timing, pulses = _schedule(cfg)
+    noise = cfg.get("noise", {})
     images = seqsim.simulate_scan(
-        pm, timing, pulses=seqsim.build_pulses(params, timing),
-        noise_sigma=sigma, seed=seed)
+        pm, timing, pulses=pulses, noise_sigma=noise.get("sigma", 0.0),
+        seed=noise.get("seed", 0))
     formats.write_imageset(images, args.out)
     print(f"wrote {images.data.shape[0] * images.data.shape[1]} images "
           f"({images.width}x{images.height}) to {args.out}")
@@ -151,10 +99,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     images = formats.read_imageset(args.images)
     mask = maskgen.make_mask(maskgen.mean_image(images),
-                             **_mask_kwargs(cfg, args))
+                             **cfg.get("mask", {}))
     formats.write_mask(mask, args.out)
     print(f"mask {mask.width}x{mask.height}, {mask.count} pixels in mask "
           f"-> {args.out}")
@@ -162,11 +110,10 @@ def cmd_mask(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     images = formats.read_imageset(args.images)
     mask = formats.read_mask(args.mask) if args.mask else \
-        maskgen.make_mask(maskgen.mean_image(images),
-                          **_mask_kwargs(cfg, args))
+        maskgen.make_mask(maskgen.mean_image(images), **cfg.get("mask", {}))
     maps = pipeline.estimate_all(images, mask, _options_from_config(cfg))
     formats.write_maps(maps, args.out)
     print(f"estimated {int(maps.mask.sum())} masked pixels, "
@@ -175,7 +122,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     maps = formats.read_maps(args.maps)
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     truth = phantom.phantom_truth_arrays(pm)
@@ -189,10 +136,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_lut(args) -> int:
-    cfg = _load_config(args.config)
-    timing = _timing_from_config(cfg)
-    pulses = seqsim.build_pulses(_pulse_params_from_config(cfg), timing)
-    table = pipeline._ratio_table(pulses, _options_from_config(cfg))
+    cfg = _load_config(args)
+    table = pipeline._ratio_table(_schedule(cfg)[1],
+                                  _options_from_config(cfg))
     doc = {"k_values": [float(v) for v in table.k_values],
            "ratios": [float(v) for v in table.ratios]}
     if args.out:
@@ -213,19 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate a scan into a directory")
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--t-sat", dest="t_sat", type=float)
-    sim.add_argument("--tr", type=float)
-    sim.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--t-sat", dest="timing.t_sat", type=float)
+    sim.add_argument("--tr", dest="timing.tr", type=float)
+    sim.add_argument("--noise-sigma", dest="noise.sigma", type=float)
+    sim.add_argument("--seed", dest="noise.seed", type=int)
     sim.set_defaults(func=cmd_simulate)
 
     msk = sub.add_parser("mask", help="build the processing mask")
     msk.add_argument("--config", help="JSON config file")
     msk.add_argument("--images", required=True, help="image-set directory")
     msk.add_argument("--out", required=True, help="output PBM path")
-    msk.add_argument("--threshold", type=float)
-    msk.add_argument("--close-radius", dest="close_radius", type=int)
-    msk.add_argument("--erode-radius", dest="erode_radius", type=int)
     msk.set_defaults(func=cmd_mask)
 
     est = sub.add_parser("estimate", help="estimate parameter maps")
@@ -233,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--images", required=True, help="image-set directory")
     est.add_argument("--out", required=True, help="output directory")
     est.add_argument("--mask", help="PBM mask (default: derive from images)")
-    est.add_argument("--threshold", type=float)
-    est.add_argument("--close-radius", dest="close_radius", type=int)
-    est.add_argument("--erode-radius", dest="erode_radius", type=int)
     est.set_defaults(func=cmd_estimate)
+    for cmd in (msk, est):
+        cmd.add_argument("--threshold", dest="mask.threshold", type=float)
+        cmd.add_argument("--close-radius", dest="mask.close_radius", type=int)
+        cmd.add_argument("--erode-radius", dest="mask.erode_radius", type=int)
 
     cmp_ = sub.add_parser("compare", help="compare maps to phantom truth")
     cmp_.add_argument("--config", help="JSON config with the phantom section")
@@ -257,11 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except formats.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (formats.FormatError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

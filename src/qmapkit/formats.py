@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .maskgen import Mask
-from .phantom import whole_number
+from .phantom import number, read, whole_number
 from .pipeline import MAP_NAMES, QuantMaps
-from .seqsim import ImageSet, PulseParams, SequenceTiming
+from .seqsim import (PULSE_KINDS, TIMING_KINDS, ImageSet, PulseParams,
+                     SequenceTiming)
 
 FORMAT_VERSION = 1
 
@@ -52,13 +53,25 @@ class ChecksumError(FormatError):
 
 
 class FieldError(FormatError):
-    """A manifest field that counts something holds no whole number."""
+    """A manifest field is missing or holds a value of the wrong kind."""
 
 
-def _whole(manifest: dict, key: str) -> int:
+_IMAGESET_KINDS = {
+    **dict.fromkeys(("width", "height", "segments", "images_per_segment",
+                     "seed"), whole_number),
+    "omega_cs": number, "noise_sigma": number, "timing": TIMING_KINDS,
+    "pulse_params": PULSE_KINDS, "payloads": None}
+_MAPS_KINDS = {"width": whole_number, "height": whole_number, "maps": None,
+               "payloads": None}
+
+
+def _fields(manifest: dict, kinds: dict) -> dict:
+    """The manifest's ``kinds`` keys, each read as its kind, or FieldError."""
     try:
-        return whole_number(manifest[key], f"manifest {key}")
-    except (TypeError, ValueError) as exc:
+        return read({key: manifest[key] for key in kinds}, kinds, "manifest")
+    except KeyError as exc:
+        raise FieldError(f"manifest has no key {exc}") from None
+    except ValueError as exc:
         raise FieldError(str(exc)) from None
 
 
@@ -77,7 +90,8 @@ def _load_manifest(dir_path: Path, kind: str) -> dict:
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
     manifest = json.loads(path.read_text())
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) \
+        else None
     if version != FORMAT_VERSION:
         raise FormatVersionError(
             f"unsupported format_version {version!r} (expected "
@@ -144,10 +158,9 @@ def write_imageset(images: ImageSet, out_dir) -> None:
 
 def read_imageset(in_dir) -> ImageSet:
     src = Path(in_dir)
-    manifest = _load_manifest(src, "imageset")
-    h, w = _whole(manifest, "height"), _whole(manifest, "width")
-    segs = _whole(manifest, "segments")
-    count = _whole(manifest, "images_per_segment")
+    manifest = _fields(_load_manifest(src, "imageset"), _IMAGESET_KINDS)
+    h, w = manifest["height"], manifest["width"]
+    segs, count = manifest["segments"], manifest["images_per_segment"]
     if h <= 0 or w <= 0 or segs != 2 or count != 11:
         raise DimensionError(
             f"unsupported geometry: {segs} segments x {count} images, "
@@ -161,14 +174,13 @@ def read_imageset(in_dir) -> ImageSet:
     pairs = data.reshape(segs * count, h * w).view(np.float32)
     for idx, entry in enumerate(payloads):
         pairs[idx] = _read_payload(src, entry, h * w * 2)
-    timing = SequenceTiming(**manifest["timing"])
     return ImageSet(
         data=data,
-        timing=timing,
-        pulse_params=PulseParams.from_dict(manifest["pulse_params"]),
-        omega_cs=float(manifest["omega_cs"]),
-        noise_sigma=float(manifest["noise_sigma"]),
-        seed=_whole(manifest, "seed"),
+        timing=SequenceTiming(**manifest["timing"]),
+        pulse_params=PulseParams(**manifest["pulse_params"]),
+        omega_cs=manifest["omega_cs"],
+        noise_sigma=manifest["noise_sigma"],
+        seed=manifest["seed"],
     )
 
 
@@ -202,8 +214,8 @@ def write_maps(maps: QuantMaps, out_dir) -> None:
 
 def read_maps(in_dir) -> QuantMaps:
     src = Path(in_dir)
-    manifest = _load_manifest(src, "quantmaps")
-    h, w = _whole(manifest, "height"), _whole(manifest, "width")
+    manifest = _fields(_load_manifest(src, "quantmaps"), _MAPS_KINDS)
+    h, w = manifest["height"], manifest["width"]
     if h <= 0 or w <= 0:
         raise DimensionError(f"bad dimensions {w}x{h}")
     names = manifest["maps"]

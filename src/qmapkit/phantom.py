@@ -1,4 +1,4 @@
-"""Digital bottle phantom: per-pixel tissue parameters on a raster grid."""
+"""Digital bottle phantom on a raster grid, and the JSON config reader."""
 
 from __future__ import annotations
 
@@ -174,52 +174,102 @@ def make_disc_phantom(width: int, height: int, params: TissueParams,
     return pm
 
 
-def bottle_from_dict(d: dict) -> TissueParams:
-    base = {name: getattr(DEFAULT_BOTTLES[0], name) for name in TISSUE_FIELDS}
-    unknown = set(d) - set(base)
-    if unknown:
-        raise ValueError(f"unknown bottle fields: {sorted(unknown)}")
-    base.update(d)
-    return TissueParams(**base)
+def number(value, name: str) -> float:
+    """``float(value)`` of a number or a numeric string, or ValueError naming
+    the field.  A bool is not a number."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 def whole_number(value, name: str) -> int:
-    """A config value that counts something, as an int: 32 and 32.0 give
-    32, while 32.9 (or a non-finite value) raises ValueError naming it."""
-    if not isinstance(value, (int, np.integer)) and \
-            not float(value).is_integer():
+    """A value that counts something, as an int: 32, 32.0 and "32" give 32,
+    while 32.9, a bool or a non-finite value raise ValueError naming it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not number(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    return int(float(value))
+
+
+class _UnknownKeys(ValueError):
+    def __init__(self, name: str, keys: list):
+        super().__init__(f"unknown {name} keys {keys}")
+        self.keys = keys
+
+
+def read(given, kinds: dict, name: str) -> dict:
+    """The JSON object ``given``, each value read as its kind in ``kinds``:
+    ``number``, ``whole_number``, None (as given, for fields a dataclass
+    checks itself), a nested table or a function ``(value, name)``.  Every
+    error names ``<name> <key>``; all unknown keys, nested ones as
+    ``key.sub``, raise one ValueError."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{name} must be a JSON object, not {given!r}")
+    out, unknown = {}, [key for key in given if key not in kinds]
+    for key, value in given.items():
+        kind, field = kinds.get(key), f"{name} {key}"
+        try:
+            out[key] = (value if kind is None else read(value, kind, field)
+                        if isinstance(kind, dict) else kind(value, field))
+        except _UnknownKeys as exc:
+            unknown += [f"{key}.{sub}" for sub in exc.keys]
+    if unknown:
+        raise _UnknownKeys(name, sorted(unknown))
+    return out
+
+
+_TISSUE_KINDS = dict.fromkeys(TISSUE_FIELDS, number)
+
+
+def _tissues(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of tissue objects")
+    return [read(v, _TISSUE_KINDS, f"{name} {i}")
+            for i, v in enumerate(value, start=1)]
+
+
+# The phantom section of a config, and the keys each type refuses: those
+# that belong to the other type.
+PHANTOM_KINDS = {"type": None, "width": whole_number, "height": whole_number,
+                 "b1_scale": number, "bottles": _tissues,
+                 "disc": _TISSUE_KINDS, "radius_frac": number}
+_FOREIGN_KEYS = {"bottles": {"disc", "radius_frac"}, "disc": {"bottles"}}
+
+
+def read_phantom(cfg, name: str = "phantom") -> dict:
+    """A phantom recipe read through ``PHANTOM_KINDS``, without building
+    it.  An unknown type, or a key of the other type, raises ValueError."""
+    cfg = read(cfg, PHANTOM_KINDS, name)
+    kind = cfg.get("type", "bottles")
+    if not isinstance(kind, str) or kind not in _FOREIGN_KEYS:
+        raise ValueError(f"unknown phantom type: {kind!r}")
+    foreign = sorted(_FOREIGN_KEYS[kind] & set(cfg))
+    if foreign:
+        raise ValueError(f"{name} type {kind!r} takes no keys {foreign}")
+    return cfg
+
+
+def bottle_from_dict(d: dict) -> TissueParams:
+    return replace(DEFAULT_BOTTLES[0], **read(d, _TISSUE_KINDS, "bottle"))
 
 
 def phantom_from_config(cfg: dict) -> PhantomMap:
-    """Build a phantom from a JSON-style recipe dict.
-
-    ``{"type": "bottles"|"disc", "width": .., "height": .., "b1_scale": ..,
-    "bottles": [six dicts], "disc": {bottle dict}, "radius_frac": ..}``;
-    ``bottles`` belongs to the bottles type and ``disc``/``radius_frac`` to
-    the disc type.  Any other key raises ValueError.
-    """
-    kind = cfg.get("type", "bottles")
-    own = {"bottles": {"bottles"}, "disc": {"disc", "radius_frac"}}.get(kind)
-    if own is None:
-        raise ValueError(f"unknown phantom type: {kind!r}")
-    unknown = set(cfg) - {"type", "width", "height", "b1_scale"} - own
-    if unknown:
-        raise ValueError(f"unknown {kind} phantom keys {sorted(unknown)}")
-    width, height = (whole_number(cfg.get(key, 64), f"phantom {key}")
-                     for key in ("width", "height"))
-    b1_scale = float(cfg.get("b1_scale", 1.0))
-    if kind == "bottles":
+    """Build a phantom from a recipe that ``read_phantom`` accepts."""
+    cfg = read_phantom(cfg)
+    width, height = cfg.get("width", 64), cfg.get("height", 64)
+    b1_scale = cfg.get("b1_scale", 1.0)
+    if cfg.get("type", "bottles") == "bottles":
         bottles = cfg.get("bottles")
         if bottles is not None:
             bottles = [bottle_from_dict(b) for b in bottles]
         return make_bottle_phantom(width, height, bottles, b1_scale=b1_scale)
-    d = dict(cfg.get("disc", {}))
-    d.setdefault("b1_scale", b1_scale)
-    params = bottle_from_dict(d)
+    params = bottle_from_dict({"b1_scale": b1_scale, **cfg.get("disc", {})})
     return make_disc_phantom(width, height, params,
-                             radius_frac=float(cfg.get("radius_frac", 0.35)))
+                             radius_frac=cfg.get("radius_frac", 0.35))
 
 
 def phantom_truth_arrays(pm: PhantomMap) -> dict:

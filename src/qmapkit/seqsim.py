@@ -28,17 +28,10 @@ import numpy as np
 
 from . import bloch, t1fit, t2fit, waterfat
 from .constants import OMEGA_CS
-from .phantom import TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues
+from .phantom import (TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues,
+                      number)
 
 _MS = 1e-3
-
-
-def number(value, name: str) -> float:
-    """``float(value)``, or ValueError naming the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,8 @@ class PulseParams:
             object.__setattr__(self, name, value)
         for name, least in (("n_pieces", 2), ("z_count", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
+            if not (isinstance(value, (int, np.integer)) and value >= least
+                    and not isinstance(value, bool)):
                 raise ValueError(f"pulses {name} must be an integer >= "
                                  f"{least}")
         if not isinstance(self.hard, (bool, np.bool_)):
@@ -162,9 +156,12 @@ class PulseParams:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+
+# The fields' kinds for ``phantom.read``: the dataclasses check their own
+# fields, but ``default_timing`` scales the schedule by t_sat and tr first.
+TIMING_KINDS = {**dict.fromkeys(f.name for f in fields(SequenceTiming)),
+                "t_sat": number, "tr": number}
+PULSE_KINDS = dict.fromkeys(f.name for f in fields(PulseParams))
 
 
 @dataclass(frozen=True)

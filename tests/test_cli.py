@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmapkit import b1map, cli, formats, maskgen, pipeline, seqsim
+from qmapkit import (b1map, cli, formats, maskgen, phantom, pipeline,
+                     seqsim)
 
 CHAIN_CONFIG = {
     "phantom": {
@@ -323,6 +326,106 @@ def test_unknown_config_keys_exit_1(tmp_path, water_scan, capsys, command,
     for name in names:
         assert name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([1], "config must be a JSON object"),
+    ({"phantom": {"b1_scale": "x"}}, "phantom b1_scale must be a number"),
+    ({"phantom": {"type": "disc", "disc": 5}},
+     "phantom disc must be a JSON object"),
+    ({"phantom": {"type": "disc", "disc": {"t1": "x"}}},
+     "phantom disc t1 must be a number"),
+    ({"phantom": {"bottles": "abcdef"}},
+     "phantom bottles must be a list of tissue objects"),
+    ({"phantom": {"bottles": [{"t1": 0.5}, 7]}},
+     "phantom bottles 2 must be a JSON object"),
+    ({"timing": 5}, "config timing must be a JSON object"),
+    ({"timing": {"tr": "x"}}, "timing tr must be a number"),
+    ({"noise": 5}, "config noise must be a JSON object"),
+    ({"pulses": []}, "config pulses must be a JSON object"),
+    ({"mask": {"threshold": "x"}}, "mask threshold must be a number"),
+    ({"b1": 5}, "config b1 must be a JSON object"),
+    ({"b1": {"k_min": "x"}}, "b1 k_min must be a number"),
+    ({"t2": {"max": "x"}}, "t2 max must be a number"),
+    ({"wf": {"omega_bound": "x"}}, "wf omega_bound must be a number"),
+    ({"t1": {"min": "x"}}, "t1 min must be a number")],
+    ids=("document", "b1_scale", "disc", "disc-t1", "bottles", "bottle-2",
+         "timing", "timing-tr", "noise", "pulses", "mask-threshold", "b1",
+         "b1-k_min", "t2-max", "wf-omega_bound", "t1-min"))
+@pytest.mark.parametrize("command", ["simulate", "lut"])
+def test_config_values_name_their_section_and_key(tmp_path, capsys, command,
+                                                  cfg, message):
+    # A non-object once failed with "'int' object is not iterable", a
+    # string of bottles as "unknown bottle fields: ['a']", and a string
+    # where a number belongs in float() or numpy, naming no field.
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"noise": {"sigma": True}}, "noise sigma must be a number, not True"),
+    ({"phantom": {"type": "disc", "disc": {"t1": True}}},
+     "phantom disc t1 must be a number, not True"),
+    ({"noise": {"seed": True}}, "noise seed must be a number, not True"),
+    ({"wf": {"t2s_points": False}}, "wf t2s_points must be a number"),
+    ({"pulses": {"z_count": True}}, "pulses z_count must be an integer")],
+    ids=("sigma", "disc-t1", "seed", "t2s_points", "z_count"))
+def test_json_booleans_are_not_numbers(tmp_path, capsys, cfg, message):
+    # The first three once simulated at sigma 1, T1 = 1 s and seed 1.
+    out = tmp_path / "images"
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, names", [
+    ("simulate", {"b1": {"kmin": 1}}, ["b1.kmin"]),
+    ("lut", {"mask": {"treshold": 1}}, ["mask.treshold"]),
+    ("lut", {"phantom": {"wdth": 1}}, ["phantom.wdth"]),
+    ("lut", {"phantom": {"type": "disc", "disc": {"t2star": 0.05}}},
+     ["phantom.disc.t2star"]),
+    ("lut", {"phantom": {"radius_frac": 0.2}}, ["radius_frac", "bottles"]),
+    ("mask", {"t1": {"mn": 1}}, ["t1.mn"]),
+    ("estimate", {"pulses": {"n_piece": 3}}, ["pulses.n_piece"]),
+    ("compare", {"noise": {"sigm": 1}, "wf": {"t2s_pts": 3}, "nosie": {}},
+     ["['noise.sigm', 'nosie', 'wf.t2s_pts']"])])
+def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
+                                               command, cfg, names):
+    # The first three once exited 0: each command read only its sections.
+    images_dir = str(tmp_path / "images")
+    formats.write_imageset(water_scan, images_dir)
+    maps_dir = tmp_path / "maps"
+    formats.write_maps(pipeline.QuantMaps.zeros((32, 32)), maps_dir)
+    out = str(tmp_path / "out")
+    args = {"simulate": ["--out", out], "lut": ["--out", out],
+            "mask": ["--images", images_dir, "--out", out],
+            "estimate": ["--images", images_dir, "--out", out],
+            "compare": ["--maps", str(maps_dir), "--json", out]}[command]
+    assert cli.main([command, "--config", _write_config(tmp_path, cfg)]
+                    + args) == 1
+    err = capsys.readouterr().err
+    for name in names:
+        assert name in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_loads_and_its_table_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    args = cli.build_parser().parse_args(
+        ["lut", "--config", _write_config(tmp_path, doc)])
+    assert cli._load_config(args) == doc
+    rows = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M))
+    schema = {(name, key) for name, kinds in cli._CONFIG.items()
+              for key in (phantom.PHANTOM_KINDS if name == "phantom"
+                          else kinds)}
+    assert rows == schema
+    assert all(f"`{field}`" in section for field in phantom.TISSUE_FIELDS)
 
 
 def test_misspelled_estimate_options_are_rejected(tmp_path):

@@ -57,6 +57,14 @@ def test_imageset_version_and_kind(water_scan, tmp_path):
         formats.read_imageset(tmp_path)
 
 
+def test_manifest_that_is_no_object_has_no_version(water_scan, tmp_path):
+    # This once ended in an AttributeError that the CLI did not catch.
+    formats.write_imageset(water_scan, tmp_path)
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(formats.FormatVersionError):
+        formats.read_imageset(tmp_path)
+
+
 def test_imageset_geometry_tamper(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
     _edit_manifest(tmp_path, lambda m: m.update(images_per_segment=10))
@@ -73,6 +81,25 @@ def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
     formats.write_imageset(water_scan, tmp_path)
     _edit_manifest(tmp_path, lambda m: m.update({key: value}))
     with pytest.raises(formats.FieldError, match=f"manifest {key}"):
+        formats.read_imageset(tmp_path)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda m: m.update(omega_cs="x"), "manifest omega_cs must be a number"),
+    (lambda m: m.update(noise_sigma=True),
+     "manifest noise_sigma must be a number"),
+    (lambda m: m.update(timing=5), "manifest timing must be a JSON object"),
+    (lambda m: m["timing"].update(banana=1.0),
+     r"unknown manifest keys \['timing.banana'\]"),
+    (lambda m: m.pop("payloads"), "manifest has no key 'payloads'")],
+    ids=("omega_cs", "noise_sigma", "timing", "timing-key", "payloads"))
+def test_imageset_fields_of_the_wrong_kind_name_their_key(
+        water_scan, tmp_path, mutate, message):
+    # These once read "x" with a bare float(), a bool as 1.0, or failed
+    # with a message naming no field.
+    formats.write_imageset(water_scan, tmp_path)
+    _edit_manifest(tmp_path, mutate)
+    with pytest.raises(formats.FieldError, match=message):
         formats.read_imageset(tmp_path)
 
 
