@@ -49,12 +49,12 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
                       k_max: float = 1.8, step: float = 0.002) -> RatioTable:
     """Tabulate the readout ratio over a transmit-scale grid.
 
-    The double pulse is the single pulse at twice the amplitude, so its
-    curve is the single pulse's at twice the scale.  The pulse set's
+    Segment 2's pulse is the single pulse times its constant ``c`` (2), so
+    its curve is the single pulse's at ``|c| k``.  The pulse set's
     Cayley-Klein series up to k_max (``seqsim.profile_series``: one
     propagation, 15 scales for k_max = 1.8) gives the imaging curve at its
     nodes.  The curve is odd in the scale, so curve / k is one Chebyshev
-    series in k^2, read at both k and 2k on the grid by the series'
+    series in k^2, read at both k and |c| k on the grid by the series'
     Clenshaw recurrence.  Magnitudes are taken only after interpolation:
     they have a kink at the signal null.
 
@@ -70,7 +70,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     alpha, beta = series.cayley_klein(nodes, z)
     coef = bloch.chebyshev_coefficients(bloch.integrate_slice(
         bloch.transverse(img, alpha, beta, z), z) / nodes)
-    ks = np.concatenate([k_axis, 2.0 * k_axis])
+    ks = np.concatenate([k_axis, abs(pulses.constants[3]) * k_axis])
     lo, hi = np.abs(ks * bloch.clenshaw(coef, series.argument(ks))).reshape(
         2, n)
     if np.any(lo <= 0):

@@ -36,13 +36,11 @@ class RfPulse:
     slice_gradient : through-slice precession gradient in rad/(s*m)
         (gamma * Gz); an isochromat at z sees off-resonance
         ``slice_gradient * z`` during the pulse.
-    nominal_flip : intended on-resonance flip angle in rad at b1_scale = 1.
     """
 
     samples: np.ndarray
     dt: float
     slice_gradient: float = 0.0
-    nominal_flip: float = 0.0
 
     def __post_init__(self):
         samples = np.atleast_1d(np.asarray(self.samples, dtype=complex))
@@ -80,7 +78,6 @@ def hard_pulse(flip: float, duration: float = 1e-5,
         samples=np.array([flip / duration * np.exp(1j * phase)]),
         dt=duration,
         slice_gradient=0.0,
-        nominal_flip=flip,
     )
 
 
@@ -110,8 +107,7 @@ def hamming_sinc_pulse(flip: float, duration: float, slice_thickness: float,
     scale = flip / (np.sum(envelope) * dt)
     samples = scale * envelope * np.exp(1j * phase)
     slice_gradient = 2.0 * np.pi * bandwidth / slice_thickness
-    return RfPulse(samples=samples, dt=dt, slice_gradient=slice_gradient,
-                   nominal_flip=flip)
+    return RfPulse(samples=samples, dt=dt, slice_gradient=slice_gradient)
 
 
 @dataclass(frozen=True)
@@ -223,19 +219,6 @@ def _product(samples, ks, dw, dt, alpha, beta):
                                       np.conjugate(b, out=b_c)):
             alpha, beta = qa * alpha - qb_c * beta, qb * alpha + qa_c * beta
     return alpha, beta
-
-
-def shape_constant(shape: RfPulse, pulse: RfPulse) -> complex:
-    """The ``c`` with ``pulse.samples == c * shape.samples`` to 1e-12 of the
-    pulse's peak, on the shape's ``dt`` and gradient; else ValueError."""
-    same = (pulse.dt == shape.dt and pulse.samples.shape == shape.samples.shape
-            and pulse.slice_gradient == shape.slice_gradient)
-    peak = np.argmax(np.abs(shape.samples))
-    c = pulse.samples[peak] / shape.samples[peak] if same else 0.0
-    if not same or np.max(np.abs(pulse.samples - c * shape.samples)) > \
-            1e-12 * np.max(np.abs(pulse.samples)):
-        raise ValueError("pulse is not the shape times a constant")
-    return c
 
 
 def chebyshev_coefficients(values) -> np.ndarray:

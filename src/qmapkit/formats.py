@@ -56,13 +56,33 @@ class FieldError(FormatError):
     """A manifest field is missing or holds a value of the wrong kind."""
 
 
+def _payloads(value, name: str) -> list:
+    """Payload entries, each an object whose ``file`` is a bare file name in
+    the set's own directory and whose ``sha256`` is a string."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of objects, not {value!r}")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{name}[{i}] must be an object with file and "
+                             f"sha256, not {entry!r}")
+        file, digest = entry.get("file"), entry.get("sha256")
+        if not (isinstance(file, str) and file not in ("", "..")
+                and Path(file).name == file):
+            raise ValueError(
+                f"{name}[{i}] file must be a bare file name, not {file!r}")
+        if not isinstance(digest, str):
+            raise ValueError(
+                f"{name}[{i}] sha256 must be a string, not {digest!r}")
+    return value
+
+
 _IMAGESET_KINDS = {
     **dict.fromkeys(("width", "height", "segments", "images_per_segment",
                      "seed"), whole_number),
     "omega_cs": number, "noise_sigma": number, "timing": TIMING_KINDS,
-    "pulse_params": PULSE_KINDS, "payloads": None}
+    "pulse_params": PULSE_KINDS, "payloads": _payloads}
 _MAPS_KINDS = {"width": whole_number, "height": whole_number, "maps": None,
-               "payloads": None}
+               "payloads": _payloads}
 
 
 def _fields(manifest: dict, kinds: dict) -> dict:

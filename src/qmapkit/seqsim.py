@@ -72,8 +72,8 @@ class SequenceTiming:
             raise ValueError("need one imaging flip per segment")
         if not np.all(np.isfinite(np.hstack(astuple(self)))):
             raise ValueError("every timing value must be finite")
-        # A zero flip leaves a pulse no RF axis for pixel_profiles to turn
-        # the imaging shape onto (and a zero imaging flip leaves no shape).
+        # A zero flip leaves its constant c no RF axis c / |c| to turn the
+        # shape by (and a zero imaging flip leaves no shape).
         if 0.0 in (self.sat_flip, self.probe_flip, self.inversion_flip,
                    *self.imaging_flips):
             raise ValueError("flip angles must be non-zero")
@@ -166,13 +166,13 @@ PULSE_KINDS = dict.fromkeys(f.name for f in fields(PulseParams))
 
 @dataclass(frozen=True)
 class SequencePulses:
-    """The four waveforms.  Segment 2's imaging pulse is ``imaging`` at twice
-    the amplitude, i.e. ``imaging`` at twice the transmit scale."""
+    """The pulse set: one RF shape, segment 1's imaging pulse, and the
+    complex constants ``c`` that make each pulse ``c * imaging``: probe,
+    inversion, imaging (1), segment 2's imaging and saturation, the order
+    of :func:`pixel_profiles`."""
 
-    sat: bloch.RfPulse
-    probe: bloch.RfPulse
     imaging: bloch.RfPulse
-    inversion: bloch.RfPulse
+    constants: np.ndarray
     params: PulseParams
 
     def z_grid(self):
@@ -183,24 +183,22 @@ class SequencePulses:
 
 def build_pulses(params: PulseParams = PulseParams(),
                  timing: SequenceTiming = None) -> SequencePulses:
-    """Standard pulse set: Hamming-windowed sincs (or hard pulses for
-    idealized tests).  Excitations carry RF phase -90 degrees so the
-    on-resonance tip lands on +x and noiseless water images are
-    real-positive."""
-    flips = timing or SequenceTiming()
-    if params.hard:
-        mk = lambda flip, phase: bloch.hard_pulse(flip, phase=phase)
-    else:
-        mk = lambda flip, phase: bloch.hamming_sinc_pulse(
-            flip, params.duration, params.slice_thickness,
-            params.time_bandwidth, params.n_pieces, phase=phase)
-    return SequencePulses(
-        sat=mk(flips.sat_flip, -np.pi / 2.0),
-        probe=mk(flips.probe_flip, -np.pi / 2.0),
-        imaging=mk(flips.imaging_flips[0], -np.pi / 2.0),
-        inversion=mk(flips.inversion_flip, 0.0),
-        params=params,
-    )
+    """Standard pulse set: one Hamming-windowed sinc (or hard pulse for
+    idealized tests) at the first imaging flip and RF phase -90 degrees, so
+    the on-resonance tip lands on +x and noiseless water images are
+    real-positive.  Each pulse's constant is its flip over that flip; the
+    inversion's is also turned by its RF phase, 0 against the shape's -90
+    degrees."""
+    t = timing or SequenceTiming()
+    flip = t.imaging_flips[0]
+    shape = bloch.hard_pulse(flip, phase=-np.pi / 2.0) if params.hard else \
+        bloch.hamming_sinc_pulse(flip, params.duration,
+                                 params.slice_thickness, params.time_bandwidth,
+                                 params.n_pieces, phase=-np.pi / 2.0)
+    constants = (np.array([t.probe_flip, t.inversion_flip, *t.imaging_flips,
+                           t.sat_flip]) / flip).astype(complex)
+    constants[1] *= np.exp(0.5j * np.pi)
+    return SequencePulses(shape, constants, params)
 
 
 @dataclass(frozen=True)
@@ -213,22 +211,12 @@ class PixelProfiles:
     t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
 
-def _shape_constants(pulses: SequencePulses) -> np.ndarray:
-    """The ``c`` of each pulse ``c * imaging`` of :func:`pixel_profiles`:
-    probe, inversion, imaging, segment 2's imaging (2) and saturation.
-    ValueError for a pulse of another shape (:func:`bloch.shape_constant`)."""
-    probe, inversion, sat = (bloch.shape_constant(pulses.imaging, p)
-                             for p in (pulses.probe, pulses.inversion,
-                                       pulses.sat))
-    return np.array([probe, inversion, 1.0, 2.0, sat])
-
-
 def profile_series(pulses: SequencePulses,
                    k_max: float) -> bloch.CayleyKleinSeries:
     """The Cayley-Klein series of the imaging shape from which
     ``pixel_profiles(pulses, k, series)`` reads any ``|k| <= k_max``, up to
     ``k_max`` times the set's largest ``|c|`` (3 for the default inversion)."""
-    reach = np.max(np.abs(_shape_constants(pulses)))
+    reach = np.max(np.abs(pulses.constants))
     return bloch.cayley_klein_series(pulses.imaging, k_max * reach,
                                      pulses.z_grid())
 
@@ -236,15 +224,16 @@ def profile_series(pulses: SequencePulses,
 def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
     """Slice integrals of the pulse set at transmit scales ``k`` of any
     shape, each distinct scale computed once; every field has the leading
-    axes of ``k``.  Each pulse is the imaging shape times a constant ``c``,
-    i.e. the shape at ``|c| k`` with ``beta`` turned by ``c / |c|``: one
-    Cayley-Klein product of the shape serves the set, or it is read from
-    this set's ``series`` (:func:`profile_series`; else ValueError)."""
-    z, img = pulses.z_grid(), pulses.imaging
-    c = _shape_constants(pulses)
+    axes of ``k``.  The pulse ``c * imaging`` of each of the set's
+    ``constants`` is the shape at ``|c| k`` with ``beta`` turned by
+    ``c / |c|``: one Cayley-Klein product of the shape serves the set, or
+    it is read from a ``series`` of the same shape and z grid
+    (:func:`profile_series`; else ValueError)."""
+    z, img, c = pulses.z_grid(), pulses.imaging, pulses.constants
     if series is not None and not (
-            np.array_equal(series.z_samples, z) and abs(
-                bloch.shape_constant(series.pulse, img) - 1.0) <= 1e-12):
+            np.array_equal(series.z_samples, z) and series.pulse.dt == img.dt
+            and series.pulse.slice_gradient == img.slice_gradient
+            and np.array_equal(series.pulse.samples, img.samples)):
         raise ValueError("the profile series was built for other pulses")
     ks, which = np.unique(np.asarray(k, dtype=float), return_inverse=True)
     which = which.reshape(np.shape(k))
@@ -349,12 +338,14 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     independent.
 
     Noise is complex white Gaussian with per-channel standard deviation
-    ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a seeded
-    generator straight into the image buffer, so the result is independent
-    of pixel evaluation order.
+    ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a generator
+    seeded by ``seed`` (>= 0) straight into the image buffer, so the result
+    is independent of pixel evaluation order.
     """
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError(f"noise sigma must be finite and >= 0: {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"noise seed must be >= 0: {seed}")
     if timing is None:
         timing = SequenceTiming()
     if pulses is None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmapkit import phantom, seqsim
+from qmapkit import bloch, phantom, seqsim
 
 settings.register_profile("suite", max_examples=25, deadline=None,
                           derandomize=True)
@@ -30,6 +30,20 @@ def water_scan(water_disc):
 def hard_pulses():
     return seqsim.build_pulses(seqsim.PulseParams(hard=True),
                                seqsim.default_timing())
+
+
+def member_pulses(params=seqsim.PulseParams(), timing=None):
+    """The pulse set's pulses, each built at its own flip and RF phase, in
+    ``pixel_profiles``' order: probe, inversion, imaging, segment 2's
+    imaging and saturation."""
+    t = timing or seqsim.SequenceTiming()
+    flips = (t.probe_flip, t.inversion_flip, *t.imaging_flips, t.sat_flip)
+    phases = (-np.pi / 2, 0.0, -np.pi / 2, -np.pi / 2, -np.pi / 2)
+    if params.hard:
+        return [bloch.hard_pulse(f, phase=p) for f, p in zip(flips, phases)]
+    return [bloch.hamming_sinc_pulse(
+        f, params.duration, params.slice_thickness, params.time_bandwidth,
+        params.n_pieces, phase=p) for f, p in zip(flips, phases)]
 
 
 def snr_sigma(scan, pm, snr):

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from qmapkit import bloch, seqsim
 
+from conftest import member_pulses
+
 
 def test_hard_pulse_tips_by_flip():
     for k in (0.5, 1.0, 1.3):
@@ -203,12 +205,8 @@ def _rodrigues_profile(pulse, k, z):
 
 @pytest.mark.parametrize("k", [0.0, 0.3, 0.85, 1.0, 1.37, 2.6])
 def test_kernel_matches_rodrigues_product(k):
-    pulses = seqsim.build_pulses()
-    z = pulses.z_grid()
-    img = pulses.imaging
-    doubled = bloch.RfPulse(samples=2.0 * img.samples, dt=img.dt,
-                            slice_gradient=img.slice_gradient)
-    for pulse in (pulses.sat, pulses.probe, img, doubled, pulses.inversion):
+    z = seqsim.build_pulses().z_grid()
+    for pulse in member_pulses():
         ref = _rodrigues_profile(pulse, k, z)
         phi = -pulse.slice_gradient * z * pulse.duration / 2.0
         ref_txr = (ref[:, 0, 2] + 1j * ref[:, 1, 2]) * np.exp(1j * phi)
@@ -237,11 +235,10 @@ def test_kernel_matches_rodrigues_product(k):
 def test_any_grid_equals_per_position_calls(z_units):
     # Positions are propagated once per distinct |z| and scattered back,
     # so each entry is the one-position result, whatever the grid's order.
-    pulses = seqsim.build_pulses()
     z = 4e-3 * np.array(z_units)
     ks = np.array([0.0, 0.85, 2.6])
-    for pulse in (pulses.sat, pulses.probe, pulses.imaging,
-                  pulses.inversion):
+    probe, inversion, imaging, _, sat = member_pulses()
+    for pulse in (sat, probe, imaging, inversion):
         alpha, beta = bloch.cayley_klein(pulse, ks, z)
         assert alpha.flags.c_contiguous and beta.flags.c_contiguous
         for i, j in np.ndindex(alpha.shape):
@@ -428,10 +425,10 @@ def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
                                              shape):
     # pixel_profiles propagates the imaging shape once, at |c| k for each
     # pulse c * shape of the set and each distinct k (sorted), and turns
-    # beta by c / |c|: each pair is the pulse's own call to 1e-14 of the
-    # field's peak.
-    pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard,
-                                                    n_pieces=n_pieces))
+    # beta by c / |c|: each pair is the call of the pulse built at its own
+    # flip and RF phase to 1e-14 of the field's peak.
+    params = seqsim.PulseParams(hard=hard, n_pieces=n_pieces)
+    pulses = seqsim.build_pulses(params)
     z, k = pulses.z_grid(), _SET_KS[shape]
     ks = np.unique(k)
     calls = []
@@ -444,12 +441,10 @@ def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
     monkeypatch.setattr(bloch, "cayley_klein", counted)
     seqsim.pixel_profiles(pulses, k)
     [(alpha, beta)] = calls
-    c = seqsim._shape_constants(pulses)
-    beta *= (c / np.abs(c)).reshape(5, 1, 1)
-    members = (pulses.probe, pulses.inversion, pulses.imaging,
-               pulses.imaging, pulses.sat)
-    for pulse, scale, a, b in zip(members, (1, 1, 1, 2, 1), alpha, beta):
-        want_a, want_b = kernel(pulse, scale * ks, z)
+    for pulse, a, b in zip(member_pulses(params), alpha, beta):
+        # Turned from the shape's RF phase, -90 degrees, to the pulse's.
+        b *= np.exp(1j * (pulse.axis_phase + np.pi / 2))
+        want_a, want_b = kernel(pulse, ks, z)
         assert a.shape == want_a.shape == ks.shape + z.shape
         npt.assert_allclose(a, want_a, rtol=0,
                             atol=1e-14 * np.max(np.abs(want_a)))

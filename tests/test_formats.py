@@ -171,6 +171,34 @@ def test_maps_fractional_dimensions_are_rejected(tmp_path, key, value):
         formats.read_maps(tmp_path)
 
 
+@pytest.mark.parametrize("kind", ["imageset", "maps"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: p[0].pop("file"), r"payloads\[0\] file must be a bare"),
+    (lambda p: p.__setitem__(1, "seg1_img02.f32"),
+     r"payloads\[1\] must be an object"),
+    (lambda p: p[2].update(file="../../config.json"),
+     r"payloads\[2\] file must be a bare file name, not '../../config"),
+    (lambda p: p[0].update(file=".."), r"payloads\[0\] file"),
+    (lambda p: p[3].update(sha256=7), r"payloads\[3\] sha256 must be a"),
+    (lambda p: p.clear() or p.append([]), r"payloads\[0\] must be an")],
+    ids=("no-file", "string", "outside", "parent", "sha256", "list"))
+def test_payload_entries_name_their_field(water_scan, tmp_path, kind, mutate,
+                                          message):
+    # These once failed with a KeyError or TypeError naming no field, and a
+    # path out of the set's directory was opened.
+    if kind == "imageset":
+        formats.write_imageset(water_scan, tmp_path)
+    else:
+        formats.write_maps(_sample_maps(np.random.default_rng(9)), tmp_path)
+    read = formats.read_imageset if kind == "imageset" else formats.read_maps
+    _edit_manifest(tmp_path, lambda m: mutate(m["payloads"]))
+    with pytest.raises(formats.FieldError, match="manifest " + message):
+        read(tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update(payloads={}))
+    with pytest.raises(formats.FieldError, match="payloads must be a list"):
+        read(tmp_path)
+
+
 def test_mask_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     bits = rng.uniform(size=(3, 13)) > 0.5  # width not a byte multiple

@@ -6,7 +6,7 @@ import pytest
 
 from qmapkit import bloch, phantom, seqsim, t2fit
 
-from conftest import WATER, snr_sigma
+from conftest import WATER, member_pulses, snr_sigma
 
 FAT = phantom.TissueParams(water_amp=0.0, fat_amp=1.0, t1=0.35, t2=0.07,
                            t2s_water=0.04, t2s_fat=0.03,
@@ -88,6 +88,31 @@ def test_pixel_profiles_make_one_kernel_call(monkeypatch):
     assert calls[0][1] == (5, 2)
 
 
+@pytest.mark.parametrize("timing", [
+    seqsim.SequenceTiming(),
+    seqsim.SequenceTiming(imaging_flips=(np.pi / 4.0, np.pi / 2.0))],
+    ids=["default", "45-90"])
+@pytest.mark.parametrize("hard, n_pieces", [
+    (False, 256), (False, 31), (True, 256)], ids=["sinc", "sinc-31", "hard"])
+def test_constants_make_the_pulses(hard, n_pieces, timing):
+    # Each c * shape is the pulse built at its own flip and RF phase.
+    params = seqsim.PulseParams(hard=hard, n_pieces=n_pieces)
+    pulses = seqsim.build_pulses(params, timing)
+    shape = pulses.imaging
+    assert pulses.constants.shape == (5,)
+    for c, pulse in zip(pulses.constants, member_pulses(params, timing)):
+        assert (pulse.dt, pulse.slice_gradient) == (shape.dt,
+                                                    shape.slice_gradient)
+        npt.assert_allclose(c * shape.samples, pulse.samples, rtol=0,
+                            atol=1e-12 * np.max(np.abs(pulse.samples)))
+    if (hard, n_pieces, timing) == (False, 256, seqsim.SequenceTiming()):
+        # Here each constant equals the built pulse's peak sample over the
+        # shape's.
+        peak = np.argmax(np.abs(shape.samples))
+        npt.assert_array_equal(pulses.constants, [
+            p.samples[peak] / shape.samples[peak] for p in member_pulses()])
+
+
 _NOT_THE_SHAPE = {
     "dt": lambda p: dataclasses.replace(p, dt=2.0 * p.dt),
     "gradient": lambda p: dataclasses.replace(
@@ -100,16 +125,16 @@ _NOT_THE_SHAPE = {
 }
 
 
-@pytest.mark.parametrize("path", ["direct", "series"])
-@pytest.mark.parametrize("name", sorted(_NOT_THE_SHAPE))
-def test_pixel_profiles_reject_a_pulse_of_another_shape(name, path):
-    # Every pulse of the set must be the imaging shape times a constant.
+@pytest.mark.parametrize("name", sorted(_NOT_THE_SHAPE),
+                         ids=[f"{n}-series" for n in sorted(_NOT_THE_SHAPE)])
+def test_pixel_profiles_reject_a_pulse_of_another_shape(name):
+    # A set holds one shape, so only a series can bring a pulse of another:
+    # one built from the shape with any of these altered is refused.
     pulses = seqsim.build_pulses()
-    series = seqsim.profile_series(pulses, 1.2) if path == "series" else None
-    other = dataclasses.replace(pulses,
-                                sat=_NOT_THE_SHAPE[name](pulses.sat))
-    with pytest.raises(ValueError, match="shape times a constant"):
-        seqsim.pixel_profiles(other, 1.0, series)
+    other = dataclasses.replace(
+        pulses, imaging=_NOT_THE_SHAPE[name](pulses.imaging))
+    with pytest.raises(ValueError, match="other pulses"):
+        seqsim.pixel_profiles(pulses, 1.0, seqsim.profile_series(other, 1.2))
 
 
 @pytest.mark.parametrize("other", [
@@ -181,8 +206,7 @@ def test_imaging_at_twice_the_scale_is_the_doubled_pulse(hard):
     pulses = seqsim.build_pulses(seqsim.PulseParams(hard=hard))
     img = pulses.imaging
     doubled = bloch.RfPulse(samples=2.0 * img.samples, dt=img.dt,
-                            slice_gradient=img.slice_gradient,
-                            nominal_flip=2.0 * img.nominal_flip)
+                            slice_gradient=img.slice_gradient)
     z = pulses.z_grid()
     ks = np.array([0.0, 0.2, 0.45, 0.85, 1.0, 1.37, 1.8])
     for got, want in zip(bloch.cayley_klein(img, 2.0 * ks, z),
@@ -489,6 +513,14 @@ def test_simulate_scan_rejects_an_invalid_tissue(field, value, message):
 def test_bad_noise_sigma_is_rejected(water_disc, sigma):
     with pytest.raises(ValueError, match="noise sigma"):
         seqsim.simulate_scan(water_disc, noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-4])
+def test_negative_noise_seed_is_rejected(water_disc, sigma):
+    # numpy once refused it with a message naming no field, and at sigma 0
+    # it was written to the manifest.
+    with pytest.raises(ValueError, match="noise seed"):
+        seqsim.simulate_scan(water_disc, noise_sigma=sigma, seed=-1)
 
 
 def test_simulate_scan_builds_echo_bases_once_per_segment(monkeypatch):
