@@ -5,7 +5,9 @@ Payload layout (both image sets and maps): 32-bit little-endian IEEE floats,
 row-major, origin at the top-left pixel.  Complex images interleave
 (real, imaginary) pairs per pixel; maps are one float per pixel.  Every
 payload's SHA-256 is recorded in the manifest and verified on read.  Units
-on disk: seconds, rad/s, tesla, dimensionless.
+on disk: seconds, rad/s, tesla, dimensionless.  Both kinds of set share
+one writer and one reader, which finds each payload by its file name: the
+manifest may list the entries in any order, but each file exactly once.
 """
 
 from __future__ import annotations
@@ -81,18 +83,23 @@ _IMAGESET_KINDS = {
                      "seed"), whole_number),
     "omega_cs": number, "noise_sigma": number, "timing": TIMING_KINDS,
     "pulse_params": PULSE_KINDS, "payloads": _payloads}
-_MAPS_KINDS = {"width": whole_number, "height": whole_number, "maps": None,
-               "payloads": _payloads}
 
 
-def _fields(manifest: dict, kinds: dict) -> dict:
-    """The manifest's ``kinds`` keys, each read as its kind, or FieldError."""
-    try:
-        return read({key: manifest[key] for key in kinds}, kinds, "manifest")
-    except KeyError as exc:
-        raise FieldError(f"manifest has no key {exc}") from None
-    except ValueError as exc:
-        raise FieldError(str(exc)) from None
+def _map_names(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of map names, not {value!r}")
+    if value != list(MAP_NAMES):
+        raise DimensionError(f"unexpected map list {value}")
+    return value
+
+
+_MAPS_KINDS = {"width": whole_number, "height": whole_number,
+               "maps": _map_names, "payloads": _payloads}
+
+# The payload files each reader looks up, in the order it reads them.
+_IMAGE_FILES = [f"seg{s}_img{i:02d}.f32" for s in (1, 2) for i in range(1, 12)]
+_MAP_FILES = [f"{part}_{name}.f32" for name in MAP_NAMES
+              for part in ("map", "valid")] + ["mask.f32"]
 
 
 def _sha256(data: bytes) -> str:
@@ -105,8 +112,27 @@ def _dump_manifest(manifest: dict, path: Path):
     path.write_text(text + "\n")
 
 
-def _load_manifest(dir_path: Path, kind: str) -> dict:
-    path = dir_path / "manifest.json"
+def _write_set(out_dir, kind: str, payloads, fields: dict) -> None:
+    """Write each (file name, values) payload as little-endian float32, in
+    the order given, then the manifest: ``fields``, the format version,
+    ``kind`` and one {file, sha256} entry per payload."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for name, values in payloads:
+        blob = np.ascontiguousarray(values, dtype="<f4").tobytes()
+        (out / name).write_bytes(blob)
+        entries.append({"file": name, "sha256": _sha256(blob)})
+    _dump_manifest({**fields, "format_version": FORMAT_VERSION, "kind": kind,
+                    "payloads": entries}, out / "manifest.json")
+
+
+def _read_set(in_dir, kind: str, kinds: dict, names, per_pixel: int):
+    """The manifest's fields, read as ``kinds``, and an iterator over the
+    payloads ``names``, each found by its file name and read when reached
+    (``per_pixel`` floats a pixel).  The entries may come in any order but
+    must list each name once and no other file."""
+    path = Path(in_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
     manifest = json.loads(path.read_text())
@@ -119,144 +145,111 @@ def _load_manifest(dir_path: Path, kind: str) -> dict:
     if manifest.get("kind") != kind:
         raise FormatVersionError(
             f"manifest kind {manifest.get('kind')!r} is not {kind!r}")
-    return manifest
+    try:
+        fields = read({key: manifest[key] for key in kinds}, kinds, "manifest")
+    except KeyError as exc:
+        raise FieldError(f"manifest has no key {exc}") from None
+    except ValueError as exc:
+        raise FieldError(str(exc)) from None
+    h, w = fields["height"], fields["width"]
+    if h <= 0 or w <= 0:
+        raise DimensionError(f"bad dimensions {w}x{h}")
+    listed = [entry["file"] for entry in fields["payloads"]]
+    faults = {"missing": sorted(set(names) - set(listed)),
+              "duplicated": sorted({f for f in listed if listed.count(f) > 1}),
+              "unexpected": sorted(set(listed) - set(names))}
+    if any(faults.values()):
+        raise DimensionError("manifest payloads: " + "; ".join(
+            f"{fault} {files}" for fault, files in faults.items() if files))
+    digests = {entry["file"]: entry["sha256"] for entry in fields["payloads"]}
+    return fields, (_read_payload(path.with_name(name), digests[name],
+                                  h * w * per_pixel) for name in names)
 
 
-def _read_payload(dir_path: Path, entry: dict, count: int) -> np.ndarray:
-    path = dir_path / entry["file"]
+def _read_payload(path: Path, digest: str, count: int) -> np.ndarray:
     if not path.is_file():
         raise ManifestNotFoundError(f"missing payload {path}")
     blob = path.read_bytes()
-    digest = _sha256(blob)
-    if digest != entry["sha256"]:
-        raise ChecksumError(
-            f"checksum mismatch for {path.name}: stored {entry['sha256']}, "
-            f"computed {digest}")
+    computed = _sha256(blob)
+    if computed != digest:
+        raise ChecksumError(f"checksum mismatch for {path.name}: stored "
+                            f"{digest}, computed {computed}")
     if len(blob) != 4 * count:
         raise DimensionError(
             f"{path.name}: {len(blob)} bytes, expected {4 * count}")
     return np.frombuffer(blob, dtype="<f4")
 
 
-def _payload_entry(dir_path: Path, name: str, values: np.ndarray) -> dict:
-    blob = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    (dir_path / name).write_bytes(blob)
-    return {"file": name, "sha256": _sha256(blob)}
-
-
 def write_imageset(images: ImageSet, out_dir) -> None:
-    """Manifest plus one (real, imaginary)-interleaved payload per image."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Manifest plus one complex64 payload per image, (real, imaginary)
+    interleaved: ``seg<s>_img<ii>.f32``, segment-major."""
     segs, count, h, w = images.data.shape
-    payloads = []
-    for s in range(segs):
-        for i in range(count):
-            pairs = images.data[s, i].astype(np.complex64).view(np.float32)
-            payloads.append(
-                _payload_entry(out, f"seg{s + 1}_img{i + 1:02d}.f32", pairs))
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "imageset",
-        "width": int(w),
-        "height": int(h),
-        "segments": int(segs),
-        "images_per_segment": int(count),
+    _write_set(out_dir, "imageset", (
+        (f"seg{s + 1}_img{i + 1:02d}.f32",
+         images.data[s, i].astype(np.complex64).view(np.float32))
+        for s in range(segs) for i in range(count)), {
+        "width": int(w), "height": int(h),
+        "segments": int(segs), "images_per_segment": int(count),
         "acq_times": list(images.timing.acq_times),
         "pixel_encoding": "float32 (real, imaginary) pairs, row-major, "
                           "origin top-left",
         "byte_order": "little-endian",
-        "payloads": payloads,
         "timing": dataclasses.asdict(images.timing),
         "pulse_params": images.pulse_params.to_dict(),
         "omega_cs": images.omega_cs,
         "noise_sigma": images.noise_sigma,
         "seed": images.seed,
-    }
-    _dump_manifest(manifest, out / "manifest.json")
+    })
 
 
 def read_imageset(in_dir) -> ImageSet:
-    src = Path(in_dir)
-    manifest = _fields(_load_manifest(src, "imageset"), _IMAGESET_KINDS)
+    """The 2 x 11 images as one complex64 array, image j of segment s read
+    from ``seg<s>_img<jj>.f32`` whatever the order of the entries."""
+    manifest, payloads = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
+                                   _IMAGE_FILES, 2)
     h, w = manifest["height"], manifest["width"]
     segs, count = manifest["segments"], manifest["images_per_segment"]
-    if h <= 0 or w <= 0 or segs != 2 or count != 11:
+    if segs != 2 or count != 11:
         raise DimensionError(
             f"unsupported geometry: {segs} segments x {count} images, "
             f"{w}x{h} pixels")
-    payloads = manifest["payloads"]
-    if len(payloads) != segs * count:
-        raise DimensionError(
-            f"{len(payloads)} payloads for {segs * count} images")
     # The payloads' own precision: (real, imaginary) float32 pairs.
     data = np.empty((segs, count, h, w), dtype=np.complex64)
-    pairs = data.reshape(segs * count, h * w).view(np.float32)
-    for idx, entry in enumerate(payloads):
-        pairs[idx] = _read_payload(src, entry, h * w * 2)
+    for row in data.reshape(segs * count, h * w).view(np.float32):
+        row[:] = next(payloads)  # one payload held at a time
     return ImageSet(
-        data=data,
-        timing=SequenceTiming(**manifest["timing"]),
+        data=data, timing=SequenceTiming(**manifest["timing"]),
         pulse_params=PulseParams(**manifest["pulse_params"]),
-        omega_cs=manifest["omega_cs"],
-        noise_sigma=manifest["noise_sigma"],
-        seed=manifest["seed"],
-    )
+        omega_cs=manifest["omega_cs"], noise_sigma=manifest["noise_sigma"],
+        seed=manifest["seed"])
 
 
 def write_maps(maps: QuantMaps, out_dir) -> None:
-    """One real payload per map, one per validity flag, plus the mask."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """One real payload per map and per validity flag, in ``MAP_NAMES``
+    order (``map_<name>.f32``, ``valid_<name>.f32``), then ``mask.f32``."""
     h, w = maps.shape
-    payloads = []
-    for name in MAP_NAMES:
-        payloads.append(
-            _payload_entry(out, f"map_{name}.f32", getattr(maps, name)))
-        payloads.append(
-            _payload_entry(out, f"valid_{name}.f32",
-                           maps.valid[name].astype(float)))
-    payloads.append(_payload_entry(out, "mask.f32",
-                                   maps.mask.astype(float)))
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "quantmaps",
-        "width": int(w),
-        "height": int(h),
-        "maps": list(MAP_NAMES),
+    planes = [plane for name in MAP_NAMES
+              for plane in (getattr(maps, name), maps.valid[name])]
+    _write_set(out_dir, "quantmaps", zip(_MAP_FILES, planes + [maps.mask]), {
+        "width": int(w), "height": int(h), "maps": list(MAP_NAMES),
         "units": _MAP_UNITS,
         "pixel_encoding": "float32, row-major, origin top-left",
         "byte_order": "little-endian",
-        "payloads": payloads,
-    }
-    _dump_manifest(manifest, out / "manifest.json")
+    })
 
 
 def read_maps(in_dir) -> QuantMaps:
-    src = Path(in_dir)
-    manifest = _fields(_load_manifest(src, "quantmaps"), _MAPS_KINDS)
-    h, w = manifest["height"], manifest["width"]
-    if h <= 0 or w <= 0:
-        raise DimensionError(f"bad dimensions {w}x{h}")
-    names = manifest["maps"]
-    if list(names) != list(MAP_NAMES):
-        raise DimensionError(f"unexpected map list {names}")
-    entries = {e["file"]: e for e in manifest["payloads"]}
-    if len(entries) != 2 * len(MAP_NAMES) + 1:
-        raise DimensionError(
-            f"{len(entries)} payloads for {2 * len(MAP_NAMES) + 1} expected")
-
-    def grab(fname):
-        if fname not in entries:
-            raise DimensionError(f"manifest lists no payload {fname!r}")
-        return _read_payload(src, entries[fname], h * w).reshape(
-            h, w).astype(float)
-
-    out = QuantMaps.zeros((h, w))
+    """Float64 maps, boolean flags and mask, each read from its file name
+    (see :func:`write_maps`) whatever the order of the entries."""
+    manifest, payloads = _read_set(in_dir, "quantmaps", _MAPS_KINDS,
+                                   _MAP_FILES, 1)
+    shape = manifest["height"], manifest["width"]
+    planes = (values.reshape(shape) for values in payloads)
+    out = QuantMaps.zeros(shape)
     for name in MAP_NAMES:
-        setattr(out, name, grab(f"map_{name}.f32"))
-        out.valid[name] = grab(f"valid_{name}.f32") > 0.5
-    out.mask = grab("mask.f32") > 0.5
+        setattr(out, name, next(planes).astype(float))
+        out.valid[name] = next(planes) > 0.5
+    out.mask = next(planes) > 0.5
     return out
 
 

@@ -22,6 +22,7 @@ scores pixels in blocks and does the rest as arrays over all of them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,9 +150,10 @@ def _gram_schmidt(a):
     return q1, q2, r11, r12, r22
 
 
+@functools.lru_cache(maxsize=4)
 def _pair_decomposition(cfg: WfConfig):
     """Projector entries P_mn, m <= n, of every (t2s_water, t2s_fat) pair,
-    the lag index of each (m, n) and the lag table of the offset axis.
+    the lag index of each (m, n) and the offset axis' lag table, read-only.
 
     The d_omega0 phase is unitary and common to both columns, so the design
     at (tw, tf, dw) is exp(i*dw*t) * B(tw, tf), and the residual against b
@@ -178,7 +180,10 @@ def _pair_decomposition(cfg: WfConfig):
     turns = np.outer(lags, cfg.offset_axis())
     table = -2.0 * np.stack([np.cos(turns), np.sin(turns)], axis=1)
     table[0] = [[-1.0], [1.0]]
-    return proj, lag_of, table.reshape(-1, turns.shape[1])
+    out = proj, lag_of, table.reshape(-1, turns.shape[1])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _lag_gram(x, norm_b, proj, lag_of) -> np.ndarray:

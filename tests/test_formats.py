@@ -199,6 +199,63 @@ def test_payload_entries_name_their_field(water_scan, tmp_path, kind, mutate,
         read(tmp_path)
 
 
+def _write_a_set(kind, water_scan, path):
+    """Write an image set or a map set to ``path``; return its reader and a
+    function listing the arrays read back."""
+    if kind == "imageset":
+        formats.write_imageset(water_scan, path)
+        return formats.read_imageset, lambda back: [back.data]
+    formats.write_maps(_sample_maps(np.random.default_rng(9)), path)
+    return formats.read_maps, lambda back: [
+        *(getattr(back, name) for name in MAP_NAMES),
+        *back.valid.values(), back.mask]
+
+
+@pytest.mark.parametrize("kind", ["imageset", "maps"])
+def test_payload_entries_may_come_in_any_order(water_scan, tmp_path, kind):
+    # The image set reader once took the entries in list order, so a
+    # reversed list read image 22 as image 1.
+    read, arrays = _write_a_set(kind, water_scan, tmp_path)
+    before = arrays(read(tmp_path))
+    _edit_manifest(tmp_path, lambda m: m["payloads"].reverse())
+    for got, want in zip(arrays(read(tmp_path)), before, strict=True):
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["imageset", "maps"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: p.__setitem__(1, dict(p[0])),
+     r"missing \['(seg1_img02|valid_b1).f32'\]; duplicated \['(seg1_img01|"
+     r"map_b1).f32'\]"),
+    (lambda p: p.append(dict(p[4])), r"^manifest payloads: duplicated \["),
+    (lambda p: p.pop(3), r"^manifest payloads: missing \['"),
+    (lambda p: p[2].update(file="notes.f32"),
+     r"missing \['(seg1_img03|map_t2).f32'\]; unexpected \['notes.f32'\]"),
+    (lambda p: p.append({"file": "notes.f32", "sha256": "0"}),
+     r"^manifest payloads: unexpected \['notes.f32'\]$")],
+    ids=("duplicate-for-another", "duplicate-added", "missing",
+         "foreign-for-another", "foreign-added"))
+def test_payload_entries_list_each_file_once(water_scan, tmp_path, kind,
+                                             mutate, message):
+    # The image set reader once accepted a duplicate in place of another
+    # entry, reading one image twice.
+    read, _ = _write_a_set(kind, water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: mutate(m["payloads"]))
+    with pytest.raises(formats.DimensionError, match=message):
+        read(tmp_path)
+
+
+@pytest.mark.parametrize("value", [5, None, "b1", {"b1": 1}])
+def test_maps_field_that_is_no_list_names_its_key(tmp_path, value):
+    # 5 and None once raised "'int' object is not iterable", naming no field.
+    formats.write_maps(_sample_maps(np.random.default_rng(10)), tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update(maps=value))
+    with pytest.raises(formats.FieldError,
+                       match="manifest maps must be a list of map names"):
+        formats.read_maps(tmp_path)
+
+
 def test_mask_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     bits = rng.uniform(size=(3, 13)) > 0.5  # width not a byte multiple

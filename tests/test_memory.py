@@ -57,7 +57,12 @@ def test_one_pixel_water_fat_fit_at_the_default_grid():
     cfg = waterfat.WfConfig(times=seqsim.default_timing().fid_times)
     rng = np.random.default_rng(2)
     data = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
-    assert _peak_mb(waterfat.fit_waterfat_pixels, data, cfg) < 0.83 * 1.1
+
+    def cold(data, cfg):  # the grid's decomposition is cached per config
+        waterfat._pair_decomposition.cache_clear()
+        return waterfat.fit_waterfat_pixels(data, cfg)
+
+    assert _peak_mb(cold, data, cfg) < 0.83 * 1.1
 
 
 def test_pixel_profiles_hold_one_pass_of_scales():

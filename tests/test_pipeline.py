@@ -292,6 +292,25 @@ def test_estimate_all_fits_waterfat_in_one_call(water_scan, monkeypatch):
     assert calls == [maps.mask.sum()] == [153]
 
 
+def test_equal_options_build_the_water_fat_grid_once(water_scan):
+    h, w = water_scan.data.shape[2:]
+    bits = np.zeros((h, w), dtype=bool)
+    bits[h // 2, 12:20] = True
+    waterfat._pair_decomposition.cache_clear()
+    first, second = (pipeline.estimate_all(
+        water_scan, maskgen.Mask(bits=bits), pipeline.EstimateOptions())
+        for _ in range(2))
+    info = waterfat._pair_decomposition.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for name in pipeline.MAP_NAMES:
+        assert getattr(first, name).tobytes() == \
+            getattr(second, name).tobytes()
+        npt.assert_array_equal(first.valid[name], second.valid[name])
+    cfg = waterfat.WfConfig(times=water_scan.timing.fid_times)
+    assert not any(a.flags.writeable
+                   for a in waterfat._pair_decomposition(cfg))
+
+
 def test_t1_is_isolated_from_the_water_fat_stage():
     # A quadratic phase across I1-I5 at one pixel changes its water/fat
     # split, and through the echo-time factor its M0; B1, T2, T1 and every
