@@ -161,22 +161,32 @@ def _read_set(in_dir, kind: str, kinds: dict, names, per_pixel: int):
     if any(faults.values()):
         raise DimensionError("manifest payloads: " + "; ".join(
             f"{fault} {files}" for fault, files in faults.items() if files))
+    # Sizes are checked before a caller allocates for the dimensions, so
+    # that a manifest cannot ask for more memory than its files hold, and
+    # again as each payload is read.
+    size = 4 * h * w * per_pixel
+    for name in names:
+        file = path.with_name(name)
+        if not file.is_file():
+            raise ManifestNotFoundError(f"missing payload {file}")
+        _check_size(name, file.stat().st_size, size)
     digests = {entry["file"]: entry["sha256"] for entry in fields["payloads"]}
-    return fields, (_read_payload(path.with_name(name), digests[name],
-                                  h * w * per_pixel) for name in names)
+    return fields, (_read_payload(path.with_name(name), digests[name], size)
+                    for name in names)
 
 
-def _read_payload(path: Path, digest: str, count: int) -> np.ndarray:
-    if not path.is_file():
-        raise ManifestNotFoundError(f"missing payload {path}")
+def _check_size(name: str, size: int, expected: int) -> None:
+    if size != expected:
+        raise DimensionError(f"{name}: {size} bytes, expected {expected}")
+
+
+def _read_payload(path: Path, digest: str, size: int) -> np.ndarray:
     blob = path.read_bytes()
     computed = _sha256(blob)
     if computed != digest:
         raise ChecksumError(f"checksum mismatch for {path.name}: stored "
                             f"{digest}, computed {computed}")
-    if len(blob) != 4 * count:
-        raise DimensionError(
-            f"{path.name}: {len(blob)} bytes, expected {4 * count}")
+    _check_size(path.name, len(blob), size)
     return np.frombuffer(blob, dtype="<f4")
 
 
@@ -295,6 +305,10 @@ def read_mask(path) -> Mask:
             pos += 1
         fields.append(blob[start:pos])
     pos += 1  # single whitespace after the header
+    if not all(f.isdigit() and int(f) > 0 for f in fields):
+        raise DimensionError(
+            "PBM header: width and height must be positive whole numbers, "
+            f"not {b' '.join(fields).decode(errors='replace')!r}")
     w, h = int(fields[0]), int(fields[1])
     row_bytes = (w + 7) // 8
     raster = blob[pos:pos + h * row_bytes]

@@ -116,7 +116,6 @@ def _blank_map(width: int, height: int) -> PhantomMap:
     arrays = {}
     for name in TISSUE_FIELDS:
         arrays[name] = np.full(shape, getattr(BACKGROUND, name), dtype=float)
-    arrays["b1_scale"] = np.ones(shape, dtype=float)
     return PhantomMap(label=np.zeros(shape, dtype=np.int32), **arrays)
 
 
@@ -148,9 +147,6 @@ def make_bottle_phantom(width: int, height: int, bottles=None,
     xs = [0.25 * width, 0.50 * width, 0.75 * width]
     ys = [height / 3.0, 2.0 * height / 3.0]
     centers = [(x, y) for y in ys for x in xs]
-    for (x0, y0), (x1, y1) in zip(centers, centers[1:]):
-        if (x1 - x0) ** 2 + (y1 - y0) ** 2 < (2 * radius) ** 2 and y0 == y1:
-            raise ValueError("dimensions too small for non-overlapping discs")
     pm = _blank_map(width, height)
     pm.b1_scale[:] = b1_scale
     for i, ((cx, cy), params) in enumerate(zip(centers, bottles), start=1):

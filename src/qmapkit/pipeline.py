@@ -156,11 +156,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     echo_scale[wf.valid] = waterfat.echo_time_scale(
         *(v[wf.valid] for v in wf[:4]), timing.echo_time, images.omega_cs)
     t1 = t1fit.fit_t1_m0_pixels(
-        np.column_stack([probes, np.abs(px[:, 0, 7])]),
-        t1fit.T1Context(
-            moments=profs.t1_moments, times=timing.acq_times[5:8],
-            echo_time=timing.echo_time, sat_residual=0.0,
-            echo_scale=echo_scale, t1_bounds=opts.t1_bounds))
+        np.column_stack([probes, np.abs(px[:, 0, 7])]), profs.t1_moments,
+        timing.acq_times[5:8], timing.echo_time, opts.t1_bounds, echo_scale)
     for name in ("t1", "m0", "t1_over_m0"):
         est[name] = np.where(t1.valid, getattr(t1, name), 0.0)
         ok[name] = t1.valid & ~t1.at_bound & ok["b1"]

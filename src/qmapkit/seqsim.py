@@ -280,10 +280,9 @@ def simulate_tissues(tissues, timing: SequenceTiming,
     out[:, :, 0:5] = (m0[:, None] * profiles.sat_gain[..., None]
                       * kernel(timing.fid_times))[:, None]
     # Saturation leaves the hard-pulse-equivalent residual cos(k sat_flip).
-    ctx = t1fit.T1Context(
-        moments=profiles.t1_moments, times=timing.acq_times[5:8],
-        echo_time=timing.echo_time, sat_residual=np.cos(k * timing.sat_flip))
-    sig, _ = t1fit.recovery_signals(t1, m0, ctx)       # I6, I7, I8_1, I8_2
+    sig, _ = t1fit.recovery_signals(  # I6, I7, I8_1, I8_2
+        t1, m0, profiles.t1_moments, timing.acq_times[5:8], timing.echo_time,
+        np.cos(k * timing.sat_flip))
     out[:, :, 5:8] = (sig[:, [0, 1, 2, 0, 1, 3]].reshape(-1, 2, 3)
                       * kernel([timing.echo_time])[:, :, None])
     # Echo train: the shared echo kernel sourced by the imaging signal, whose

@@ -96,22 +96,6 @@ def wf_design(times, t2s_water: float, t2s_fat: float, d_omega0: float,
     return np.stack([col_w, col_f], axis=-1)
 
 
-class WfSolve(NamedTuple):
-    w: complex
-    f: complex
-    residual: float
-    rank_deficient: bool
-
-
-def wf_design_solve(data, times, t2s_water: float, t2s_fat: float,
-                    d_omega0: float, omega_cs: float = OMEGA_CS) -> WfSolve:
-    """Solve the per-candidate linear subproblem for the amplitudes."""
-    b = np.asarray(data, dtype=complex)
-    a = wf_design(times, t2s_water, t2s_fat, d_omega0, omega_cs)
-    x, resid, rank, flagged = fitcore.lsq_solve(a, b)
-    return WfSolve(complex(x[0]), complex(x[1]), resid, flagged)
-
-
 class WfEstimate(NamedTuple):
     w: complex
     f: complex
@@ -272,16 +256,18 @@ def fit_waterfat_grid_minimize(data, cfg: WfConfig) -> WfEstimate:
     init = init_offres(b[0], b[2], t[2] - t[0])
     axis = cfg.t2s_axis()
     offsets = init + cfg.offset_axis()
-    best = (WfSolve(0j, 0j, np.inf, False),)
+    best = (np.inf,)
     for tw in axis:
         for tf in axis:
             for dw in offsets:
-                sol = wf_design_solve(b, t, tw, tf, dw, cfg.omega_cs)
-                if sol.residual < best[0].residual:
-                    best = (sol, float(tw), float(tf), float(dw))
-    sol, tw, tf, dw = best
-    ff = abs(sol.f) / ((abs(sol.w) + abs(sol.f)) or 1.0)
-    return WfEstimate(sol.w, sol.f, tw, tf, dw, ff, sol.residual, valid=True)
+                x, resid, _, _ = fitcore.lsq_solve(
+                    wf_design(t, tw, tf, dw, cfg.omega_cs), b)
+                if resid < best[0]:
+                    best = (resid, complex(x[0]), complex(x[1]), float(tw),
+                            float(tf), float(dw))
+    resid, w, f, tw, tf, dw = best
+    ff = abs(f) / ((abs(w) + abs(f)) or 1.0)
+    return WfEstimate(w, f, tw, tf, dw, ff, resid, valid=True)
 
 
 def echo_time_scale(w, f, t2s_water, t2s_fat, echo_time: float,

@@ -246,6 +246,17 @@ def test_payload_entries_list_each_file_once(water_scan, tmp_path, kind,
         read(tmp_path)
 
 
+@pytest.mark.parametrize("kind", ["imageset", "maps"])
+def test_payload_sizes_are_checked_before_allocating(water_scan, tmp_path,
+                                                     kind):
+    # These once died in np.empty or np.zeros with a MemoryError (6.4 TiB
+    # for an image set) that named no payload.
+    read, _ = _write_a_set(kind, water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update(width=200000, height=200000))
+    with pytest.raises(formats.DimensionError, match="bytes, expected"):
+        read(tmp_path)
+
+
 @pytest.mark.parametrize("value", [5, None, "b1", {"b1": 1}])
 def test_maps_field_that_is_no_list_names_its_key(tmp_path, value):
     # 5 and None once raised "'int' object is not iterable", naming no field.
@@ -287,6 +298,18 @@ def test_mask_comments_and_errors(tmp_path):
     short.write_bytes(b"P4\n9 2\n\x00")
     with pytest.raises(formats.DimensionError):
         formats.read_mask(short)
+
+
+@pytest.mark.parametrize("header", [
+    b"P4\n-3 2\n", b"P4\n0 2\n", b"P4\n3 0\n", b"P4", b"P4\n3",
+    b"P4\nx 2\n"])
+def test_mask_header_needs_a_positive_width_and_height(tmp_path, header):
+    # The first two once read as a (2, 0) mask; the rest failed in int()
+    # with a message naming no field.
+    path = tmp_path / "h.pbm"
+    path.write_bytes(header)
+    with pytest.raises(formats.DimensionError, match="PBM header"):
+        formats.read_mask(path)
 
 
 def test_export_pgm(tmp_path):

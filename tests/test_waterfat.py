@@ -75,17 +75,17 @@ def test_design_solve_exact_and_orthogonal():
     w, f = 0.7 * np.exp(0.3j), 0.3 * np.exp(-1.1j)
     a = waterfat.wf_design(TIMES, tw, tf, dw)
     clean = a @ np.array([w, f])
-    sol = waterfat.wf_design_solve(clean, TIMES, tw, tf, dw)
-    assert sol.w == pytest.approx(w, rel=1e-10)
-    assert sol.f == pytest.approx(f, rel=1e-10)
-    assert sol.residual == pytest.approx(0.0, abs=1e-12)
+    sol = fitcore.lsq_solve(a, clean)
+    assert sol.x[0] == pytest.approx(w, rel=1e-10)
+    assert sol.x[1] == pytest.approx(f, rel=1e-10)
+    assert sol.residual_norm == pytest.approx(0.0, abs=1e-12)
     assert not sol.rank_deficient
 
     rng = np.random.default_rng(7)
     noisy = clean + 0.05 * (rng.standard_normal(5)
                             + 1j * rng.standard_normal(5))
-    sol = waterfat.wf_design_solve(noisy, TIMES, tw, tf, dw)
-    resid_vec = noisy - a @ np.array([sol.w, sol.f])
+    sol = fitcore.lsq_solve(a, noisy)
+    resid_vec = noisy - a @ sol.x
     assert np.linalg.norm(a.conj().T @ resid_vec) < 1e-9 * np.linalg.norm(noisy)
 
 
@@ -208,8 +208,8 @@ def test_candidate_scores_are_the_squared_residuals():
         scores = waterfat._lag_gram(
             x[np.newaxis], np.vdot(data, data).real[np.newaxis], proj,
             lag_of) @ table
-        resid = [waterfat.wf_design_solve(data, t, tw, tf, init + dw,
-                                          cfg.omega_cs).residual
+        resid = [fitcore.lsq_solve(waterfat.wf_design(
+                     t, tw, tf, init + dw, cfg.omega_cs), data).residual_norm
                  for tw in axis for tf in axis for dw in offsets]
         norm = np.vdot(data, data).real
         npt.assert_allclose(scores.ravel(), np.square(resid),
