@@ -67,7 +67,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     k_axis = k_min + step * np.arange(n)
     img, series = pulses.imaging, profile_series(pulses, k_max)
     z, nodes = series.z_samples, series.scales
-    alpha, beta = series.cayley_klein(nodes, z)
+    alpha, beta = series.cayley_klein(nodes)
     coef = bloch.chebyshev_coefficients(bloch.integrate_slice(
         bloch.transverse(img, alpha, beta, z), z) / nodes)
     ks = np.concatenate([k_axis, abs(pulses.constants[3]) * k_axis])

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Pieces x rows x |z| values of one block of piece factors (320 KiB of
-# block arrays), and rows x |z| values of one product pass (256 KiB complex
-# arrays, so that a pass stays in a 2-4 MiB L2 cache).
-_BLOCK_ELEMENTS, _PASS_ELEMENTS = 4096, 1 << 14
+# Pieces x scales x |z| values of one block of piece factors (320 KiB of
+# block arrays).
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -169,21 +168,17 @@ def cayley_klein(pulse: RfPulse, b1_scales, z_samples):
     turn = np.exp(2j * pulse.axis_phase)
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
     abs_z, where = np.unique(np.abs(z), return_inverse=True)
-    alpha, beta = np.empty((2, len(ks), abs_z.size), dtype=complex)
-    step = max(1, _PASS_ELEMENTS // max(abs_z.size, 1))
-    for rows in (slice(r, r + step) for r in range(0, len(ks), step)):
-        dw = np.where(ks[rows] != 0.0, pulse.slice_gradient * abs_z, 0.0)
-        args = (ks[rows], dw, pulse.dt)
-        a_0 = np.ones(dw.shape, dtype=complex)
-        b_0 = np.zeros(dw.shape, dtype=complex)
-        if symmetric:
-            a_v, b_v = _product(samples[:half], *args, a_0, b_0)
-            a_w, b_w = _product(samples[half:len(samples) - half], *args,
-                                a_v, b_v)
-            alpha[rows] = a_v * a_w + turn.conjugate() * b_v * b_w
-            beta[rows] = a_v.conj() * b_w - turn * b_v.conj() * a_w
-        else:
-            alpha[rows], beta[rows] = _product(samples, *args, a_0, b_0)
+    dw = np.where(ks != 0.0, pulse.slice_gradient * abs_z, 0.0)
+    args = (ks, dw, pulse.dt)
+    a_0 = np.ones(dw.shape, dtype=complex)
+    b_0 = np.zeros(dw.shape, dtype=complex)
+    if symmetric:
+        a_v, b_v = _product(samples[:half], *args, a_0, b_0)
+        a_w, b_w = _product(samples[half:len(samples) - half], *args, a_v, b_v)
+        alpha = a_v * a_w + turn.conjugate() * b_v * b_w
+        beta = a_v.conj() * b_w - turn * b_v.conj() * a_w
+    else:
+        alpha, beta = _product(samples, *args, a_0, b_0)
     alpha = np.take(alpha, where, axis=-1)
     beta = np.take(beta, where, axis=-1)
     below = z < 0.0
@@ -265,26 +260,19 @@ class CayleyKleinSeries:
         """Chebyshev argument ``2 (s / scale_max)^2 - 1`` of scales ``s``."""
         return 2.0 * (np.asarray(scales) / self.scale_max) ** 2 - 1.0
 
-    def cayley_klein(self, b1_scales, z_samples):
-        """:func:`cayley_klein` of the series' pulse, read from the series
-        a pass of rows at a time.  ValueError for another z grid or a scale
-        beyond ``scale_max``."""
-        z = self.z_samples
-        if not np.array_equal(np.atleast_1d(z_samples), z):
-            raise ValueError("the series was built on another z grid")
+    def cayley_klein(self, b1_scales):
+        """:func:`cayley_klein` of the series' pulse on the series' z grid,
+        read from the series.  ValueError for a scale beyond
+        ``scale_max``."""
         scales = np.asarray(b1_scales, dtype=float)
         if np.any(np.abs(scales) > self.scale_max * (1.0 + 1e-9)):
             raise ValueError(f"scales beyond the series' {self.scale_max}")
         x = self.argument(scales).reshape(-1, 1)
-        alpha, beta = np.empty((2, x.size, z.size), dtype=complex)
         # As (re, im) pairs: a real x scales both parts exactly.
-        coefs = [f.view(float) for f in (self.alpha, self.beta)]
-        step = max(1, _PASS_ELEMENTS // z.size)
-        for rows in (slice(r, r + step) for r in range(0, x.size, step)):
-            for out, coef in zip((alpha, beta), coefs):
-                out[rows] = clenshaw(coef, x[rows]).view(complex)
+        alpha, beta = (clenshaw(f.view(float), x).view(complex)
+                       for f in (self.alpha, self.beta))
         beta *= scales.reshape(-1, 1)
-        shape = scales.shape + z.shape
+        shape = scales.shape + self.z_samples.shape
         return alpha.reshape(shape), beta.reshape(shape)
 
 

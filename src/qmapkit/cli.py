@@ -39,8 +39,7 @@ _CONFIG = {
     "t2": dict.fromkeys(("min", "max"), number),
     "wf": {"t2s_min": number, "t2s_max": number, "t2s_points": whole_number,
            "d_omega_step": number, "omega_bound": number},
-    # t1.starts is retired: accepted, and ignored with a warning.
-    "t1": {"min": number, "max": number, "starts": None},
+    "t1": dict.fromkeys(("min", "max"), number),
 }
 
 
@@ -71,8 +70,6 @@ def _schedule(cfg: dict):
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
     """The estimate options that a config document, read again, sets."""
     cfg = phantom.read(cfg, _CONFIG, "config")
-    if "starts" in cfg.get("t1", {}):
-        print("warning: config key t1.starts is ignored", file=sys.stderr)
     kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
     kw.update(cfg.get("wf", {}))
     defaults = pipeline.EstimateOptions()

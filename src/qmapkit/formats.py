@@ -25,7 +25,7 @@ from .pipeline import MAP_NAMES, QuantMaps
 from .seqsim import (PULSE_KINDS, TIMING_KINDS, ImageSet, PulseParams,
                      SequenceTiming)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAP_UNITS = {
     "b1": "dimensionless", "t2": "s", "t2s_water": "s", "t2s_fat": "s",
@@ -151,6 +151,12 @@ def _read_set(in_dir, kind: str, kinds: dict, names, per_pixel: int):
         raise FieldError(f"manifest has no key {exc}") from None
     except ValueError as exc:
         raise FieldError(str(exc)) from None
+    # A manifest takes no defaults: its nested tables list every key.
+    missing = [f"manifest {key} {sub}" for key, kind in kinds.items()
+               if isinstance(kind, dict) for sub in kind
+               if sub not in fields[key]]
+    if missing:
+        raise FieldError(f"missing {', '.join(missing)}")
     h, w = fields["height"], fields["width"]
     if h <= 0 or w <= 0:
         raise DimensionError(f"bad dimensions {w}x{h}")
@@ -321,12 +327,15 @@ def read_mask(path) -> Mask:
 
 def export_map_pgm(values: np.ndarray, lo: float, hi: float, path) -> None:
     """16-bit PGM with linear windowing: lo maps to 0, hi to 65535, values
-    clamped, codes rounded half-up."""
+    (+-inf too) clamped, codes rounded half-up.  A NaN has no code: it raises
+    ValueError."""
     if not lo < hi:
         raise ValueError("need lo < hi")
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError("map must be 2-d")
+    if np.isnan(arr).any():
+        raise ValueError("map has NaN values, which have no PGM code")
     frac = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
     codes = np.floor(frac * 65535.0 + 0.5).astype(np.uint16)
     h, w = arr.shape

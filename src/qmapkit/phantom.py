@@ -132,14 +132,15 @@ def make_bottle_phantom(width: int, height: int, bottles=None,
                         b1_scale: float = 1.0) -> PhantomMap:
     """Six equal discs in two rows of three, radius 0.12*min(width, height).
 
-    ``bottles`` overrides the default recipe (sequence of six TissueParams).
-    ``b1_scale`` applies uniformly unless a bottle recipe sets its own.
-    Labels run 1..6 in reading order (top row left-to-right, then bottom).
+    ``bottles`` overrides the default recipe (sequence of six TissueParams),
+    each bottle keeping its own b1_scale; ``b1_scale`` is the background's
+    and the default recipe's.  Labels run 1..6 in reading order (top row
+    left-to-right, then bottom).
     """
     if width < 32 or height < 32:
         raise ValueError("phantom must be at least 32x32")
     if bottles is None:
-        bottles = DEFAULT_BOTTLES
+        bottles = [replace(b, b1_scale=b1_scale) for b in DEFAULT_BOTTLES]
     bottles = tuple(bottles)
     if len(bottles) != 6:
         raise ValueError("exactly six bottle recipes required")
@@ -150,8 +151,6 @@ def make_bottle_phantom(width: int, height: int, bottles=None,
     pm = _blank_map(width, height)
     pm.b1_scale[:] = b1_scale
     for i, ((cx, cy), params) in enumerate(zip(centers, bottles), start=1):
-        if params.b1_scale == 1.0 and b1_scale != 1.0:
-            params = replace(params, b1_scale=b1_scale)
         _paint_disc(pm, cx, cy, radius, params, i)
     return pm
 
@@ -261,7 +260,8 @@ def phantom_from_config(cfg: dict) -> PhantomMap:
     if cfg.get("type", "bottles") == "bottles":
         bottles = cfg.get("bottles")
         if bottles is not None:
-            bottles = [bottle_from_dict(b) for b in bottles]
+            bottles = [bottle_from_dict({"b1_scale": b1_scale, **b})
+                       for b in bottles]
         return make_bottle_phantom(width, height, bottles, b1_scale=b1_scale)
     params = bottle_from_dict({"b1_scale": b1_scale, **cfg.get("disc", {})})
     return make_disc_phantom(width, height, params,

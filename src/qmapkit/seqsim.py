@@ -32,6 +32,9 @@ from .phantom import (TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues,
                       number)
 
 _MS = 1e-3
+# Pulses x scales x z values of one pass of pixel_profiles (256 KiB complex
+# (alpha, beta) arrays, so that a pass stays in a 2-4 MiB L2 cache).
+_PASS_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,10 @@ class SequenceTiming:
 
     fid_times are the I1-I5 acquisition times since the saturation pulse;
     probe_times and t_sat place the pulses themselves, each read out
-    echo_time later; inversion_offsets place the refocusing pulses after
-    t_sat, and echo_offsets the three echo centers they imply.
+    echo_time later; echo_offsets place the three echo centers after t_sat,
+    each refocusing pulse midway between its echo and the one before (t_sat
+    itself for the first).  imaging_flip is segment 1's; segment 2 plays the
+    same waveform at twice the amplitude.
     """
 
     tr: float = 2.4
@@ -49,11 +54,10 @@ class SequenceTiming:
     fid_times: tuple = (2 * _MS, 4 * _MS, 6 * _MS, 8 * _MS, 10 * _MS)
     probe_times: tuple = (0.4, 0.8)
     echo_time: float = 2 * _MS
-    inversion_offsets: tuple = (6 * _MS, 18 * _MS, 32 * _MS)
     echo_offsets: tuple = (12 * _MS, 24 * _MS, 40 * _MS)
     sat_flip: float = np.pi / 2.0
     probe_flip: float = np.pi / 6.0
-    imaging_flips: tuple = (np.pi / 3.0, 2.0 * np.pi / 3.0)
+    imaging_flip: float = np.pi / 3.0
     inversion_flip: float = np.pi
 
     def __post_init__(self):
@@ -66,44 +70,25 @@ class SequenceTiming:
             object.__setattr__(self, f.name, value)
         if len(self.fid_times) != 5 or len(self.probe_times) != 2:
             raise ValueError("need five FID times and two probe times")
-        if len(self.inversion_offsets) != 3 or len(self.echo_offsets) != 3:
-            raise ValueError("need three inversions and three echo offsets")
-        if len(self.imaging_flips) != 2:
-            raise ValueError("need one imaging flip per segment")
+        if len(self.echo_offsets) != 3:
+            raise ValueError("need three echo offsets")
         if not np.all(np.isfinite(np.hstack(astuple(self)))):
             raise ValueError("every timing value must be finite")
         # A zero flip leaves its constant c no RF axis c / |c| to turn the
         # shape by (and a zero imaging flip leaves no shape).
         if 0.0 in (self.sat_flip, self.probe_flip, self.inversion_flip,
-                   *self.imaging_flips):
+                   self.imaging_flip):
             raise ValueError("flip angles must be non-zero")
-        # Segment 2 plays segment 1's waveform at twice the amplitude.
-        single, double = self.imaging_flips
-        if not np.isclose(double, 2.0 * single, rtol=1e-9, atol=0.0):
-            raise ValueError(
-                f"imaging_flips {self.imaging_flips}: the second flip must "
-                "be twice the first")
-        # Echo centers must be where the refocusing placement puts them.
-        implied = []
-        prev = 0.0
-        for inv in self.inversion_offsets:
-            prev = 2.0 * inv - prev
-            implied.append(prev)
-        if not np.allclose(implied, self.echo_offsets, rtol=0, atol=1e-9):
-            raise ValueError(
-                f"echo_offsets {self.echo_offsets} do not match the centers "
-                f"implied by the inversions {tuple(implied)}"
-            )
-        train = []
-        for inv, echo in zip(self.inversion_offsets, self.echo_offsets):
-            train += [self.t_sat + inv, self.t_sat + echo]
+        train, prev = [], 0.0
+        for echo in self.echo_offsets:
+            train += [self.t_sat + 0.5 * (prev + echo), self.t_sat + echo]
+            prev = echo
         chained = (0.0,) + self.fid_times + (
             self.probe_times[0], self.probe_times[0] + self.echo_time,
             self.probe_times[1], self.probe_times[1] + self.echo_time,
             self.t_sat, self.t_sat + self.echo_time,
         ) + tuple(train) + (self.tr,)
-        diffs = np.diff(chained)
-        if np.any(diffs <= 0):
+        if np.any(np.diff(chained) <= 0):
             raise ValueError("schedule events out of order or beyond TR")
 
     @property
@@ -184,18 +169,18 @@ class SequencePulses:
 def build_pulses(params: PulseParams = PulseParams(),
                  timing: SequenceTiming = None) -> SequencePulses:
     """Standard pulse set: one Hamming-windowed sinc (or hard pulse for
-    idealized tests) at the first imaging flip and RF phase -90 degrees, so
+    idealized tests) at segment 1's imaging flip and RF phase -90 degrees, so
     the on-resonance tip lands on +x and noiseless water images are
     real-positive.  Each pulse's constant is its flip over that flip; the
     inversion's is also turned by its RF phase, 0 against the shape's -90
     degrees."""
     t = timing or SequenceTiming()
-    flip = t.imaging_flips[0]
+    flip = t.imaging_flip
     shape = bloch.hard_pulse(flip, phase=-np.pi / 2.0) if params.hard else \
         bloch.hamming_sinc_pulse(flip, params.duration,
                                  params.slice_thickness, params.time_bandwidth,
                                  params.n_pieces, phase=-np.pi / 2.0)
-    constants = (np.array([t.probe_flip, t.inversion_flip, *t.imaging_flips,
+    constants = (np.array([t.probe_flip, t.inversion_flip, flip, 2.0 * flip,
                            t.sat_flip]) / flip).astype(complex)
     constants[1] *= np.exp(0.5j * np.pi)
     return SequencePulses(shape, constants, params)
@@ -238,11 +223,11 @@ def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
     ks, which = np.unique(np.asarray(k, dtype=float), return_inverse=True)
     which = which.reshape(np.shape(k))
     # One kernel pass of scales at a time: all (alpha, beta) never coexist.
-    step, parts = max(1, bloch._PASS_ELEMENTS // (c.size * z.size)), []
+    step, parts = max(1, _PASS_ELEMENTS // (c.size * z.size)), []
     for r in range(0, max(ks.size, 1), step):
         scales = np.multiply.outer(np.abs(c), ks[r:r + step])
         alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
-                       else series.cayley_klein(scales, z))
+                       else series.cayley_klein(scales))
         beta *= (c / np.abs(c))[:, None, None]
         *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
         theta_inv = bloch.refocusing_angle(alpha[1])

@@ -37,7 +37,8 @@ def member_pulses(params=seqsim.PulseParams(), timing=None):
     ``pixel_profiles``' order: probe, inversion, imaging, segment 2's
     imaging and saturation."""
     t = timing or seqsim.SequenceTiming()
-    flips = (t.probe_flip, t.inversion_flip, *t.imaging_flips, t.sat_flip)
+    flips = (t.probe_flip, t.inversion_flip, t.imaging_flip,
+             2.0 * t.imaging_flip, t.sat_flip)
     phases = (-np.pi / 2, 0.0, -np.pi / 2, -np.pi / 2, -np.pi / 2)
     if params.hard:
         return [bloch.hard_pulse(f, phase=p) for f, p in zip(flips, phases)]

@@ -99,7 +99,7 @@ _HARD = seqsim.build_pulses(seqsim.PulseParams(hard=True),
                             seqsim.default_timing())
 _SINC_90_180 = seqsim.build_pulses(
     seqsim.PulseParams(),
-    replace(seqsim.default_timing(), imaging_flips=(np.pi / 2, np.pi)))
+    replace(seqsim.default_timing(), imaging_flip=np.pi / 2))
 
 
 @pytest.mark.parametrize("pulses, k_min, k_max, step", [

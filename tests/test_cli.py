@@ -438,33 +438,6 @@ def test_misspelled_estimate_options_are_rejected(tmp_path):
     assert cli.main(["lut", "--config", cfg]) == 1
 
 
-def test_retired_t1_starts_key_is_ignored_with_a_warning(tmp_path, capsys):
-    images_dir = str(tmp_path / "images")
-    assert cli.main(["simulate", "--config",
-                     _write_config(tmp_path, CHAIN_CONFIG),
-                     "--out", images_dir]) == 0
-    bits = np.zeros((32, 32), dtype=bool)
-    bits[16, 14:18] = True
-    mask_path = str(tmp_path / "mask.pbm")
-    formats.write_mask(maskgen.Mask(bits=bits), mask_path)
-    capsys.readouterr()
-    outputs = []
-    for extra in ({}, {"t1": {"starts": [0.2, 2.0], "min": 0.05}}):
-        cfg_dir = tmp_path / str(len(outputs))
-        cfg_dir.mkdir()
-        maps_dir = cfg_dir / "maps"
-        assert cli.main(["estimate", "--config",
-                         _write_config(cfg_dir, {**CHAIN_CONFIG, **extra}),
-                         "--images", images_dir, "--mask", mask_path,
-                         "--out", str(maps_dir)]) == 0
-        outputs.append({p.name: p.read_bytes()
-                        for p in sorted(maps_dir.iterdir())})
-        err = capsys.readouterr().err
-        assert err.count("warning") == (1 if extra else 0)
-    assert "t1.starts" in err
-    assert outputs[0] == outputs[1]
-
-
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is qmapkit's only runtime dependency.  Importing scipy would
     # roughly double a CLI process's start-up time and raise its peak

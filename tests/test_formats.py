@@ -52,9 +52,25 @@ def test_imageset_version_and_kind(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
     with pytest.raises(formats.FormatVersionError):
         formats.read_maps(tmp_path)  # right manifest, wrong kind
-    _edit_manifest(tmp_path, lambda m: m.update(format_version=99))
-    with pytest.raises(formats.FormatVersionError):
+    for version in (99, 1):  # 1 held the retired timing keys
+        _edit_manifest(tmp_path, lambda m: m.update(format_version=version))
+        with pytest.raises(formats.FormatVersionError):
+            formats.read_imageset(tmp_path)
+
+
+@pytest.mark.parametrize("section, keys", [
+    ("timing", ["t_sat", "probe_times"]), ("timing", ["imaging_flip"]),
+    ("pulse_params", ["slice_thickness"])])
+def test_imageset_schedule_and_pulse_fields_are_required(
+        water_scan, tmp_path, section, keys):
+    # A manifest without t_sat and probe_times once read the defaults: a
+    # T1 0.3 s disc scanned at t_sat 0.9 read 0.400 s, every pixel valid.
+    formats.write_imageset(water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: [m[section].pop(k) for k in keys])
+    with pytest.raises(formats.FieldError) as err:
         formats.read_imageset(tmp_path)
+    for key in keys:
+        assert f"manifest {section} {key}" in str(err.value)
 
 
 def test_manifest_that_is_no_object_has_no_version(water_scan, tmp_path):
@@ -324,6 +340,11 @@ def test_export_pgm(tmp_path):
         formats.export_map_pgm(values, 1.0, 1.0, path)
     with pytest.raises(ValueError):
         formats.export_map_pgm(np.ones(4), 0.0, 1.0, path)
+    # +-inf clamp to the window's ends; a NaN has no code.
+    formats.export_map_pgm(np.array([[np.inf, -np.inf]]), 0.0, 1.0, path)
+    assert path.read_bytes().endswith(b"\xff\xff\x00\x00")
+    with pytest.raises(ValueError, match="NaN"):
+        formats.export_map_pgm(np.array([[0.5, np.nan]]), 0.0, 1.0, path)
 
 
 def test_compare_maps_statistics():

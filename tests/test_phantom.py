@@ -83,6 +83,16 @@ def test_uniform_b1_scale_applies():
     assert np.all(pm.b1_scale == 1.2)
 
 
+def test_a_bottle_that_sets_b1_scale_1_keeps_it():
+    # The section's scale is for each tissue that sets no other: 1.0 is a
+    # setting, not "unset".
+    bottles = [{"b1_scale": 1.0}] + [{}] * 5
+    pm = phantom.phantom_from_config({"type": "bottles", "b1_scale": 0.9,
+                                      "bottles": bottles})
+    assert np.all(pm.b1_scale[pm.label == 1] == 1.0)
+    assert np.all(pm.b1_scale[pm.label != 1] == 0.9)
+
+
 @pytest.mark.parametrize("radius_frac", [0.0, -0.2, float("nan")])
 def test_non_positive_radius_is_rejected(radius_frac):
     # Only radius**2 reaches the painter, so -0.2 would paint 0.2's disc.

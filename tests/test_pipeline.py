@@ -76,8 +76,8 @@ def test_ratio_table_cache_keys_on_imaging_flip():
     bits = np.zeros(pm.shape, dtype=bool)
     bits[16, 15:18] = True
     mask = maskgen.Mask(bits=bits)
-    for flips in ((np.pi / 3.0, 2.0 * np.pi / 3.0), (np.pi / 4.0, np.pi / 2.0)):
-        timing = replace(seqsim.default_timing(), imaging_flips=flips)
+    for flip in (np.pi / 3.0, np.pi / 4.0):
+        timing = replace(seqsim.default_timing(), imaging_flip=flip)
         maps = pipeline.estimate_all(seqsim.simulate_scan(pm, timing),
                                      mask, opts)
         assert abs(np.median(maps.b1[mask.bits]) - 1.1) < 0.01
@@ -95,9 +95,9 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
         assert series is not None
         return seqsim.pixel_profiles(pulses, k, series)
 
-    def counted_read(series, scales, z):
+    def counted_read(series, scales):
         reads.append(np.shape(scales))
-        return read(series, scales, z)
+        return read(series, scales)
 
     opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3)
     table = pipeline._ratio_table(seqsim.build_pulses(), opts)
@@ -144,7 +144,7 @@ def test_estimate_all_with_a_table_propagates_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("other", [
-    {"timing": {"imaging_flips": (np.pi / 4.0, np.pi / 2.0)}},
+    {"timing": {"imaging_flip": np.pi / 4.0}},
     {"params": {"slice_thickness": 0.005}},
     {"params": {"z_count": 65}},
     {"params": {"hard": True}},
