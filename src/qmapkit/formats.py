@@ -1,13 +1,14 @@
 """On-disk formats: image sets and parameter maps as a JSON manifest plus
-raw payloads, masks as PBM bitmaps, and windowed PGM exports.
+one raw payload, masks as PBM bitmaps, and windowed PGM exports.
 
-Payload layout (both image sets and maps): 32-bit little-endian IEEE floats,
-row-major, origin at the top-left pixel.  Complex images interleave
-(real, imaginary) pairs per pixel; maps are one float per pixel.  Every
-payload's SHA-256 is recorded in the manifest and verified on read.  Units
-on disk: seconds, rad/s, tesla, dimensionless.  Both kinds of set share
-one writer and one reader, which finds each payload by its file name: the
-manifest may list the entries in any order, but each file exactly once.
+A set's directory holds ``manifest.json`` and one payload of 32-bit
+little-endian IEEE floats, its planes one after another, each row-major
+with the origin at the top-left pixel: ``images.f32`` holds the 2 x 11
+complex images, segment-major, as (real, imaginary) pairs per pixel;
+``maps.f32`` holds 21 real planes (see :func:`write_maps`).  The manifest's
+``sha256`` is the payload's checksum, verified on read.  Units on disk:
+seconds, rad/s, tesla, dimensionless.  Both kinds of set share one writer
+and one reader.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pipeline import MAP_NAMES, QuantMaps
 from .seqsim import (PULSE_KINDS, TIMING_KINDS, ImageSet, PulseParams,
                      SequenceTiming)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAP_UNITS = {
     "b1": "dimensionless", "t2": "s", "t2s_water": "s", "t2s_fat": "s",
@@ -58,31 +59,16 @@ class FieldError(FormatError):
     """A manifest field is missing or holds a value of the wrong kind."""
 
 
-def _payloads(value, name: str) -> list:
-    """Payload entries, each an object whose ``file`` is a bare file name in
-    the set's own directory and whose ``sha256`` is a string."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list of objects, not {value!r}")
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{name}[{i}] must be an object with file and "
-                             f"sha256, not {entry!r}")
-        file, digest = entry.get("file"), entry.get("sha256")
-        if not (isinstance(file, str) and file not in ("", "..")
-                and Path(file).name == file):
-            raise ValueError(
-                f"{name}[{i}] file must be a bare file name, not {file!r}")
-        if not isinstance(digest, str):
-            raise ValueError(
-                f"{name}[{i}] sha256 must be a string, not {digest!r}")
+def _digest(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, not {value!r}")
     return value
 
 
 _IMAGESET_KINDS = {
-    **dict.fromkeys(("width", "height", "segments", "images_per_segment",
-                     "seed"), whole_number),
+    **dict.fromkeys(("width", "height", "seed"), whole_number),
     "omega_cs": number, "noise_sigma": number, "timing": TIMING_KINDS,
-    "pulse_params": PULSE_KINDS, "payloads": _payloads}
+    "pulse_params": PULSE_KINDS, "sha256": _digest}
 
 
 def _map_names(value, name: str) -> list:
@@ -94,16 +80,7 @@ def _map_names(value, name: str) -> list:
 
 
 _MAPS_KINDS = {"width": whole_number, "height": whole_number,
-               "maps": _map_names, "payloads": _payloads}
-
-# The payload files each reader looks up, in the order it reads them.
-_IMAGE_FILES = [f"seg{s}_img{i:02d}.f32" for s in (1, 2) for i in range(1, 12)]
-_MAP_FILES = [f"{part}_{name}.f32" for name in MAP_NAMES
-              for part in ("map", "valid")] + ["mask.f32"]
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+               "maps": _map_names, "sha256": _digest}
 
 
 def _dump_manifest(manifest: dict, path: Path):
@@ -112,26 +89,28 @@ def _dump_manifest(manifest: dict, path: Path):
     path.write_text(text + "\n")
 
 
-def _write_set(out_dir, kind: str, payloads, fields: dict) -> None:
-    """Write each (file name, values) payload as little-endian float32, in
-    the order given, then the manifest: ``fields``, the format version,
-    ``kind`` and one {file, sha256} entry per payload."""
+def _write_set(out_dir, kind: str, payload: str, planes, fields: dict):
+    """Write the planes as little-endian float32 into the one file
+    ``payload``, a plane at a time, hashing them as they go; then the
+    manifest: ``fields``, the format version, ``kind`` and the checksum."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, values in payloads:
-        blob = np.ascontiguousarray(values, dtype="<f4").tobytes()
-        (out / name).write_bytes(blob)
-        entries.append({"file": name, "sha256": _sha256(blob)})
+    digest = hashlib.sha256()
+    with open(out / payload, "wb") as file:
+        for plane in planes:
+            blob = np.ascontiguousarray(plane, dtype="<f4")
+            digest.update(blob)
+            file.write(blob)
     _dump_manifest({**fields, "format_version": FORMAT_VERSION, "kind": kind,
-                    "payloads": entries}, out / "manifest.json")
+                    "sha256": digest.hexdigest()}, out / "manifest.json")
 
 
-def _read_set(in_dir, kind: str, kinds: dict, names, per_pixel: int):
-    """The manifest's fields, read as ``kinds``, and an iterator over the
-    payloads ``names``, each found by its file name and read when reached
-    (``per_pixel`` floats a pixel).  The entries may come in any order but
-    must list each name once and no other file."""
+def _read_set(in_dir, kind: str, kinds: dict, payload: str, planes: int,
+              dtype: str):
+    """The manifest's fields, read as ``kinds``, and the file ``payload``
+    read into one (planes, height, width) array of ``dtype``.  The file's
+    size is checked against the dimensions before anything is allocated, so
+    that a manifest cannot ask for more memory than its file holds."""
     path = Path(in_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
@@ -160,25 +139,20 @@ def _read_set(in_dir, kind: str, kinds: dict, names, per_pixel: int):
     h, w = fields["height"], fields["width"]
     if h <= 0 or w <= 0:
         raise DimensionError(f"bad dimensions {w}x{h}")
-    listed = [entry["file"] for entry in fields["payloads"]]
-    faults = {"missing": sorted(set(names) - set(listed)),
-              "duplicated": sorted({f for f in listed if listed.count(f) > 1}),
-              "unexpected": sorted(set(listed) - set(names))}
-    if any(faults.values()):
-        raise DimensionError("manifest payloads: " + "; ".join(
-            f"{fault} {files}" for fault, files in faults.items() if files))
-    # Sizes are checked before a caller allocates for the dimensions, so
-    # that a manifest cannot ask for more memory than its files hold, and
-    # again as each payload is read.
-    size = 4 * h * w * per_pixel
-    for name in names:
-        file = path.with_name(name)
-        if not file.is_file():
-            raise ManifestNotFoundError(f"missing payload {file}")
-        _check_size(name, file.stat().st_size, size)
-    digests = {entry["file"]: entry["sha256"] for entry in fields["payloads"]}
-    return fields, (_read_payload(path.with_name(name), digests[name], size)
-                    for name in names)
+    file = path.with_name(payload)
+    if not file.is_file():
+        raise ManifestNotFoundError(f"missing payload {file}")
+    size = planes * h * w * np.dtype(dtype).itemsize
+    _check_size(payload, file.stat().st_size, size)
+    data = np.empty((planes, h, w), dtype=dtype)
+    with open(file, "rb") as stream:  # the file may have changed since
+        read_bytes = stream.readinto(data) + len(stream.read(1))
+    _check_size(payload, read_bytes, size)
+    computed = hashlib.sha256(data).hexdigest()
+    if computed != fields["sha256"]:
+        raise ChecksumError(f"checksum mismatch for {payload}: stored "
+                            f"{fields['sha256']}, computed {computed}")
+    return fields, data
 
 
 def _check_size(name: str, size: int, expected: int) -> None:
@@ -186,26 +160,13 @@ def _check_size(name: str, size: int, expected: int) -> None:
         raise DimensionError(f"{name}: {size} bytes, expected {expected}")
 
 
-def _read_payload(path: Path, digest: str, size: int) -> np.ndarray:
-    blob = path.read_bytes()
-    computed = _sha256(blob)
-    if computed != digest:
-        raise ChecksumError(f"checksum mismatch for {path.name}: stored "
-                            f"{digest}, computed {computed}")
-    _check_size(path.name, len(blob), size)
-    return np.frombuffer(blob, dtype="<f4")
-
-
 def write_imageset(images: ImageSet, out_dir) -> None:
-    """Manifest plus one complex64 payload per image, (real, imaginary)
-    interleaved: ``seg<s>_img<ii>.f32``, segment-major."""
-    segs, count, h, w = images.data.shape
-    _write_set(out_dir, "imageset", (
-        (f"seg{s + 1}_img{i + 1:02d}.f32",
-         images.data[s, i].astype(np.complex64).view(np.float32))
-        for s in range(segs) for i in range(count)), {
-        "width": int(w), "height": int(h),
-        "segments": int(segs), "images_per_segment": int(count),
+    """Manifest plus ``images.f32``: the 2 x 11 images, segment-major, each
+    cast to complex64 as it is written, (real, imaginary) interleaved."""
+    _write_set(out_dir, "imageset", "images.f32", (
+        image.astype(np.complex64).view(np.float32)
+        for segment in images.data for image in segment), {
+        "width": int(images.width), "height": int(images.height),
         "acq_times": list(images.timing.acq_times),
         "pixel_encoding": "float32 (real, imaginary) pairs, row-major, "
                           "origin top-left",
@@ -219,34 +180,25 @@ def write_imageset(images: ImageSet, out_dir) -> None:
 
 
 def read_imageset(in_dir) -> ImageSet:
-    """The 2 x 11 images as one complex64 array, image j of segment s read
-    from ``seg<s>_img<jj>.f32`` whatever the order of the entries."""
-    manifest, payloads = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
-                                   _IMAGE_FILES, 2)
-    h, w = manifest["height"], manifest["width"]
-    segs, count = manifest["segments"], manifest["images_per_segment"]
-    if segs != 2 or count != 11:
-        raise DimensionError(
-            f"unsupported geometry: {segs} segments x {count} images, "
-            f"{w}x{h} pixels")
-    # The payloads' own precision: (real, imaginary) float32 pairs.
-    data = np.empty((segs, count, h, w), dtype=np.complex64)
-    for row in data.reshape(segs * count, h * w).view(np.float32):
-        row[:] = next(payloads)  # one payload held at a time
+    """The 2 x 11 images as one complex64 array, read from ``images.f32``
+    straight into it: the payload's own precision."""
+    manifest, data = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
+                               "images.f32", 22, "<c8")
     return ImageSet(
-        data=data, timing=SequenceTiming(**manifest["timing"]),
+        data=data.reshape(2, 11, *data.shape[1:]),
+        timing=SequenceTiming(**manifest["timing"]),
         pulse_params=PulseParams(**manifest["pulse_params"]),
         omega_cs=manifest["omega_cs"], noise_sigma=manifest["noise_sigma"],
         seed=manifest["seed"])
 
 
 def write_maps(maps: QuantMaps, out_dir) -> None:
-    """One real payload per map and per validity flag, in ``MAP_NAMES``
-    order (``map_<name>.f32``, ``valid_<name>.f32``), then ``mask.f32``."""
+    """Manifest plus ``maps.f32``: 21 real planes, each map then its
+    validity flags (1 or 0) in ``MAP_NAMES`` order, then the mask."""
     h, w = maps.shape
     planes = [plane for name in MAP_NAMES
               for plane in (getattr(maps, name), maps.valid[name])]
-    _write_set(out_dir, "quantmaps", zip(_MAP_FILES, planes + [maps.mask]), {
+    _write_set(out_dir, "quantmaps", "maps.f32", planes + [maps.mask], {
         "width": int(w), "height": int(h), "maps": list(MAP_NAMES),
         "units": _MAP_UNITS,
         "pixel_encoding": "float32, row-major, origin top-left",
@@ -255,17 +207,15 @@ def write_maps(maps: QuantMaps, out_dir) -> None:
 
 
 def read_maps(in_dir) -> QuantMaps:
-    """Float64 maps, boolean flags and mask, each read from its file name
-    (see :func:`write_maps`) whatever the order of the entries."""
-    manifest, payloads = _read_set(in_dir, "quantmaps", _MAPS_KINDS,
-                                   _MAP_FILES, 1)
-    shape = manifest["height"], manifest["width"]
-    planes = (values.reshape(shape) for values in payloads)
-    out = QuantMaps.zeros(shape)
-    for name in MAP_NAMES:
-        setattr(out, name, next(planes).astype(float))
-        out.valid[name] = next(planes) > 0.5
-    out.mask = next(planes) > 0.5
+    """Float64 maps, boolean flags and mask from ``maps.f32`` (see
+    :func:`write_maps`)."""
+    manifest, data = _read_set(in_dir, "quantmaps", _MAPS_KINDS, "maps.f32",
+                               2 * len(MAP_NAMES) + 1, "<f4")
+    out = QuantMaps.zeros(data.shape[1:])
+    for i, name in enumerate(MAP_NAMES):
+        setattr(out, name, data[2 * i].astype(float))
+        out.valid[name] = data[2 * i + 1] > 0.5
+    out.mask = data[-1] > 0.5
     return out
 
 
@@ -327,10 +277,12 @@ def read_mask(path) -> Mask:
 
 def export_map_pgm(values: np.ndarray, lo: float, hi: float, path) -> None:
     """16-bit PGM with linear windowing: lo maps to 0, hi to 65535, values
-    (+-inf too) clamped, codes rounded half-up.  A NaN has no code: it raises
-    ValueError."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    (+-inf too) clamped, codes rounded half-up.  A NaN has no code, and a
+    window needs finite ends and width: either raises ValueError."""
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError(f"need lo < hi with a finite hi - lo, not "
+                         f"({lo}, {hi})")
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError("map must be 2-d")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_imageset_round_trip(water_scan, tmp_path):
 
 def test_imageset_corrupt_payload(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
-    target = tmp_path / "seg1_img01.f32"
+    target = tmp_path / "images.f32"
     blob = bytearray(target.read_bytes())
     blob[-1] ^= 0xFF
     target.write_bytes(bytes(blob))
@@ -43,7 +44,7 @@ def test_imageset_missing_pieces(water_scan, tmp_path):
     with pytest.raises(formats.ManifestNotFoundError):
         formats.read_imageset(tmp_path / "nowhere")
     formats.write_imageset(water_scan, tmp_path)
-    (tmp_path / "seg2_img11.f32").unlink()
+    (tmp_path / "images.f32").unlink()
     with pytest.raises(formats.ManifestNotFoundError):
         formats.read_imageset(tmp_path)
 
@@ -52,7 +53,8 @@ def test_imageset_version_and_kind(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
     with pytest.raises(formats.FormatVersionError):
         formats.read_maps(tmp_path)  # right manifest, wrong kind
-    for version in (99, 1):  # 1 held the retired timing keys
+    # 1 held the retired timing keys, 2 one payload file per image.
+    for version in (99, 2, 1):
         _edit_manifest(tmp_path, lambda m: m.update(format_version=version))
         with pytest.raises(formats.FormatVersionError):
             formats.read_imageset(tmp_path)
@@ -82,15 +84,15 @@ def test_manifest_that_is_no_object_has_no_version(water_scan, tmp_path):
 
 
 def test_imageset_geometry_tamper(water_scan, tmp_path):
+    # The payload holds 2 x 11 images of the stated size, no more or less.
     formats.write_imageset(water_scan, tmp_path)
-    _edit_manifest(tmp_path, lambda m: m.update(images_per_segment=10))
-    with pytest.raises(formats.DimensionError):
+    _edit_manifest(tmp_path, lambda m: m.update(height=m["height"] - 1))
+    with pytest.raises(formats.DimensionError, match="images.f32: "):
         formats.read_imageset(tmp_path)
 
 
 @pytest.mark.parametrize("key, value", [
-    ("seed", 4.5), ("height", 32.7), ("width", float("nan")),
-    ("segments", 2.5), ("images_per_segment", 11.5)])
+    ("seed", 4.5), ("height", 32.7), ("width", float("nan"))])
 def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
                                                  value):
     # A count is read as a whole number or refused, never truncated.
@@ -107,8 +109,10 @@ def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
     (lambda m: m.update(timing=5), "manifest timing must be a JSON object"),
     (lambda m: m["timing"].update(banana=1.0),
      r"unknown manifest keys \['timing.banana'\]"),
-    (lambda m: m.pop("payloads"), "manifest has no key 'payloads'")],
-    ids=("omega_cs", "noise_sigma", "timing", "timing-key", "payloads"))
+    (lambda m: m.update(sha256=7), "manifest sha256 must be a string"),
+    (lambda m: m.pop("sha256"), "manifest has no key 'sha256'")],
+    ids=("omega_cs", "noise_sigma", "timing", "timing-key", "sha256",
+         "no-sha256"))
 def test_imageset_fields_of_the_wrong_kind_name_their_key(
         water_scan, tmp_path, mutate, message):
     # These once read "x" with a bare float(), a bool as 1.0, or failed
@@ -129,17 +133,11 @@ def test_imageset_whole_float_counts_read_as_ints(water_scan, tmp_path):
 
 def test_imageset_truncated_payload(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
-    target = tmp_path / "seg1_img03.f32"
+    target = tmp_path / "images.f32"
     blob = target.read_bytes()[:-4]
     target.write_bytes(blob)
-    digest = formats._sha256(blob)
-
-    def fix_sha(manifest):
-        for entry in manifest["payloads"]:
-            if entry["file"] == "seg1_img03.f32":
-                entry["sha256"] = digest
-
-    _edit_manifest(tmp_path, fix_sha)
+    digest = hashlib.sha256(blob).hexdigest()
+    _edit_manifest(tmp_path, lambda m: m.update(sha256=digest))
     with pytest.raises(formats.DimensionError):
         formats.read_imageset(tmp_path)
 
@@ -174,8 +172,12 @@ def test_maps_manifest_tamper(tmp_path):
         formats.read_maps(tmp_path)
 
     formats.write_maps(maps, tmp_path)
-    _edit_manifest(tmp_path, lambda m: m["payloads"].pop())
-    with pytest.raises(formats.DimensionError):
+    target = tmp_path / "maps.f32"
+    blob = target.read_bytes()
+    target.write_bytes(blob + blob[:4 * 4 * 5])  # a 22nd plane
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    _edit_manifest(tmp_path, lambda m: m.update(sha256=digest))
+    with pytest.raises(formats.DimensionError, match="maps.f32: "):
         formats.read_maps(tmp_path)
 
 
@@ -187,79 +189,36 @@ def test_maps_fractional_dimensions_are_rejected(tmp_path, key, value):
         formats.read_maps(tmp_path)
 
 
-@pytest.mark.parametrize("kind", ["imageset", "maps"])
-@pytest.mark.parametrize("mutate, message", [
-    (lambda p: p[0].pop("file"), r"payloads\[0\] file must be a bare"),
-    (lambda p: p.__setitem__(1, "seg1_img02.f32"),
-     r"payloads\[1\] must be an object"),
-    (lambda p: p[2].update(file="../../config.json"),
-     r"payloads\[2\] file must be a bare file name, not '../../config"),
-    (lambda p: p[0].update(file=".."), r"payloads\[0\] file"),
-    (lambda p: p[3].update(sha256=7), r"payloads\[3\] sha256 must be a"),
-    (lambda p: p.clear() or p.append([]), r"payloads\[0\] must be an")],
-    ids=("no-file", "string", "outside", "parent", "sha256", "list"))
-def test_payload_entries_name_their_field(water_scan, tmp_path, kind, mutate,
-                                          message):
-    # These once failed with a KeyError or TypeError naming no field, and a
-    # path out of the set's directory was opened.
-    if kind == "imageset":
-        formats.write_imageset(water_scan, tmp_path)
-    else:
-        formats.write_maps(_sample_maps(np.random.default_rng(9)), tmp_path)
-    read = formats.read_imageset if kind == "imageset" else formats.read_maps
-    _edit_manifest(tmp_path, lambda m: mutate(m["payloads"]))
-    with pytest.raises(formats.FieldError, match="manifest " + message):
-        read(tmp_path)
-    _edit_manifest(tmp_path, lambda m: m.update(payloads={}))
-    with pytest.raises(formats.FieldError, match="payloads must be a list"):
-        read(tmp_path)
-
-
 def _write_a_set(kind, water_scan, path):
-    """Write an image set or a map set to ``path``; return its reader and a
-    function listing the arrays read back."""
+    """Write an image set or a map set to ``path``; return its reader and
+    its planes, in the payload's order."""
     if kind == "imageset":
         formats.write_imageset(water_scan, path)
-        return formats.read_imageset, lambda back: [back.data]
-    formats.write_maps(_sample_maps(np.random.default_rng(9)), path)
-    return formats.read_maps, lambda back: [
-        *(getattr(back, name) for name in MAP_NAMES),
-        *back.valid.values(), back.mask]
+        return formats.read_imageset, [
+            image.astype(np.complex64).view(np.float32)
+            for segment in water_scan.data for image in segment]
+    maps = _sample_maps(np.random.default_rng(9))
+    formats.write_maps(maps, path)
+    return formats.read_maps, [
+        *(plane for name in MAP_NAMES
+          for plane in (getattr(maps, name), maps.valid[name])), maps.mask]
 
 
-@pytest.mark.parametrize("kind", ["imageset", "maps"])
-def test_payload_entries_may_come_in_any_order(water_scan, tmp_path, kind):
-    # The image set reader once took the entries in list order, so a
-    # reversed list read image 22 as image 1.
-    read, arrays = _write_a_set(kind, water_scan, tmp_path)
-    before = arrays(read(tmp_path))
-    _edit_manifest(tmp_path, lambda m: m["payloads"].reverse())
-    for got, want in zip(arrays(read(tmp_path)), before, strict=True):
-        assert got.dtype == want.dtype
-        npt.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("kind", ["imageset", "maps"])
-@pytest.mark.parametrize("mutate, message", [
-    (lambda p: p.__setitem__(1, dict(p[0])),
-     r"missing \['(seg1_img02|valid_b1).f32'\]; duplicated \['(seg1_img01|"
-     r"map_b1).f32'\]"),
-    (lambda p: p.append(dict(p[4])), r"^manifest payloads: duplicated \["),
-    (lambda p: p.pop(3), r"^manifest payloads: missing \['"),
-    (lambda p: p[2].update(file="notes.f32"),
-     r"missing \['(seg1_img03|map_t2).f32'\]; unexpected \['notes.f32'\]"),
-    (lambda p: p.append({"file": "notes.f32", "sha256": "0"}),
-     r"^manifest payloads: unexpected \['notes.f32'\]$")],
-    ids=("duplicate-for-another", "duplicate-added", "missing",
-         "foreign-for-another", "foreign-added"))
-def test_payload_entries_list_each_file_once(water_scan, tmp_path, kind,
-                                             mutate, message):
-    # The image set reader once accepted a duplicate in place of another
-    # entry, reading one image twice.
-    read, _ = _write_a_set(kind, water_scan, tmp_path)
-    _edit_manifest(tmp_path, lambda m: mutate(m["payloads"]))
-    with pytest.raises(formats.DimensionError, match=message):
-        read(tmp_path)
+@pytest.mark.parametrize("kind, payload", [("imageset", "images.f32"),
+                                           ("maps", "maps.f32")])
+def test_a_set_is_its_manifest_and_one_payload(water_scan, tmp_path, kind,
+                                               payload):
+    # The payload is the planes' little-endian float32 values in order, and
+    # the manifest's sha256 is its checksum.
+    _, planes = _write_a_set(kind, water_scan, tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {"manifest.json", payload}
+    blob = (tmp_path / payload).read_bytes()
+    assert blob == b"".join(np.asarray(plane, dtype="<f4").tobytes()
+                            for plane in planes)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert manifest["format_version"] == 3
+    assert not {"payloads", "segments", "images_per_segment"} & set(manifest)
 
 
 @pytest.mark.parametrize("kind", ["imageset", "maps"])
@@ -345,6 +304,11 @@ def test_export_pgm(tmp_path):
     assert path.read_bytes().endswith(b"\xff\xff\x00\x00")
     with pytest.raises(ValueError, match="NaN"):
         formats.export_map_pgm(np.array([[0.5, np.nan]]), 0.0, 1.0, path)
+    # A window with an infinite end or width once divided inf by inf, or
+    # wrote every pixel as code 0.
+    for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            formats.export_map_pgm(values, lo, hi, path)
 
 
 def test_compare_maps_statistics():

@@ -77,3 +77,23 @@ def test_transposed_images_and_mask_transpose_every_map(scan):
     for name in MAP_NAMES:
         _assert_bits(getattr(got, name), getattr(want, name).T.copy())
         _assert_bits(got.valid[name], want.valid[name].T.copy())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuted_pixels_permute_every_map(scan, seed):
+    # Each pixel's maps depend on its own images alone, not on where it
+    # sits or which pixels share its T2 block.
+    images, mask, table, want = scan
+    h, w = mask.bits.shape
+    order = np.random.default_rng(seed).permutation(h * w)
+
+    def permute(a):  # over the last two axes, the pixel grid
+        return np.ascontiguousarray(
+            a.reshape(*a.shape[:-2], h * w)[..., order].reshape(a.shape))
+
+    got = _estimate(dataclasses.replace(images, data=permute(images.data)),
+                    maskgen.Mask(bits=permute(mask.bits)), table)
+    _assert_bits(got.mask, permute(want.mask))
+    for name in MAP_NAMES:
+        _assert_bits(getattr(got, name), permute(getattr(want, name)))
+        _assert_bits(got.valid[name], permute(want.valid[name]))
