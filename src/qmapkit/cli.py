@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,15 +55,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _schedule(cfg: dict):
-    """The standard timing at the config's ``t_sat`` and ``tr`` with its
-    other timing fields replaced, and the pulse set built for it."""
-    section = cfg.get("timing", {})
-    timing = dataclasses.replace(seqsim.default_timing(
-        **{k: v for k, v in section.items() if k in ("t_sat", "tr")}),
-        **section)
-    params = seqsim.PulseParams(**cfg.get("pulses", {}))
-    return timing, seqsim.build_pulses(params, timing)
+def _pulses(cfg: dict) -> seqsim.SequencePulses:
+    """The pulse set of the config's ``pulses`` section, built for the
+    schedule of its ``timing`` section."""
+    return seqsim.build_pulses(seqsim.PulseParams(**cfg.get("pulses", {})),
+                               seqsim.SequenceTiming(**cfg.get("timing", {})))
 
 
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
@@ -84,10 +79,9 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
-    timing, pulses = _schedule(cfg)
     noise = cfg.get("noise", {})
     images = seqsim.simulate_scan(
-        pm, timing, pulses=pulses, noise_sigma=noise.get("sigma", 0.0),
+        pm, pulses=_pulses(cfg), noise_sigma=noise.get("sigma", 0.0),
         seed=noise.get("seed", 0))
     formats.write_imageset(images, args.out)
     print(f"wrote {images.data.shape[0] * images.data.shape[1]} images "
@@ -134,8 +128,7 @@ def cmd_compare(args) -> int:
 
 def cmd_lut(args) -> int:
     cfg = _load_config(args)
-    table = pipeline._ratio_table(_schedule(cfg)[1],
-                                  _options_from_config(cfg))
+    table = pipeline._ratio_table(_pulses(cfg), _options_from_config(cfg))
     doc = {"k_values": [float(v) for v in table.k_values],
            "ratios": [float(v) for v in table.ratios]}
     if args.out:

@@ -284,8 +284,8 @@ def export_map_pgm(values: np.ndarray, lo: float, hi: float, path) -> None:
         raise ValueError(f"need lo < hi with a finite hi - lo, not "
                          f"({lo}, {hi})")
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("map must be 2-d")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("map must be 2-d and non-empty")
     if np.isnan(arr).any():
         raise ValueError("map has NaN values, which have no PGM code")
     frac = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)

@@ -24,8 +24,8 @@ class Mask:
 
     def __post_init__(self):
         b = np.asarray(self.bits)
-        if b.ndim != 2:
-            raise ValueError("mask must be 2-d")
+        if b.ndim != 2 or 0 in b.shape:
+            raise ValueError("mask must be 2-d and non-empty")
         object.__setattr__(self, "bits", b.astype(bool))
 
     @property

@@ -43,7 +43,8 @@ class SequenceTiming:
 
     fid_times are the I1-I5 acquisition times since the saturation pulse;
     probe_times and t_sat place the pulses themselves, each read out
-    echo_time later; echo_offsets place the three echo centers after t_sat,
+    echo_time later, the probes at t_sat / 3 and 2 t_sat / 3 unless given
+    (None is unset); echo_offsets place the three echo centers after t_sat,
     each refocusing pulse midway between its echo and the one before (t_sat
     itself for the first).  imaging_flip is segment 1's; segment 2 plays the
     same waveform at twice the amplitude.
@@ -52,7 +53,7 @@ class SequenceTiming:
     tr: float = 2.4
     t_sat: float = 1.2
     fid_times: tuple = (2 * _MS, 4 * _MS, 6 * _MS, 8 * _MS, 10 * _MS)
-    probe_times: tuple = (0.4, 0.8)
+    probe_times: tuple = None
     echo_time: float = 2 * _MS
     echo_offsets: tuple = (12 * _MS, 24 * _MS, 40 * _MS)
     sat_flip: float = np.pi / 2.0
@@ -61,12 +62,14 @@ class SequenceTiming:
     inversion_flip: float = np.pi
 
     def __post_init__(self):
-        for f in fields(self):
+        for f in fields(self):  # t_sat is a number before probe_times
             value, name = getattr(self, f.name), f"timing {f.name}"
-            if isinstance(f.default, tuple) and np.ndim(value) != 1:
+            if f.name == "probe_times" and value is None:
+                value = (self.t_sat / 3.0, 2.0 * self.t_sat / 3.0)
+            if f.type == "tuple" and np.ndim(value) != 1:
                 raise ValueError(f"{name} must be a list of numbers")
             value = (tuple(number(v, name) for v in value)
-                     if isinstance(f.default, tuple) else number(value, name))
+                     if f.type == "tuple" else number(value, name))
             object.__setattr__(self, f.name, value)
         if len(self.fid_times) != 5 or len(self.probe_times) != 2:
             raise ValueError("need five FID times and two probe times")
@@ -102,11 +105,8 @@ class SequenceTiming:
 
 
 def default_timing(t_sat: float = 1.2, tr: float = 2.4) -> SequenceTiming:
-    """Standard schedule scaled to a saturation-recovery time."""
-    return SequenceTiming(
-        tr=tr, t_sat=t_sat,
-        probe_times=(t_sat / 3.0, 2.0 * t_sat / 3.0),
-    )
+    """The standard schedule at a saturation-recovery time and TR."""
+    return SequenceTiming(tr=tr, t_sat=t_sat)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,8 @@ class PulseParams:
         return asdict(self)
 
 
-# The fields' kinds for ``phantom.read``: the dataclasses check their own
-# fields, but ``default_timing`` scales the schedule by t_sat and tr first.
-TIMING_KINDS = {**dict.fromkeys(f.name for f in fields(SequenceTiming)),
-                "t_sat": number, "tr": number}
+# The fields' kinds for ``phantom.read``: the dataclasses check their own.
+TIMING_KINDS = dict.fromkeys(f.name for f in fields(SequenceTiming))
 PULSE_KINDS = dict.fromkeys(f.name for f in fields(PulseParams))
 
 
@@ -154,11 +152,12 @@ class SequencePulses:
     """The pulse set: one RF shape, segment 1's imaging pulse, and the
     complex constants ``c`` that make each pulse ``c * imaging``: probe,
     inversion, imaging (1), segment 2's imaging and saturation, the order
-    of :func:`pixel_profiles`."""
+    of :func:`pixel_profiles`; with the schedule whose flips it plays."""
 
     imaging: bloch.RfPulse
     constants: np.ndarray
     params: PulseParams
+    timing: SequenceTiming
 
     def z_grid(self):
         return bloch.default_z_grid(
@@ -168,9 +167,10 @@ class SequencePulses:
 
 def build_pulses(params: PulseParams = PulseParams(),
                  timing: SequenceTiming = None) -> SequencePulses:
-    """Standard pulse set: one Hamming-windowed sinc (or hard pulse for
-    idealized tests) at segment 1's imaging flip and RF phase -90 degrees, so
-    the on-resonance tip lands on +x and noiseless water images are
+    """Standard pulse set for ``timing`` (default ``SequenceTiming()``),
+    which it records: one Hamming-windowed sinc (or hard pulse for idealized
+    tests) at segment 1's imaging flip and RF phase -90 degrees, so the
+    on-resonance tip lands on +x and noiseless water images are
     real-positive.  Each pulse's constant is its flip over that flip; the
     inversion's is also turned by its RF phase, 0 against the shape's -90
     degrees."""
@@ -183,7 +183,7 @@ def build_pulses(params: PulseParams = PulseParams(),
     constants = (np.array([t.probe_flip, t.inversion_flip, flip, 2.0 * flip,
                            t.sat_flip]) / flip).astype(complex)
     constants[1] *= np.exp(0.5j * np.pi)
-    return SequencePulses(shape, constants, params)
+    return SequencePulses(shape, constants, params, t)
 
 
 @dataclass(frozen=True)
@@ -317,9 +317,10 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
                   seed: int = 0, omega_cs: float = OMEGA_CS) -> ImageSet:
     """Simulate the full scan over a phantom, each distinct tissue once.
 
-    The distinct tissues are the rows of one :func:`simulate_tissues` call,
-    each scattered to all its pixels; this is exact, as rows are
-    independent.
+    It plays ``pulses`` (default: built for ``timing``) on the schedule they
+    record; a ``timing`` other than that raises ValueError.  The distinct
+    tissues are the rows of one :func:`simulate_tissues` call, each
+    scattered to all its pixels; this is exact, as rows are independent.
 
     Noise is complex white Gaussian with per-channel standard deviation
     ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a generator
@@ -330,10 +331,9 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
         raise ValueError(f"noise sigma must be finite and >= 0: {noise_sigma}")
     if seed < 0:
         raise ValueError(f"noise seed must be >= 0: {seed}")
-    if timing is None:
-        timing = SequenceTiming()
-    if pulses is None:
-        pulses = build_pulses(timing=timing)
+    pulses = pulses or build_pulses(timing=timing)
+    if timing not in (None, pulses.timing):
+        raise ValueError("the pulse set was built for another schedule")
     h, w = pm.shape
     data = (np.random.default_rng(seed).standard_normal((2, 11, h, w, 2))
             .view(complex)[..., 0] if noise_sigma > 0.0
@@ -343,8 +343,9 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
     tissues, which = np.unique(stacked, axis=0, return_inverse=True)
     check_tissues(tissues)
-    sims = simulate_tissues(tissues, timing,
+    sims = simulate_tissues(tissues, pulses.timing,
                             pixel_profiles(pulses, tissues[:, -1]), omega_cs)
     data[:, :, signal] += np.moveaxis(sims[which], 0, -1)
-    return ImageSet(data=data, timing=timing, pulse_params=pulses.params,
-                    omega_cs=omega_cs, noise_sigma=noise_sigma, seed=seed)
+    return ImageSet(data=data, timing=pulses.timing,
+                    pulse_params=pulses.params, omega_cs=omega_cs,
+                    noise_sigma=noise_sigma, seed=seed)

@@ -88,9 +88,9 @@ def fit_t2_pixels(echoes, bases, echo_times, t2_bounds) -> T2Fit:
     dts = np.tile(np.asarray(echo_times, dtype=float), 2)
 
     def column(t2, basis):
-        rate = dts / t2[..., np.newaxis]
-        g = basis[:, np.newaxis] * np.exp(-rate)
-        return g, g * rate
+        t2 = t2[..., np.newaxis]
+        g = predict_echoes(1.0, t2, basis[:, np.newaxis], dts)
+        return g, g * (dts / t2)
 
     fit = fitcore.fit_scaled_column(column, d, t2_bounds, bases)
     return T2Fit(*fit, valid=np.any(d > 0, axis=-1))

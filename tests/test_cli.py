@@ -77,6 +77,12 @@ def test_lut_matches_library(tmp_path, capsys):
     assert doc["k_values"] == [float(v) for v in table.k_values]
     assert doc["ratios"] == [float(v) for v in table.ratios]
     capsys.readouterr()
+    # An empty config plays the library's standard schedule, and a JSON
+    # null probe_times reads as unset: at thirds of the given t_sat.
+    assert cli._pulses({}).timing == seqsim.SequenceTiming()
+    cfg = phantom.read({"timing": {"t_sat": 1.8, "probe_times": None}},
+                       cli._CONFIG, "config")
+    assert cli._pulses(cfg).timing.probe_times == (0.6, 1.2)
 
 
 def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
@@ -441,9 +447,12 @@ def test_misspelled_estimate_options_are_rejected(tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is qmapkit's only runtime dependency.  Importing scipy would
     # roughly double a CLI process's start-up time and raise its peak
-    # resident memory from about 33 to 56 MB.
+    # resident memory from about 33 to 56 MB.  numpy.random and numpy.ma
+    # each take about 16 ms to import after numpy (2-core Xeon), which
+    # every CLI process would pay, so no CLI module imports them either.
     code = ("import sys, qmapkit.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if (m + '.').startswith(('scipy.', 'numpy.random.', "
+            "'numpy.ma.'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

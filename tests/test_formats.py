@@ -299,6 +299,10 @@ def test_export_pgm(tmp_path):
         formats.export_map_pgm(values, 1.0, 1.0, path)
     with pytest.raises(ValueError):
         formats.export_map_pgm(np.ones(4), 0.0, 1.0, path)
+    # An empty map once wrote a "P5 0 0" header.
+    for shape in ((0, 0), (0, 3)):
+        with pytest.raises(ValueError, match="non-empty"):
+            formats.export_map_pgm(np.zeros(shape), 0.0, 1.0, path)
     # +-inf clamp to the window's ends; a NaN has no code.
     formats.export_map_pgm(np.array([[np.inf, -np.inf]]), 0.0, 1.0, path)
     assert path.read_bytes().endswith(b"\xff\xff\x00\x00")

@@ -173,3 +173,7 @@ def test_mask_dataclass_properties():
     assert (m.height, m.width, m.count) == (3, 5, 1)
     with pytest.raises(ValueError):
         maskgen.Mask(bits=np.zeros(4, dtype=bool))
+    # A raster with a zero dimension has no PBM header that read_mask takes.
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        with pytest.raises(ValueError, match="non-empty"):
+            maskgen.Mask(bits=np.zeros(shape, dtype=bool))

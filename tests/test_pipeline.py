@@ -83,6 +83,21 @@ def test_ratio_table_cache_keys_on_imaging_flip():
         assert abs(np.median(maps.b1[mask.bits]) - 1.1) < 0.01
 
 
+def test_simulate_scan_plays_the_schedule_of_its_pulse_set(water_disc):
+    # A 45-degree pulse set once played under the recorded 60-degree
+    # schedule, and the estimate read a median B1 of 0.75.  The hard pulse
+    # set makes the double-angle ratio exact.
+    timing = replace(seqsim.default_timing(), imaging_flip=np.pi / 4.0)
+    p45 = seqsim.build_pulses(seqsim.PulseParams(hard=True), timing)
+    assert p45.timing == timing
+    images = seqsim.simulate_scan(water_disc, pulses=p45)
+    assert images.timing == timing
+    maps = pipeline.estimate_all(images)
+    assert abs(np.median(maps.b1[maps.mask]) - 1.0) < 0.001
+    with pytest.raises(ValueError, match="another schedule"):
+        seqsim.simulate_scan(water_disc, seqsim.SequenceTiming(), pulses=p45)
+
+
 def test_estimate_all_computes_profiles_once(monkeypatch):
     pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
     pm.b1_scale[:, :16] = 0.9

@@ -22,6 +22,16 @@ def test_default_timing_schedule():
     npt.assert_allclose(times[7], 1.202)
     npt.assert_allclose(times[8:], [1.212, 1.224, 1.24])
     assert times[-1] < t.tr
+    # The probes sit at thirds of t_sat unless given.  They once sat at 0.4
+    # and 0.8 s whatever t_sat, so the default differed from this one and a
+    # 0.6 s t_sat was refused.
+    assert seqsim.SequenceTiming() == t
+    assert seqsim.SequenceTiming(probe_times=None) == t
+    assert seqsim.SequenceTiming(t_sat=1.8).probe_times == (0.6, 1.2)
+    assert seqsim.SequenceTiming(t_sat=0.6).probe_times == (0.6 / 3.0,
+                                                            1.2 / 3.0)
+    given = seqsim.SequenceTiming(t_sat=0.6, probe_times=(0.1, 0.5))
+    assert given.probe_times == (0.1, 0.5)
 
 
 def test_timing_validation():
