@@ -1,9 +1,9 @@
 """Command line: simulate a scan, build a mask, estimate maps, compare
 against ground truth, and dump the transmit-scale lookup table.
 
-All commands read one JSON config document, whole, through one table of
-its sections and keys (``_CONFIG``), so every command rejects an unknown
-key or a value of the wrong kind, naming it; flags override their keys.
+All commands read one JSON config document, whole, each flag given in
+place of its key, through one table of its sections (``_CONFIG``): every
+command rejects an unknown key or a value of the wrong kind, naming it.
 Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
@@ -26,12 +26,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Every config section: key -> kind (see ``phantom.read``).
+# Every config section: its kind (see ``phantom.read``).
 _CONFIG = {
     "phantom": phantom.read_phantom,
-    "timing": seqsim.TIMING_KINDS,
+    "timing": seqsim.SequenceTiming,
     "noise": {"sigma": number, "seed": whole_number},
-    "pulses": seqsim.PULSE_KINDS,
+    "pulses": seqsim.PulseParams,
     "mask": {"threshold": number, "close_radius": whole_number,
              "erode_radius": whole_number},
     "b1": dict.fromkeys(("k_min", "k_max", "step"), number),
@@ -43,28 +43,28 @@ _CONFIG = {
 
 
 def _load_config(args) -> dict:
-    """The config document of ``args.config`` ({} without one), read whole,
-    with each flag given whose dest is ``<section>.<key>`` in place of that
-    key."""
+    """The config document of ``args.config`` ({} without one), with each
+    flag given whose dest is ``<section>.<key>`` in place of that key, read
+    whole: the ``timing`` and ``pulses`` sections come back built."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    cfg = phantom.read(doc, _CONFIG, "config")
     for dest, value in vars(args).items():
-        if "." in dest and value is not None:
-            section, key = dest.split(".")
-            cfg[section] = {**cfg.get(section, {}), key: value}
-    return cfg
+        section, _, key = dest.partition(".")
+        # A document or section that is no object is left for the read.
+        if key and value is not None and isinstance(doc, dict) and \
+                isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), key: value}
+    return phantom.read(doc, _CONFIG, "config")
 
 
 def _pulses(cfg: dict) -> seqsim.SequencePulses:
     """The pulse set of the config's ``pulses`` section, built for the
     schedule of its ``timing`` section."""
-    return seqsim.build_pulses(seqsim.PulseParams(**cfg.get("pulses", {})),
-                               seqsim.SequenceTiming(**cfg.get("timing", {})))
+    return seqsim.build_pulses(cfg.get("pulses", seqsim.PulseParams()),
+                               cfg.get("timing"))
 
 
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
-    """The estimate options that a config document, read again, sets."""
-    cfg = phantom.read(cfg, _CONFIG, "config")
+    """The estimate options that a read config sets."""
     kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
     kw.update(cfg.get("wf", {}))
     defaults = pipeline.EstimateOptions()
@@ -76,8 +76,7 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
     return pipeline.EstimateOptions(**kw)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg: dict) -> int:
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     noise = cfg.get("noise", {})
     images = seqsim.simulate_scan(
@@ -89,8 +88,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_mask(args) -> int:
-    cfg = _load_config(args)
+def cmd_mask(args, cfg: dict) -> int:
     images = formats.read_imageset(args.images)
     mask = maskgen.make_mask(maskgen.mean_image(images),
                              **cfg.get("mask", {}))
@@ -100,8 +98,7 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load_config(args)
+def cmd_estimate(args, cfg: dict) -> int:
     images = formats.read_imageset(args.images)
     mask = formats.read_mask(args.mask) if args.mask else \
         maskgen.make_mask(maskgen.mean_image(images), **cfg.get("mask", {}))
@@ -112,8 +109,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+def cmd_compare(args, cfg: dict) -> int:
     maps = formats.read_maps(args.maps)
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     truth = phantom.phantom_truth_arrays(pm)
@@ -126,8 +122,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_lut(args) -> int:
-    cfg = _load_config(args)
+def cmd_lut(args, cfg: dict) -> int:
     table = pipeline._ratio_table(_pulses(cfg), _options_from_config(cfg))
     doc = {"k_values": [float(v) for v in table.k_values],
            "ratios": [float(v) for v in table.ratios]}
@@ -190,7 +185,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except (formats.FormatError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

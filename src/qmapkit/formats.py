@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,7 @@ import numpy as np
 from .maskgen import Mask
 from .phantom import number, read, whole_number
 from .pipeline import MAP_NAMES, QuantMaps
-from .seqsim import (PULSE_KINDS, TIMING_KINDS, ImageSet, PulseParams,
-                     SequenceTiming)
+from .seqsim import ImageSet, PulseParams, SequenceTiming
 
 FORMAT_VERSION = 3
 
@@ -67,15 +67,15 @@ def _digest(value, name: str) -> str:
 
 _IMAGESET_KINDS = {
     **dict.fromkeys(("width", "height", "seed"), whole_number),
-    "omega_cs": number, "noise_sigma": number, "timing": TIMING_KINDS,
-    "pulse_params": PULSE_KINDS, "sha256": _digest}
+    "omega_cs": number, "noise_sigma": number, "timing": SequenceTiming,
+    "pulse_params": PulseParams, "sha256": _digest}
 
 
 def _map_names(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list of map names, not {value!r}")
     if value != list(MAP_NAMES):
-        raise DimensionError(f"unexpected map list {value}")
+        raise DimensionError(f"{name} must be {list(MAP_NAMES)}, not {value}")
     return value
 
 
@@ -105,12 +105,14 @@ def _write_set(out_dir, kind: str, payload: str, planes, fields: dict):
                     "sha256": digest.hexdigest()}, out / "manifest.json")
 
 
-def _read_set(in_dir, kind: str, kinds: dict, payload: str, planes: int,
-              dtype: str):
-    """The manifest's fields, read as ``kinds``, and the file ``payload``
-    read into one (planes, height, width) array of ``dtype``.  The file's
-    size is checked against the dimensions before anything is allocated, so
-    that a manifest cannot ask for more memory than its file holds."""
+def _read_set(in_dir, kind: str, kinds: dict, payload: str, dtype: str,
+              chunks: int, planes: int):
+    """The manifest's fields, read as ``kinds``, and a generator of the file
+    ``payload`` as ``chunks`` reads of ``planes`` (height, width) planes of
+    ``dtype``, each into one reused buffer, hashed as it goes.  The file's
+    size is checked before anything is allocated, so that a manifest cannot
+    ask for more memory than its file holds; after the last chunk, the
+    generator raises if the file does not match its size or checksum."""
     path = Path(in_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
@@ -119,45 +121,54 @@ def _read_set(in_dir, kind: str, kinds: dict, payload: str, planes: int,
         else None
     if version != FORMAT_VERSION:
         raise FormatVersionError(
-            f"unsupported format_version {version!r} (expected "
+            f"unsupported manifest format_version {version!r} (expected "
             f"{FORMAT_VERSION})")
     if manifest.get("kind") != kind:
         raise FormatVersionError(
             f"manifest kind {manifest.get('kind')!r} is not {kind!r}")
+    # A manifest takes no defaults: its dataclass tables list every field.
+    missing = [f"manifest {key} {f.name}" for key, cls in kinds.items()
+               if isinstance(cls, type) and isinstance(manifest.get(key), dict)
+               for f in dataclasses.fields(cls) if f.name not in manifest[key]]
+    if missing:
+        raise FieldError(f"missing {', '.join(missing)}")
     try:
         fields = read({key: manifest[key] for key in kinds}, kinds, "manifest")
     except KeyError as exc:
         raise FieldError(f"manifest has no key {exc}") from None
     except ValueError as exc:
         raise FieldError(str(exc)) from None
-    # A manifest takes no defaults: its nested tables list every key.
-    missing = [f"manifest {key} {sub}" for key, kind in kinds.items()
-               if isinstance(kind, dict) for sub in kind
-               if sub not in fields[key]]
-    if missing:
-        raise FieldError(f"missing {', '.join(missing)}")
     h, w = fields["height"], fields["width"]
     if h <= 0 or w <= 0:
-        raise DimensionError(f"bad dimensions {w}x{h}")
+        raise DimensionError(f"manifest height and manifest width must be "
+                             f"> 0, not {h} and {w}")
     file = path.with_name(payload)
     if not file.is_file():
         raise ManifestNotFoundError(f"missing payload {file}")
-    size = planes * h * w * np.dtype(dtype).itemsize
-    _check_size(payload, file.stat().st_size, size)
-    data = np.empty((planes, h, w), dtype=dtype)
+    _check_size(payload, file.stat().st_size,
+                chunks * planes * h * w * np.dtype(dtype).itemsize)
+    return fields, _chunks(file, np.empty((planes, h, w), dtype), chunks,
+                           payload, fields["sha256"])
+
+
+def _chunks(file, buffer, chunks: int, payload: str, stored):
+    digest, got = hashlib.sha256(), 0
     with open(file, "rb") as stream:  # the file may have changed since
-        read_bytes = stream.readinto(data) + len(stream.read(1))
-    _check_size(payload, read_bytes, size)
-    computed = hashlib.sha256(data).hexdigest()
-    if computed != fields["sha256"]:
-        raise ChecksumError(f"checksum mismatch for {payload}: stored "
-                            f"{fields['sha256']}, computed {computed}")
-    return fields, data
+        for _ in range(chunks):
+            got += stream.readinto(buffer)
+            digest.update(buffer)
+            yield buffer
+        got += len(stream.read(1))
+    _check_size(payload, got, chunks * buffer.nbytes)
+    if digest.hexdigest() != stored:
+        raise ChecksumError(f"checksum mismatch for {payload}: manifest "
+                            f"sha256 {stored}, computed {digest.hexdigest()}")
 
 
 def _check_size(name: str, size: int, expected: int) -> None:
     if size != expected:
-        raise DimensionError(f"{name}: {size} bytes, expected {expected}")
+        raise DimensionError(f"{name}: {size} bytes, expected {expected} "
+                             "from manifest height and manifest width")
 
 
 def write_imageset(images: ImageSet, out_dir) -> None:
@@ -172,7 +183,7 @@ def write_imageset(images: ImageSet, out_dir) -> None:
                           "origin top-left",
         "byte_order": "little-endian",
         "timing": dataclasses.asdict(images.timing),
-        "pulse_params": images.pulse_params.to_dict(),
+        "pulse_params": dataclasses.asdict(images.pulse_params),
         "omega_cs": images.omega_cs,
         "noise_sigma": images.noise_sigma,
         "seed": images.seed,
@@ -182,14 +193,13 @@ def write_imageset(images: ImageSet, out_dir) -> None:
 def read_imageset(in_dir) -> ImageSet:
     """The 2 x 11 images as one complex64 array, read from ``images.f32``
     straight into it: the payload's own precision."""
-    manifest, data = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
-                               "images.f32", 22, "<c8")
+    manifest, chunks = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
+                                 "images.f32", "<c8", 1, 22)
+    [data] = chunks  # asks for a second chunk: the payload is checked
     return ImageSet(
-        data=data.reshape(2, 11, *data.shape[1:]),
-        timing=SequenceTiming(**manifest["timing"]),
-        pulse_params=PulseParams(**manifest["pulse_params"]),
-        omega_cs=manifest["omega_cs"], noise_sigma=manifest["noise_sigma"],
-        seed=manifest["seed"])
+        data=data.reshape(2, 11, *data.shape[1:]), timing=manifest["timing"],
+        pulse_params=manifest["pulse_params"], omega_cs=manifest["omega_cs"],
+        noise_sigma=manifest["noise_sigma"], seed=manifest["seed"])
 
 
 def write_maps(maps: QuantMaps, out_dir) -> None:
@@ -208,14 +218,15 @@ def write_maps(maps: QuantMaps, out_dir) -> None:
 
 def read_maps(in_dir) -> QuantMaps:
     """Float64 maps, boolean flags and mask from ``maps.f32`` (see
-    :func:`write_maps`)."""
-    manifest, data = _read_set(in_dir, "quantmaps", _MAPS_KINDS, "maps.f32",
-                               2 * len(MAP_NAMES) + 1, "<f4")
-    out = QuantMaps.zeros(data.shape[1:])
-    for i, name in enumerate(MAP_NAMES):
-        setattr(out, name, data[2 * i].astype(float))
-        out.valid[name] = data[2 * i + 1] > 0.5
-    out.mask = data[-1] > 0.5
+    :func:`write_maps`), read a plane at a time into one float32 buffer."""
+    manifest, chunks = _read_set(in_dir, "quantmaps", _MAPS_KINDS, "maps.f32",
+                                 "<f4", 2 * len(MAP_NAMES) + 1, 1)
+    out = QuantMaps.zeros((manifest["height"], manifest["width"]))
+    targets = [t for name in MAP_NAMES
+               for t in (getattr(out, name), out.valid[name])] + [out.mask]
+    # Chunks first: zip's 22nd ask makes their generator check the payload.
+    for [plane], target in zip(chunks, targets):
+        np.copyto(target, plane > 0.5 if target.dtype == bool else plane)
     return out
 
 
@@ -247,29 +258,18 @@ def read_mask(path) -> Mask:
     blob = path.read_bytes()
     if not blob.startswith(b"P4"):
         raise FormatVersionError("mask file is not binary PBM (P4)")
-    fields = []
-    pos = 2
-    while len(fields) < 2:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    pos += 1  # single whitespace after the header
-    if not all(f.isdigit() and int(f) > 0 for f in fields):
-        raise DimensionError(
-            "PBM header: width and height must be positive whole numbers, "
-            f"not {b' '.join(fields).decode(errors='replace')!r}")
-    w, h = int(fields[0]), int(fields[1])
+    # Width and height after the magic, each after whitespace and comment
+    # lines, then one whitespace byte: the raster is all that follows.
+    header = re.match(rb"P4(?:\s|#.*\n)+(\d+)(?:\s|#.*\n)+(\d+)\s", blob)
+    w, h = map(int, header.groups()) if header else (0, 0)
+    if not (w > 0 and h > 0):
+        raise DimensionError("PBM header: width and height must be positive "
+                             "whole numbers")
     row_bytes = (w + 7) // 8
-    raster = blob[pos:pos + h * row_bytes]
+    raster = blob[header.end():]
     if len(raster) != h * row_bytes:
-        raise DimensionError("PBM raster shorter than the header promises")
+        raise DimensionError(f"PBM raster of {len(raster)} bytes, where the "
+                             f"header promises {h * row_bytes}")
     rows = np.frombuffer(raster, dtype=np.uint8).reshape(h, row_bytes)
     bits = np.unpackbits(rows, axis=1)[:, :w].astype(bool)
     return Mask(bits=bits)

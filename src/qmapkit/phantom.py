@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def number(value, name: str) -> float:
     try:
         if not isinstance(value, (bool, np.bool_)):
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be a number, not {value!r}")
 
@@ -196,25 +196,32 @@ class _UnknownKeys(ValueError):
         self.keys = keys
 
 
-def read(given, kinds: dict, name: str) -> dict:
+def read(given, kinds, name: str):
     """The JSON object ``given``, each value read as its kind in ``kinds``:
-    ``number``, ``whole_number``, None (as given, for fields a dataclass
-    checks itself), a nested table or a function ``(value, name)``.  Every
-    error names ``<name> <key>``; all unknown keys, nested ones as
-    ``key.sub``, raise one ValueError."""
+    ``number``, ``whole_number``, None (as given), a nested table or
+    dataclass, or a function ``(value, name)``; a dataclass ``kinds`` is
+    built from the values of its fields.  Every error names ``<name>
+    <key>``; all unknown keys, nested ones as ``key.sub``, raise one
+    ValueError."""
     if not isinstance(given, dict):
         raise ValueError(f"{name} must be a JSON object, not {given!r}")
-    out, unknown = {}, [key for key in given if key not in kinds]
+    table = dict.fromkeys(f.name for f in fields(kinds)) \
+        if is_dataclass(kinds) else kinds
+    out, unknown = {}, [key for key in given if key not in table]
     for key, value in given.items():
-        kind, field = kinds.get(key), f"{name} {key}"
+        kind, field = table.get(key), f"{name} {key}"
         try:
             out[key] = (value if kind is None else read(value, kind, field)
-                        if isinstance(kind, dict) else kind(value, field))
+                        if isinstance(kind, dict) or is_dataclass(kind)
+                        else kind(value, field))
         except _UnknownKeys as exc:
             unknown += [f"{key}.{sub}" for sub in exc.keys]
     if unknown:
         raise _UnknownKeys(name, sorted(unknown))
-    return out
+    try:
+        return out if table is kinds else kinds(**out)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
 
 
 _TISSUE_KINDS = dict.fromkeys(TISSUE_FIELDS, number)

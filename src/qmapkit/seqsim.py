@@ -22,7 +22,7 @@ elementwise over an array of tissues.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -43,11 +43,11 @@ class SequenceTiming:
 
     fid_times are the I1-I5 acquisition times since the saturation pulse;
     probe_times and t_sat place the pulses themselves, each read out
-    echo_time later, the probes at t_sat / 3 and 2 t_sat / 3 unless given
-    (None is unset); echo_offsets place the three echo centers after t_sat,
+    echo_time later, the probes at thirds of t_sat while probe_times is None
+    (see ``probes``); echo_offsets place the three echo centers after t_sat,
     each refocusing pulse midway between its echo and the one before (t_sat
     itself for the first).  imaging_flip is segment 1's; segment 2 plays the
-    same waveform at twice the amplitude.
+    same waveform at twice the amplitude.  Each error names its field.
     """
 
     tr: float = 2.4
@@ -62,46 +62,52 @@ class SequenceTiming:
     inversion_flip: float = np.pi
 
     def __post_init__(self):
-        for f in fields(self):  # t_sat is a number before probe_times
-            value, name = getattr(self, f.name), f"timing {f.name}"
-            if f.name == "probe_times" and value is None:
-                value = (self.t_sat / 3.0, 2.0 * self.t_sat / 3.0)
-            if f.type == "tuple" and np.ndim(value) != 1:
-                raise ValueError(f"{name} must be a list of numbers")
-            value = (tuple(number(v, name) for v in value)
-                     if f.type == "tuple" else number(value, name))
-            object.__setattr__(self, f.name, value)
-        if len(self.fid_times) != 5 or len(self.probe_times) != 2:
-            raise ValueError("need five FID times and two probe times")
-        if len(self.echo_offsets) != 3:
-            raise ValueError("need three echo offsets")
-        if not np.all(np.isfinite(np.hstack(astuple(self)))):
-            raise ValueError("every timing value must be finite")
-        # A zero flip leaves its constant c no RF axis c / |c| to turn the
-        # shape by (and a zero imaging flip leaves no shape).
-        if 0.0 in (self.sat_flip, self.probe_flip, self.inversion_flip,
-                   self.imaging_flip):
-            raise ValueError("flip angles must be non-zero")
-        train, prev = [], 0.0
-        for echo in self.echo_offsets:
-            train += [self.t_sat + 0.5 * (prev + echo), self.t_sat + echo]
-            prev = echo
-        chained = (0.0,) + self.fid_times + (
-            self.probe_times[0], self.probe_times[0] + self.echo_time,
-            self.probe_times[1], self.probe_times[1] + self.echo_time,
-            self.t_sat, self.t_sat + self.echo_time,
-        ) + tuple(train) + (self.tr,)
-        if np.any(np.diff(chained) <= 0):
-            raise ValueError("schedule events out of order or beyond TR")
+        counts = {"fid_times": 5, "probe_times": 2, "echo_offsets": 3}
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name == "probe_times" and value is None:
+                continue
+            if name not in counts:
+                value = number(value, name)
+            elif not isinstance(value, (list, tuple)) and getattr(
+                    value, "ndim", 0) != 1 or len(value) != counts[name]:
+                raise ValueError(f"{name} must be a list of {counts[name]} "
+                                 f"numbers, not {value!r}")
+            else:  # each item a number: numpy never sees a nested list
+                value = tuple(number(v, name) for v in value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            # A zero flip leaves its constant c no RF axis c / |c| to turn
+            # the shape by (and a zero imaging flip leaves no shape).
+            if name.endswith("_flip") and value == 0.0:
+                raise ValueError(f"{name} must be non-zero")
+            object.__setattr__(self, name, value)
+        te, t_sat = self.echo_time, self.t_sat
+        probe = "probe_times" if self.probe_times else "thirds of t_sat"
+        events = [(0.0, "the saturation pulse")]
+        events += [(t, "fid_times") for t in self.fid_times]
+        for t, pulse in [(t, probe) for t in self.probes] + [(t_sat, "t_sat")]:
+            events += [(t, pulse), (t + te, f"{pulse} + echo_time")]
+        for prev, echo in zip((0.0,) + self.echo_offsets, self.echo_offsets):
+            events += [(t_sat + 0.5 * (prev + echo), "t_sat + echo_offsets"),
+                       (t_sat + echo, "t_sat + echo_offsets")]
+        events.append((self.tr, "tr"))
+        for (before, first), (time, then) in zip(events, events[1:]):
+            if time <= before:
+                raise ValueError(f"{then} ({time:g} s) must come after "
+                                 f"{first} ({before:g} s)")
+
+    @property
+    def probes(self):
+        """The two probe pulse times: probe_times, or thirds of t_sat."""
+        return self.probe_times or (self.t_sat / 3.0, 2.0 * self.t_sat / 3.0)
 
     @property
     def acq_times(self):
         """Eleven acquisition times since saturation (same both segments)."""
-        return self.fid_times + (
-            self.probe_times[0] + self.echo_time,
-            self.probe_times[1] + self.echo_time,
-            self.t_sat + self.echo_time,
-        ) + tuple(self.t_sat + e for e in self.echo_offsets)
+        return self.fid_times + tuple(
+            t + self.echo_time for t in (*self.probes, self.t_sat)) + tuple(
+            self.t_sat + e for e in self.echo_offsets)
 
 
 def default_timing(t_sat: float = 1.2, tr: float = 2.4) -> SequenceTiming:
@@ -124,27 +130,18 @@ class PulseParams:
     def __post_init__(self):
         for name in ("slice_thickness", "duration", "time_bandwidth",
                      "z_half_span"):
-            value = number(getattr(self, name), f"pulses {name}")
+            value = number(getattr(self, name), name)
             if not 0.0 < value < np.inf:
-                raise ValueError(f"pulses {name} must be finite and > 0")
+                raise ValueError(f"{name} must be finite and > 0")
             object.__setattr__(self, name, value)
         for name, least in (("n_pieces", 2), ("z_count", 1)):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= least
                     and not isinstance(value, bool)):
-                raise ValueError(f"pulses {name} must be an integer >= "
-                                 f"{least}")
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not isinstance(self.hard, (bool, np.bool_)):
-            raise ValueError("pulses hard must be true or false")
+            raise ValueError("hard must be true or false")
         object.__setattr__(self, "hard", bool(self.hard))
-
-    def to_dict(self):
-        return asdict(self)
-
-
-# The fields' kinds for ``phantom.read``: the dataclasses check their own.
-TIMING_KINDS = dict.fromkeys(f.name for f in fields(SequenceTiming))
-PULSE_KINDS = dict.fromkeys(f.name for f in fields(PulseParams))
 
 
 @dataclass(frozen=True)
@@ -279,8 +276,8 @@ def simulate_tissues(tissues, timing: SequenceTiming,
     amp = np.divide(mag, gain, out=np.zeros_like(mag), where=ok)
     phase = np.divide(src, mag, out=np.zeros_like(src), where=ok)
     out[:, :, 8:11] = phase[..., None] * t2fit.predict_echoes(
-        amp[..., None], t2[:, None, None],
-        np.stack(profiles.echo_bases, axis=-2), timing.echo_offsets)
+        amp[..., None], np.stack(profiles.echo_bases, axis=-2),
+        np.asarray(timing.echo_offsets) / t2[:, None, None])
     return out
 
 

@@ -57,11 +57,11 @@ def echo_basis(weights, theta, z) -> np.ndarray:
         for n in (1, 2, 3)], axis=-1)
 
 
-def predict_echoes(amp: float, t2: float, basis, echo_times) -> np.ndarray:
-    """Predicted echo magnitudes for source amplitude ``amp`` and decay t2,
-    given the segment's echo basis and the three echo times since
-    excitation."""
-    return amp * basis * np.exp(-np.asarray(echo_times) / t2)
+def predict_echoes(amp: float, basis, dt_over_t2) -> np.ndarray:
+    """Predicted echo magnitudes for source amplitude ``amp``, given the
+    segment's echo basis and the three echo times since excitation over
+    T2."""
+    return amp * basis * np.exp(-dt_over_t2)
 
 
 class T2Fit(NamedTuple):
@@ -88,9 +88,9 @@ def fit_t2_pixels(echoes, bases, echo_times, t2_bounds) -> T2Fit:
     dts = np.tile(np.asarray(echo_times, dtype=float), 2)
 
     def column(t2, basis):
-        t2 = t2[..., np.newaxis]
-        g = predict_echoes(1.0, t2, basis[:, np.newaxis], dts)
-        return g, g * (dts / t2)
+        ratio = dts / t2[..., np.newaxis]
+        g = predict_echoes(1.0, basis[:, np.newaxis], ratio)
+        return g, g * ratio
 
     fit = fitcore.fit_scaled_column(column, d, t2_bounds, bases)
     return T2Fit(*fit, valid=np.any(d > 0, axis=-1))

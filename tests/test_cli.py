@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -82,7 +83,7 @@ def test_lut_matches_library(tmp_path, capsys):
     assert cli._pulses({}).timing == seqsim.SequenceTiming()
     cfg = phantom.read({"timing": {"t_sat": 1.8, "probe_times": None}},
                        cli._CONFIG, "config")
-    assert cli._pulses(cfg).timing.probe_times == (0.6, 1.2)
+    assert cli._pulses(cfg).timing.probes == (0.6, 1.2)
 
 
 def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
@@ -143,13 +144,14 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert not (tmp_path / "maps").exists()
 
     # Invalid pulse parameters, from the config or an image set's manifest,
-    # write nothing.
+    # write nothing, and each error names its section or table and key.
     for bad in ({"slice_thickness": float("nan")}, {"z_half_span": -1.0},
                 {"z_count": 0}, {"n_pieces": 2.5}, {"hard": "false"}):
+        [key] = bad
         cfg5 = _write_config(tmp_path, {"pulses": bad})
         assert cli.main(["simulate", "--config", cfg5,
                          "--out", str(tmp_path / "o")]) == 1
-        assert "pulses" in capsys.readouterr().err
+        assert f"config pulses {key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
         manifest_path = tmp_path / "images" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -163,7 +165,7 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
                          "--out", str(tmp_path / "m.pbm")]) == 1
         assert cli.main(["estimate", "--images", str(bad_images),
                          "--out", str(tmp_path / "maps")]) == 1
-        assert "pulses" in capsys.readouterr().err
+        assert f"manifest pulse_params {key}" in capsys.readouterr().err
         assert not (tmp_path / "m.pbm").exists()
         assert not (tmp_path / "maps").exists()
 
@@ -271,9 +273,10 @@ def test_non_finite_tissue_value_exits_1(tmp_path, capsys, field, value):
 def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
     # These once wrote image sets with non-finite samples (a NaN sat_flip
     # was rejected only by a pulse-set error of the Cayley-Klein kernel);
-    # a value that is not a number once failed in numpy, unnamed.
+    # a value that is not a number once failed in numpy, unnamed.  From a
+    # manifest, each once raised a bare ValueError naming no manifest key.
     [(field, value)] = timing.items()
-    message = ("every timing value must be finite"
+    message = (f"timing {field} must be finite"
                if np.asarray(value).dtype.kind == "f"
                else f"timing {field} must be a number")
     cfg = _write_config(tmp_path, {"timing": timing})
@@ -288,7 +291,7 @@ def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
     manifest = json.loads(manifest_path.read_text())
     manifest["timing"].update(timing)
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(formats.FieldError, match=f"manifest {message}"):
         formats.read_imageset(str(images_dir))
     maps = tmp_path / "maps"
     assert cli.main(["estimate", "--images", str(images_dir),
@@ -299,8 +302,10 @@ def test_non_finite_timing_exits_1(tmp_path, water_scan, capsys, timing):
 @pytest.mark.parametrize("cfg, message", [
     ({"timing": {"t_sat": "abc"}}, "timing t_sat must be a number"),
     ({"timing": {"fid_times": 5}}, "timing fid_times must be a list"),
+    ({"timing": {"fid_times": [[0.002, 0.003], 0.004, 0.006, 0.008, 0.01]}},
+     "config timing fid_times must be a number"),
     ({"noise": {"sigma": "x"}}, "noise sigma must be a number")],
-    ids=("t_sat", "fid_times", "sigma"))
+    ids=("t_sat", "fid_times", "fid_times-nested", "sigma"))
 def test_config_values_of_the_wrong_type_name_their_field(tmp_path, capsys,
                                                           cfg, message):
     out = tmp_path / "images"
@@ -425,21 +430,23 @@ def test_readme_config_loads_and_its_table_names_every_key(tmp_path):
     doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
     args = cli.build_parser().parse_args(
         ["lut", "--config", _write_config(tmp_path, doc)])
-    assert cli._load_config(args) == doc
+    assert cli._load_config(args) == {
+        **doc, "timing": seqsim.SequenceTiming(**doc["timing"])}
     rows = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M))
     schema = {(name, key) for name, kinds in cli._CONFIG.items()
               for key in (phantom.PHANTOM_KINDS if name == "phantom"
-                          else kinds)}
+                          else [f.name for f in dataclasses.fields(kinds)]
+                          if dataclasses.is_dataclass(kinds) else kinds)}
     assert rows == schema
     assert all(f"`{field}`" in section for field in phantom.TISSUE_FIELDS)
 
 
-def test_misspelled_estimate_options_are_rejected(tmp_path):
+def test_misspelled_estimate_options_are_rejected(tmp_path, capsys):
     bad = {"t1": {"mn": 0.1}, "wf": {"t2s_pts": 3}, "b1": {"kmin": 0.5}}
-    with pytest.raises(ValueError) as err:
-        cli._options_from_config(bad)
+    assert cli.main(["lut", "--config", _write_config(tmp_path, bad)]) == 1
+    err = capsys.readouterr().err
     for key in ("b1.kmin", "t1.mn", "wf.t2s_pts"):
-        assert key in str(err.value)
+        assert key in err
     cfg = _write_config(tmp_path, {"t2": {"mx": 2.0}})
     assert cli.main(["lut", "--config", cfg]) == 1
 

@@ -110,13 +110,24 @@ def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
     (lambda m: m["timing"].update(banana=1.0),
      r"unknown manifest keys \['timing.banana'\]"),
     (lambda m: m.update(sha256=7), "manifest sha256 must be a string"),
-    (lambda m: m.pop("sha256"), "manifest has no key 'sha256'")],
+    (lambda m: m.pop("sha256"), "manifest has no key 'sha256'"),
+    (lambda m: m["timing"].update(echo_time="x"),
+     "manifest timing echo_time must be a number"),
+    (lambda m: m["timing"].update(
+        fid_times=[[0.002, 0.003], 0.004, 0.006, 0.008, 0.01]),
+     "manifest timing fid_times must be a number"),
+    (lambda m: m["timing"].update(tr=0.5),
+     r"manifest timing tr \(0.5 s\) must come after t_sat \+ echo_offsets"),
+    (lambda m: m["pulse_params"].update(duration="x"),
+     "manifest pulse_params duration must be a number")],
     ids=("omega_cs", "noise_sigma", "timing", "timing-key", "sha256",
-         "no-sha256"))
+         "no-sha256", "echo_time", "fid_times", "tr", "duration"))
 def test_imageset_fields_of_the_wrong_kind_name_their_key(
         water_scan, tmp_path, mutate, message):
     # These once read "x" with a bare float(), a bool as 1.0, or failed
-    # with a message naming no field.
+    # with a message naming no field.  A bad timing or pulse_params value
+    # once raised a bare ValueError, naming the config's section or, for a
+    # ragged list, no key at all.
     formats.write_imageset(water_scan, tmp_path)
     _edit_manifest(tmp_path, mutate)
     with pytest.raises(formats.FieldError, match=message):
@@ -273,6 +284,11 @@ def test_mask_comments_and_errors(tmp_path):
     short.write_bytes(b"P4\n9 2\n\x00")
     with pytest.raises(formats.DimensionError):
         formats.read_mask(short)
+    # Bytes past the raster once read as if they were not there.
+    long = tmp_path / "l.pbm"
+    long.write_bytes(b"P4\n9 2\n" + packed + b"\x00\x00")
+    with pytest.raises(formats.DimensionError, match="header promises 4"):
+        formats.read_mask(long)
 
 
 @pytest.mark.parametrize("header", [

@@ -18,7 +18,7 @@ def test_default_timing_schedule():
     times = np.asarray(t.acq_times)
     assert times.size == 11
     assert np.all(np.diff(times) > 0)
-    npt.assert_allclose(t.probe_times, (0.4, 0.8))
+    npt.assert_allclose(t.probes, (0.4, 0.8))
     npt.assert_allclose(times[7], 1.202)
     npt.assert_allclose(times[8:], [1.212, 1.224, 1.24])
     assert times[-1] < t.tr
@@ -27,11 +27,22 @@ def test_default_timing_schedule():
     # 0.6 s t_sat was refused.
     assert seqsim.SequenceTiming() == t
     assert seqsim.SequenceTiming(probe_times=None) == t
-    assert seqsim.SequenceTiming(t_sat=1.8).probe_times == (0.6, 1.2)
-    assert seqsim.SequenceTiming(t_sat=0.6).probe_times == (0.6 / 3.0,
-                                                            1.2 / 3.0)
+    assert seqsim.SequenceTiming(t_sat=1.8).probes == (0.6, 1.2)
+    assert seqsim.SequenceTiming(t_sat=0.6).probes == (0.6 / 3.0, 1.2 / 3.0)
     given = seqsim.SequenceTiming(t_sat=0.6, probe_times=(0.1, 0.5))
-    assert given.probe_times == (0.1, 0.5)
+    assert given.probe_times == given.probes == (0.1, 0.5)
+
+
+def test_replace_moves_unset_probes_with_t_sat():
+    # An unset probe_times stays unset, so a replaced t_sat moves the probes.
+    # replace once kept the resolved (0.4, 0.8): at t_sat 1.8 they stayed
+    # there, and at t_sat 0.6 the schedule was refused as out of order.
+    t = seqsim.default_timing()
+    for t_sat in (1.8, 0.6):
+        moved = dataclasses.replace(t, t_sat=t_sat)
+        assert moved == seqsim.SequenceTiming(t_sat=t_sat)
+        assert moved.probes == (t_sat / 3.0, 2.0 * t_sat / 3.0)
+    assert dataclasses.replace(t, probe_flip=0.6).probes == t.probes
 
 
 def test_timing_validation():
@@ -58,13 +69,13 @@ def test_timing_validation():
 def test_pulse_params_reject_invalid_values(bad):
     # A negative span would build a reversed grid and negate every slice
     # integral; a NaN thickness would give non-finite images.
-    with pytest.raises(ValueError, match="pulses " + next(iter(bad))):
+    with pytest.raises(ValueError, match="^" + next(iter(bad))):
         seqsim.PulseParams(**bad)
     for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)}):
-        assert seqsim.PulseParams(**good).to_dict()["hard"] is False
+        assert seqsim.PulseParams(**good).hard is False
     # A numeric string converts, as in the timing's tuple fields.
     assert seqsim.PulseParams(duration="0.002").duration == 0.002
-    assert seqsim.PulseParams(hard=np.bool_(True)).to_dict()["hard"] is True
+    assert seqsim.PulseParams(hard=np.bool_(True)).hard is True
 
 
 def test_pixel_profiles_make_one_kernel_call(monkeypatch):

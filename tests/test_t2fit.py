@@ -52,7 +52,7 @@ def test_predict_echoes_uniform_profile():
     basis = _uniform_basis(0.5, 2.0 * np.pi / 3.0)
     # integral of the constant weight: 0.5 * 9 samples * 0.25 spacing
     gain = 0.5 * 9 * 0.25
-    pred = t2fit.predict_echoes(2.0, 0.08, basis, ECHO_TIMES)
+    pred = t2fit.predict_echoes(2.0, basis, np.divide(ECHO_TIMES, 0.08))
     f = np.array([0.75, 0.5625, 0.28125])
     dts = np.array(ECHO_TIMES)
     npt.assert_allclose(pred, 2.0 * gain * f * np.exp(-dts / 0.08),
@@ -63,8 +63,10 @@ def test_fit_t2_joint_two_segment_recovery():
     basis1 = _uniform_basis(np.sin(np.pi / 3.0), 0.9 * np.pi)
     basis2 = _uniform_basis(np.sin(2.0 * np.pi / 3.0), 0.9 * np.pi)
     for t2_true in (0.04, 0.08, 0.15):
-        e1 = t2fit.predict_echoes(1.3, t2_true, basis1, ECHO_TIMES)
-        e2 = t2fit.predict_echoes(1.3, t2_true, basis2, ECHO_TIMES)
+        e1 = t2fit.predict_echoes(1.3, basis1,
+                                   np.divide(ECHO_TIMES, t2_true))
+        e2 = t2fit.predict_echoes(1.3, basis2,
+                                   np.divide(ECHO_TIMES, t2_true))
         fit = t2fit.fit_t2(e1, e2, basis1, basis2, ECHO_TIMES, T2_BOUNDS)
         assert fit.valid and not fit.at_bound
         assert fit.t2 == pytest.approx(t2_true, rel=1e-6)
@@ -110,7 +112,8 @@ def test_fit_t2_reaches_dense_scan_minimum():
     scan = np.geomspace(*T2_BOUNDS, 100_001)
     for basis1, basis2 in zip(*profs.echo_bases):
         for t2_true in (0.04, 0.08, 0.15, 0.6):
-            e1, e2 = (np.abs(t2fit.predict_echoes(0.7, t2_true, b, ECHO_TIMES)
+            e1, e2 = (np.abs(t2fit.predict_echoes(
+                0.7, b, np.divide(ECHO_TIMES, t2_true))
                              + 1e-4 * rng.standard_normal(3))
                       for b in (basis1, basis2))
             fit = t2fit.fit_t2(e1, e2, basis1, basis2, ECHO_TIMES, T2_BOUNDS)
@@ -129,7 +132,7 @@ def test_single_pixel_fit_equals_the_array_rows():
     bases = np.concatenate(profs.echo_bases, axis=-1)[[0, 1, 2, 0, 1]]
     rng = np.random.default_rng(4)
     echoes = np.array([
-        np.abs(t2fit.predict_echoes(0.7, t2, b, np.tile(ECHO_TIMES, 2))
+        np.abs(t2fit.predict_echoes(0.7, b, np.tile(ECHO_TIMES, 2) / t2)
                + 1e-4 * rng.standard_normal(6))
         for t2, b in zip((0.04, 0.08, 0.15, 0.6), bases)] + [0.7 * bases[4]])
     echoes[3] = 0.0
