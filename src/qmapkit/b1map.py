@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .seqsim import SequencePulses, profile_series
+from .seqsim import B1_K_MAX, SequencePulses
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,14 @@ class RatioTable:
 
 
 def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
-                      k_max: float = 1.8, step: float = 0.002) -> RatioTable:
+                      k_max: float = B1_K_MAX,
+                      step: float = 0.002) -> RatioTable:
     """Tabulate the readout ratio over a transmit-scale grid.
 
     Segment 2's pulse is the single pulse times its constant ``c`` (2), so
     its curve is the single pulse's at ``|c| k``.  The pulse set's
-    Cayley-Klein series up to k_max (``seqsim.profile_series``: one
-    propagation, 15 scales for k_max = 1.8) gives the imaging curve at its
+    Cayley-Klein series up to k_max (``pulses.series``: one propagation, 15
+    scales for k_max = 1.8, kept by the set) gives the imaging curve at its
     nodes.  The curve is odd in the scale, so curve / k is one Chebyshev
     series in k^2, read at both k and |c| k on the grid by the series'
     Clenshaw recurrence.  Magnitudes are taken only after interpolation:
@@ -65,7 +66,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
         raise ValueError("need finite 0 < k_min < k_max and step > 0")
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
-    img, series = pulses.imaging, profile_series(pulses, k_max)
+    img, series = pulses.imaging, pulses.series(k_max)
     z, nodes = series.z_samples, series.scales
     alpha, beta = series.cayley_klein(nodes)
     coef = bloch.chebyshev_coefficients(bloch.integrate_slice(

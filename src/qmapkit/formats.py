@@ -116,7 +116,11 @@ def _read_set(in_dir, kind: str, kinds: dict, payload: str, dtype: str,
     path = Path(in_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatVersionError(f"manifest {path} is not UTF-8 JSON: "
+                                 f"{exc}") from None
     version = manifest.get("format_version") if isinstance(manifest, dict) \
         else None
     if version != FORMAT_VERSION:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import b1map, maskgen, t1fit, t2fit, waterfat
 from .maskgen import Mask
-from .seqsim import ImageSet, SequencePulses, build_pulses, pixel_profiles
+from .seqsim import (B1_K_MAX, ImageSet, SequencePulses, build_pulses,
+                     pixel_profiles)
 
 MAP_NAMES = ("b1", "t2", "t2s_water", "t2s_fat", "d_omega0", "delta_b0",
              "fat_fraction", "t1", "m0", "t1_over_m0")
@@ -58,7 +59,7 @@ class EstimateOptions:
     given table sets the B1 stage's range and grid."""
 
     b1_k_min: float = 0.2
-    b1_k_max: float = 1.8
+    b1_k_max: float = B1_K_MAX
     b1_step: float = 0.002
     t2_bounds: tuple = (0.005, 3.0)
     t2s_min: float = 0.003
@@ -102,7 +103,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     are one array call each over them, in that order, and each map is
     scattered back once at the end.  A given ``ratio_table`` (else one built
     from the ``b1_*`` options) sets the B1 range and grid: k-hat snaps to its
-    grid, where the table's series, if any, gives the slice profiles.
+    grid, where the table's series (the pulse set's own for a hand-made
+    table) gives the slice profiles.
     """
     data = images.data
     h, w = data.shape[2], data.shape[3]

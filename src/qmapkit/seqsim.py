@@ -22,7 +22,7 @@ elementwise over an array of tissues.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .phantom import (TISSUE_FIELDS, PhantomMap, TissueParams, check_tissues,
                       number)
 
 _MS = 1e-3
+B1_K_MAX = 1.8  # the default B1 table's k_max: pixel_profiles' first panel
 # Pulses x scales x z values of one pass of pixel_profiles (256 KiB complex
 # (alpha, beta) arrays, so that a pass stays in a 2-4 MiB L2 cache).
 _PASS_ELEMENTS = 1 << 14
@@ -155,11 +156,24 @@ class SequencePulses:
     constants: np.ndarray
     params: PulseParams
     timing: SequenceTiming
+    _series: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def z_grid(self):
         return bloch.default_z_grid(
             self.params.slice_thickness, self.params.z_count,
             self.params.z_half_span)
+
+    def series(self, k_max: float) -> bloch.CayleyKleinSeries:
+        """The imaging shape's Cayley-Klein series, which serves every
+        pulse of the set at ``|k| <= k_max``: up to ``k_max`` times the
+        largest ``|c|`` (3 for the default inversion).  Built once and kept
+        in ``_series``, which ``dataclasses.replace`` starts afresh."""
+        if k_max not in self._series:
+            self._series[k_max] = bloch.cayley_klein_series(
+                self.imaging, k_max * np.max(np.abs(self.constants)),
+                self.z_grid())
+        return self._series[k_max]
 
 
 def build_pulses(params: PulseParams = PulseParams(),
@@ -193,24 +207,14 @@ class PixelProfiles:
     t1_moments: np.ndarray     # (..., 8) t1fit.slice_moments
 
 
-def profile_series(pulses: SequencePulses,
-                   k_max: float) -> bloch.CayleyKleinSeries:
-    """The Cayley-Klein series of the imaging shape from which
-    ``pixel_profiles(pulses, k, series)`` reads any ``|k| <= k_max``, up to
-    ``k_max`` times the set's largest ``|c|`` (3 for the default inversion)."""
-    reach = np.max(np.abs(pulses.constants))
-    return bloch.cayley_klein_series(pulses.imaging, k_max * reach,
-                                     pulses.z_grid())
-
-
 def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
     """Slice integrals of the pulse set at transmit scales ``k`` of any
     shape, each distinct scale computed once; every field has the leading
     axes of ``k``.  The pulse ``c * imaging`` of each of the set's
     ``constants`` is the shape at ``|c| k`` with ``beta`` turned by
-    ``c / |c|``: one Cayley-Klein product of the shape serves the set, or
-    it is read from a ``series`` of the same shape and z grid
-    (:func:`profile_series`; else ValueError)."""
+    ``c / |c|``, read from a ``series`` of the same shape and z grid (else
+    ValueError), or else from the set's ``pulses.series(edge)``, ``edge`` the
+    least ``B1_K_MAX * 2**j >= |k|``, j >= 0, which no other scale moves."""
     z, img, c = pulses.z_grid(), pulses.imaging, pulses.constants
     if series is not None and not (
             np.array_equal(series.z_samples, z) and series.pulse.dt == img.dt
@@ -219,12 +223,16 @@ def pixel_profiles(pulses: SequencePulses, k, series=None) -> PixelProfiles:
         raise ValueError("the profile series was built for other pulses")
     ks, which = np.unique(np.asarray(k, dtype=float), return_inverse=True)
     which = which.reshape(np.shape(k))
-    # One kernel pass of scales at a time: all (alpha, beta) never coexist.
+    edges = np.full(ks.shape, B1_K_MAX)  # each scale's series panel
+    while series is None and np.any(short := edges < np.abs(ks)):
+        edges[short] *= 2.0
+    # A pass of one panel's scales at a time: all (alpha, beta) never coexist.
     step, parts = max(1, _PASS_ELEMENTS // (c.size * z.size)), []
-    for r in range(0, max(ks.size, 1), step):
-        scales = np.multiply.outer(np.abs(c), ks[r:r + step])
-        alpha, beta = (bloch.cayley_klein(img, scales, z) if series is None
-                       else series.cayley_klein(scales))
+    cuts = sorted({*range(step, ks.size, step),  # np.union1d imports numpy.ma
+                   *(np.flatnonzero(np.diff(edges)) + 1).tolist()})
+    for run, edge in zip(np.split(ks, cuts), np.split(edges, cuts)):
+        read = series or pulses.series(edge.max(initial=B1_K_MAX))
+        alpha, beta = read.cayley_klein(np.multiply.outer(np.abs(c), run))
         beta *= (c / np.abs(c))[:, None, None]
         *txr_imaging, txr_sat = bloch.transverse(img, alpha[2:], beta[2:], z)
         theta_inv = bloch.refocusing_angle(alpha[1])
@@ -318,6 +326,8 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     record; a ``timing`` other than that raises ValueError.  The distinct
     tissues are the rows of one :func:`simulate_tissues` call, each
     scattered to all its pixels; this is exact, as rows are independent.
+    The profiles read the set's own series, so a set that has built its
+    default table propagates nothing for tissues at k <= ``B1_K_MAX``.
 
     Noise is complex white Gaussian with per-channel standard deviation
     ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a generator
@@ -338,7 +348,11 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     data *= noise_sigma
     signal = pm.water_amp + pm.fat_amp != 0.0
     stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
-    tissues, which = np.unique(stacked, axis=0, return_inverse=True)
+    order = np.lexsort(stacked.T[::-1])  # np.unique(axis=0)'s, faster
+    stacked = stacked[order]
+    new = np.ones(len(order), dtype=bool)  # rows unlike the row before
+    new[1:] = np.any(stacked[1:] != stacked[:-1], axis=1)
+    tissues, which = stacked[new], (np.cumsum(new) - 1)[np.argsort(order)]
     check_tissues(tissues)
     sims = simulate_tissues(tissues, pulses.timing,
                             pixel_profiles(pulses, tissues[:, -1]), omega_cs)

@@ -153,10 +153,12 @@ def _pair_decomposition(cfg: WfConfig):
     """
     t = np.asarray(cfg.times)
     axis = cfg.t2s_axis()
-    # Pair p is (axis[p // n], axis[p % n]), the order of the search.
-    tw = np.repeat(axis, axis.size)[:, np.newaxis]
-    tf = np.tile(axis, axis.size)[:, np.newaxis]
-    q1, q2, *_ = _gram_schmidt(wf_design(t, tw, tf, 0.0, cfg.omega_cs))
+    # Pair p is (axis[p // n], axis[p % n]), the order of the search: the
+    # water column of the one and the fat column of the other.
+    cols = wf_design(t, axis[:, None], axis[:, None], 0.0, cfg.omega_cs)
+    q1, q2, *_ = _gram_schmidt(np.stack([
+        np.repeat(cols[..., 0], axis.size, axis=0),
+        np.tile(cols[..., 1], (axis.size, 1))], axis=-1))
     proj = np.empty((len(q1), 15), dtype=complex)
     for j, (m, n) in enumerate(zip(*_PAIRS)):  # a column at a time: less RSS
         proj[:, j] = q1[:, m] * q1[:, n].conj() + q2[:, m] * q2[:, n].conj()

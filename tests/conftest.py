@@ -47,6 +47,19 @@ def member_pulses(params=seqsim.PulseParams(), timing=None):
         params.n_pieces, phase=p) for f, p in zip(flips, phases)]
 
 
+class DirectSeries:
+    """A stand-in for a pulse set's series that propagates every read
+    directly through ``bloch.cayley_klein``: ``seqsim.pixel_profiles(pulses,
+    k, DirectSeries(pulses))`` is the direct reference that the series'
+    profiles are held to."""
+
+    def __init__(self, pulses):
+        self.pulse, self.z_samples = pulses.imaging, pulses.z_grid()
+
+    def cayley_klein(self, b1_scales):
+        return bloch.cayley_klein(self.pulse, b1_scales, self.z_samples)
+
+
 def snr_sigma(scan, pm, snr):
     """Noise level giving the requested SNR on the in-phantom |I8| mean."""
     i8 = np.abs(scan.data[0, 7])[pm.label > 0]

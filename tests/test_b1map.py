@@ -133,8 +133,9 @@ def test_table_makes_one_kernel_call_at_the_nodes(monkeypatch, k_max,
         calls.append((pulse, np.array(b1_scales)))
         return kernel(pulse, b1_scales, z_samples)
     monkeypatch.setattr(bloch, "cayley_klein", counted)
-    table = b1map.build_ratio_table(_SINC, 0.2, k_max, 0.002)
-    assert len(calls) == 1 and calls[0][0] is _SINC.imaging
+    pulses = seqsim.build_pulses()  # a fresh set: _SINC keeps its series
+    table = b1map.build_ratio_table(pulses, 0.2, k_max, 0.002)
+    assert len(calls) == 1 and calls[0][0] is pulses.imaging
     assert calls[0][1].shape == (n_scales,)
     assert np.all((calls[0][1] > 0.0) & (calls[0][1] < 3.0 * k_max))
     assert table.k_values.size > 2 and table.series.scale_max == 3.0 * k_max

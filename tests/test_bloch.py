@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from qmapkit import bloch, seqsim
 
-from conftest import member_pulses
+from conftest import DirectSeries, member_pulses
 
 
 def test_hard_pulse_tips_by_flip():
@@ -423,10 +423,10 @@ _SET_KS = {
     (False, 256), (False, 31), (True, 256)], ids=["sinc", "sinc-31", "hard"])
 def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
                                              shape):
-    # pixel_profiles propagates the imaging shape once, at |c| k for each
-    # pulse c * shape of the set and each distinct k (sorted), and turns
-    # beta by c / |c|: each pair is the call of the pulse built at its own
-    # flip and RF phase to 1e-14 of the field's peak.
+    # pixel_profiles reads the imaging shape once, here propagated, at |c| k
+    # for each pulse c * shape of the set and each distinct k (sorted), and
+    # turns beta by c / |c|: each pair is the call of the pulse built at its
+    # own flip and RF phase to 1e-14 of the field's peak.
     params = seqsim.PulseParams(hard=hard, n_pieces=n_pieces)
     pulses = seqsim.build_pulses(params)
     z, k = pulses.z_grid(), _SET_KS[shape]
@@ -439,7 +439,7 @@ def test_pulse_set_equals_single_pulse_calls(monkeypatch, hard, n_pieces,
         calls.append([x.copy() for x in out])
         return out
     monkeypatch.setattr(bloch, "cayley_klein", counted)
-    seqsim.pixel_profiles(pulses, k)
+    seqsim.pixel_profiles(pulses, k, DirectSeries(pulses))
     [(alpha, beta)] = calls
     for pulse, a, b in zip(member_pulses(params), alpha, beta):
         # Turned from the shape's RF phase, -90 degrees, to the pulse's.

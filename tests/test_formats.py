@@ -83,6 +83,19 @@ def test_manifest_that_is_no_object_has_no_version(water_scan, tmp_path):
         formats.read_imageset(tmp_path)
 
 
+@pytest.mark.parametrize("raw", [b"{", b"\xff\xfe"], ids=["json", "utf-8"])
+@pytest.mark.parametrize("read", [formats.read_imageset, formats.read_maps],
+                         ids=["images", "maps"])
+def test_manifest_that_does_not_parse_is_a_format_error(water_scan, tmp_path,
+                                                        raw, read):
+    # Either once escaped as the decoder's bare ValueError, which a caller
+    # catching FormatError missed.
+    formats.write_imageset(water_scan, tmp_path)
+    (tmp_path / "manifest.json").write_bytes(raw)
+    with pytest.raises(formats.FormatVersionError, match="^manifest .*JSON"):
+        read(tmp_path)
+
+
 def test_imageset_geometry_tamper(water_scan, tmp_path):
     # The payload holds 2 x 11 images of the stated size, no more or less.
     formats.write_imageset(water_scan, tmp_path)

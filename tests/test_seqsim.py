@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import bloch, phantom, seqsim, t2fit
+from qmapkit import b1map, bloch, phantom, seqsim, t2fit
 
-from conftest import WATER, member_pulses, snr_sigma
+from conftest import DirectSeries, WATER, member_pulses, snr_sigma
 
 FAT = phantom.TissueParams(water_amp=0.0, fat_amp=1.0, t1=0.35, t2=0.07,
                            t2s_water=0.04, t2s_fat=0.03,
@@ -79,8 +79,8 @@ def test_pulse_params_reject_invalid_values(bad):
 
 
 def test_pixel_profiles_make_one_kernel_call(monkeypatch):
-    # Probe, inversion, imaging at k and 2k, and saturation: one product of
-    # the imaging shape at the five pulses' scales.
+    # Probe, inversion, imaging at k and 2k, and saturation: one read of
+    # the imaging shape at the five pulses' scales, here propagated.
     calls = []
     kernel = bloch.cayley_klein
 
@@ -89,7 +89,7 @@ def test_pixel_profiles_make_one_kernel_call(monkeypatch):
         return kernel(pulse, b1_scales, z_samples)
     monkeypatch.setattr(bloch, "cayley_klein", counted)
     pulses = seqsim.build_pulses()
-    seqsim.pixel_profiles(pulses, np.array([0.9, 1.1]))
+    seqsim.pixel_profiles(pulses, np.array([0.9, 1.1]), DirectSeries(pulses))
     assert len(calls) == 1 and calls[0][0] is pulses.imaging
     assert calls[0][1] == (5, 2)
 
@@ -140,7 +140,7 @@ def test_pixel_profiles_reject_a_pulse_of_another_shape(name):
     other = dataclasses.replace(
         pulses, imaging=_NOT_THE_SHAPE[name](pulses.imaging))
     with pytest.raises(ValueError, match="other pulses"):
-        seqsim.pixel_profiles(pulses, 1.0, seqsim.profile_series(other, 1.2))
+        seqsim.pixel_profiles(pulses, 1.0, other.series(1.2))
 
 
 @pytest.mark.parametrize("other", [
@@ -151,10 +151,10 @@ def test_pixel_profiles_reject_a_series_of_other_pulses(other):
     # A 45/90-degree set once read the 60-degree set's series without a
     # word, with its imaging moment 24% high.
     pulses = seqsim.build_pulses()
-    series = seqsim.profile_series(seqsim.build_pulses(
+    series = seqsim.build_pulses(
         dataclasses.replace(pulses.params, **other.get("params", {})),
         dataclasses.replace(seqsim.SequenceTiming(),
-                            **other.get("timing", {}))), 2.0)
+                            **other.get("timing", {}))).series(2.0)
     with pytest.raises(ValueError, match="other pulses|shape times"):
         seqsim.pixel_profiles(pulses, 1.0, series)
 
@@ -164,12 +164,13 @@ def test_pixel_profiles_compute_each_distinct_scale_once(monkeypatch, path):
     # Repeated, unsorted scales in a 2-D array: one read at the distinct
     # ones, and each entry bit-equal to its scalar call.
     pulses = seqsim.build_pulses()
-    series = seqsim.profile_series(pulses, 1.8) if path == "series" else None
+    series = (pulses.series(1.8) if path == "series"
+              else DirectSeries(pulses))
     ks = np.array([[1.1, 0.9, 1.1], [0.7, 0.9, 1.1]])
     singles = {k: seqsim.pixel_profiles(pulses, k, series)
                for k in np.unique(ks)}
     reads = []
-    owner = bloch if series is None else bloch.CayleyKleinSeries
+    owner = bloch if path == "direct" else bloch.CayleyKleinSeries
     read = owner.cayley_klein
 
     def counted(first, scales, *z):
@@ -188,14 +189,17 @@ def test_pixel_profiles_compute_each_distinct_scale_once(monkeypatch, path):
                                    one.echo_bases[seg])
 
 
-@pytest.mark.parametrize("path", ["direct", "series"])
+@pytest.mark.parametrize("path", ["direct", "series", "panels"])
 def test_pixel_profiles_bits_do_not_depend_on_the_pass_size(monkeypatch,
                                                            path):
     # Passes of one scale, and of two with a short last pass, give the bytes
-    # of one pass over all five distinct scales.
+    # of one pass over all five distinct scales.  Read from the set's own
+    # panels, the doubled scales span two of them (1.8 and 3.6).
     pulses = seqsim.build_pulses()
-    series = seqsim.profile_series(pulses, 1.8) if path == "series" else None
+    series = {"direct": DirectSeries(pulses), "series": pulses.series(1.8),
+              "panels": None}[path]
     ks = np.array([[1.1, 0.9, 0.5], [0.7, 1.3, 1.1]])
+    ks = 2.0 * ks if path == "panels" else ks
 
     def fields(profs):
         return (profs.sat_gain, *profs.echo_bases, profs.t1_moments)
@@ -219,7 +223,8 @@ def test_imaging_at_twice_the_scale_is_the_doubled_pulse(hard):
                          bloch.cayley_klein(doubled, ks, z)):
         npt.assert_array_equal(got, want)
     npt.assert_array_equal(
-        seqsim.pixel_profiles(pulses, ks).t1_moments[..., 5],
+        seqsim.pixel_profiles(pulses, ks,
+                              DirectSeries(pulses)).t1_moments[..., 5],
         bloch.integrated_transverse_curve(doubled, ks, z))
     npt.assert_array_equal(
         bloch.integrated_transverse_curve(img, 2.0 * ks, z),
@@ -352,18 +357,20 @@ def test_profiles_from_the_series_match_direct_propagation(name, k_min,
                                                            k_max):
     # Error budget of the series: each profile quantity (the saturation
     # gain, each echo-basis column, each T1 moment) within 1e-12 of its
-    # largest value over the range, ends included.
+    # largest value over the range, ends included, read from a series to
+    # k_max or from the set's own panels (1.8, 3.6 and 7.2 over [0.1, 6]).
     pulses = _SETS[name]
     ks = np.linspace(k_min, k_max, 37)
 
     def columns(profs):
         return np.column_stack((profs.sat_gain, *profs.echo_bases,
                                 profs.t1_moments))
-    want = columns(seqsim.pixel_profiles(pulses, ks))
-    got = columns(seqsim.pixel_profiles(
-        pulses, ks, seqsim.profile_series(pulses, k_max)))
-    assert got.shape == want.shape == (37, 15)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+    want = columns(seqsim.pixel_profiles(pulses, ks, DirectSeries(pulses)))
+    for series in (pulses.series(k_max), None):
+        got = columns(seqsim.pixel_profiles(pulses, ks, series))
+        assert got.shape == want.shape == (37, 15)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.max(np.abs(want), axis=0))
 
 
 def test_simulate_scan_computes_profiles_once(monkeypatch):
@@ -462,6 +469,79 @@ def test_simulate_scan_simulates_each_distinct_tissue_once(monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == len(tissues)
     assert set(calls[0]) == tissues
     assert pixel_calls == []
+
+
+def test_simulate_scan_groups_tissues_as_np_unique_does(monkeypatch):
+    # The distinct tissues, in np.unique(axis=0)'s order, each scattered to
+    # the pixels of np.unique's inverse.
+    pm, timing = _banded_bottles(), seqsim.SequenceTiming()
+    signal = pm.water_amp + pm.fat_amp != 0.0
+    tissues, which = np.unique(
+        np.stack([getattr(pm, n)[signal] for n in phantom.TISSUE_FIELDS], -1),
+        axis=0, return_inverse=True)
+    calls = []
+    original = seqsim.simulate_tissues
+
+    def counted(rows, *args):
+        calls.append(rows.copy())
+        return original(rows, *args)
+    monkeypatch.setattr(seqsim, "simulate_tissues", counted)
+    scan = seqsim.simulate_scan(pm)
+    assert len(calls) == 1
+    npt.assert_array_equal(calls[0], tissues)
+    want = np.zeros_like(scan.data)
+    want[:, :, signal] = np.moveaxis(original(
+        tissues, timing, seqsim.pixel_profiles(
+            seqsim.build_pulses(), tissues[:, -1]))[which.ravel()], 0, -1)
+    npt.assert_array_equal(scan.data.view(np.uint64), want.view(np.uint64))
+
+
+def test_a_tissue_past_the_first_panel_moves_no_other_tissue():
+    # A fat tissue at k = 2.5 reads the set's second panel (3.6); the disc
+    # still reads the first (1.8), bit for bit as when it is alone.
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.25)
+    disc = pm.label == 1
+    alone = np.ascontiguousarray(seqsim.simulate_scan(pm).data[:, :, disc])
+    far = dataclasses.replace(FAT, b1_scale=2.5)
+    for name in phantom.TISSUE_FIELDS:
+        getattr(pm, name)[:4] = getattr(far, name)
+    both = seqsim.simulate_scan(pm).data
+    assert np.all(np.abs(both[:, :, :4]) > 0)
+    npt.assert_array_equal(
+        np.ascontiguousarray(both[:, :, disc]).view(np.uint64),
+        alone.view(np.uint64))
+
+
+def test_simulate_scan_reads_the_series_its_table_was_built_from(
+        monkeypatch):
+    # After the default-range table, the set's scan at k <= B1_K_MAX
+    # propagates nothing.  A fresh set builds one series per panel that
+    # its tissues need, once: here 1.8, 3.6 and 14.4, not 7.2.
+    pm = _banded_bottles()
+    pulses = seqsim.build_pulses()
+    assert b1map.build_ratio_table(pulses).series is pulses.series(
+        seqsim.B1_K_MAX)
+    calls = []
+    kernel = bloch.cayley_klein
+
+    def counted(pulse, b1_scales, z_samples):
+        calls.append(np.max(b1_scales))
+        return kernel(pulse, b1_scales, z_samples)
+    monkeypatch.setattr(bloch, "cayley_klein", counted)
+    seqsim.simulate_scan(pm, pulses=pulses)
+    assert calls == []
+    pm.b1_scale[pm.label == 5] = 2.5
+    pm.b1_scale[pm.label == 6] = 8.0
+    fresh = seqsim.build_pulses()
+    first = seqsim.simulate_scan(pm, pulses=fresh)
+    assert sorted(fresh._series) == [1.8, 3.6, 14.4] and len(calls) == 3
+    npt.assert_array_equal(seqsim.simulate_scan(pm, pulses=fresh).data,
+                           first.data)
+    assert len(calls) == 3
+    # Each series reaches its edge times the inversion's |c| = 3.
+    npt.assert_allclose(sorted(fresh._series), np.sort(calls) / 3.0,
+                        rtol=0.01)
+    assert dataclasses.replace(fresh)._series == {}
 
 
 @pytest.mark.parametrize("hard", [False, True], ids=["sinc", "hard"])

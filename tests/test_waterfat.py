@@ -216,6 +216,26 @@ def test_candidate_scores_are_the_squared_residuals():
                             rtol=0, atol=1e-12 * norm)
 
 
+@pytest.mark.parametrize("cfg", [
+    waterfat.WfConfig(times=TIMES), TINY,
+    dataclasses.replace(TINY, omega_cs=0.0, t2s_points=8)],
+    ids=["default", "tiny", "no-shift"])
+def test_projectors_equal_the_construction_from_every_pair(cfg):
+    # The projectors come from the axis' water and fat columns, each pair
+    # taking one of each: bit-equal to Gram-Schmidt over every pair's own
+    # design (1,600 at the default grid).
+    axis = cfg.t2s_axis()
+    q1, q2, *_ = waterfat._gram_schmidt(waterfat.wf_design(
+        np.asarray(cfg.times), np.repeat(axis, axis.size)[:, np.newaxis],
+        np.tile(axis, axis.size)[:, np.newaxis], 0.0, cfg.omega_cs))
+    want = np.empty((axis.size ** 2, 15), dtype=complex)
+    for j, (m, n) in enumerate(zip(*np.triu_indices(5))):
+        want[:, j] = q1[:, m] * q1[:, n].conj() + q2[:, m] * q2[:, n].conj()
+    got = waterfat._pair_decomposition(cfg)[0]
+    assert got.shape == (axis.size ** 2, 15)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("omega_cs, tw, tf", [
     (OMEGA_CS, 0.02, 0.05), (0.0, 0.02, 0.05), (0.0, 0.03, 0.03)],
     ids=["shifted", "unshifted", "rank-one"])
