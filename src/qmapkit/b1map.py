@@ -103,6 +103,4 @@ def estimate_b1(mag_single, mag_double, table: RatioTable):
     k = np.interp(ratio, table.ratios[::-1], table.k_values[::-1])
     k = np.where(valid, k, 1.0)
     valid &= (ratio <= table.ratios[0]) & (ratio >= table.ratios[-1])
-    if np.ndim(mag_single) == 0:
-        return float(k), bool(valid)
     return k, valid

@@ -111,18 +111,31 @@ def hamming_sinc_pulse(flip: float, duration: float, slice_thickness: float,
 
 @dataclass(frozen=True)
 class SliceProfile:
-    """Composite rotation per through-slice position."""
+    """Composite rotation per z, as its Cayley-Klein pair (alpha, beta)."""
 
     z_samples: np.ndarray   # m, uniform spacing
-    rotations: np.ndarray   # (nz, 3, 3)
+    alpha: np.ndarray       # (nz,) complex
+    beta: np.ndarray        # (nz,) complex
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.z_samples, dtype=float))
-        rot = np.asarray(self.rotations, dtype=float)
-        if rot.shape != (z.size, 3, 3):
-            raise ValueError("rotations must have shape (nz, 3, 3)")
-        object.__setattr__(self, "z_samples", z)
-        object.__setattr__(self, "rotations", rot)
+        a, b = (np.asarray(v, dtype=complex) for v in (self.alpha, self.beta))
+        if a.shape != z.shape or b.shape != z.shape:
+            raise ValueError("alpha and beta must have shape (nz,)")
+        for name, value in zip(("z_samples", "alpha", "beta"), (z, a, b)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rotations(self) -> np.ndarray:
+        """(nz, 3, 3) rotations R(z): column j is the image of e_j."""
+        a, b = self.alpha, self.beta
+        mxy = (a.conj() ** 2 - b ** 2, 1j * (a.conj() ** 2 + b ** 2),
+               2.0 * a.conj() * b)
+        ab = a * b
+        mz = (-2.0 * ab.real, -2.0 * ab.imag, longitudinal(a, b))
+        return np.stack([np.stack([m.real for m in mxy], axis=-1),
+                         np.stack([m.imag for m in mxy], axis=-1),
+                         np.stack(mz, axis=-1)], axis=-2)
 
 
 def default_z_grid(slice_thickness: float, n: int = 129,
@@ -293,11 +306,15 @@ def cayley_klein_series(pulse: RfPulse, scale_max: float,
                              chebyshev_coefficients(beta / scales[:, None]))
 
 
+def _lobe_phase(pulse: RfPulse, z) -> np.ndarray:
+    """Phase ``-g*z*tau/2`` of the ideal slice-refocusing lobe at ``z``."""
+    return -pulse.slice_gradient * z * (pulse.duration / 2.0)
+
+
 def transverse(pulse: RfPulse, alpha, beta, z_samples) -> np.ndarray:
     """Rephased transverse response ``2*conj(alpha)*beta`` per unit +z
     magnetization, with the refocusing lobe's ``exp(-i*g*z*tau/2)``."""
-    z = np.asarray(z_samples, dtype=float)
-    phi = -pulse.slice_gradient * z * (pulse.duration / 2.0)
+    phi = _lobe_phase(pulse, np.asarray(z_samples, dtype=float))
     return 2.0 * alpha.conj() * beta * np.exp(1j * phi)
 
 
@@ -314,18 +331,9 @@ def refocusing_angle(alpha) -> np.ndarray:
 
 def slice_profile(pulse: RfPulse, b1_scale: float,
                   z_samples: np.ndarray) -> SliceProfile:
-    """Composite 3x3 rotation R(z) of a scaled pulse, from its Cayley-Klein
-    parameters: column j is the image of the unit vector e_j."""
+    """Profile of a scaled pulse: its :func:`cayley_klein` pair per z."""
     z = np.atleast_1d(np.asarray(z_samples, dtype=float))
-    a, b = cayley_klein(pulse, b1_scale, z)
-    mxy = (a.conj() ** 2 - b ** 2, 1j * (a.conj() ** 2 + b ** 2),
-           2.0 * a.conj() * b)
-    ab = a * b
-    mz = (-2.0 * ab.real, -2.0 * ab.imag, longitudinal(a, b))
-    rot = np.stack([np.stack([m.real for m in mxy], axis=-1),
-                    np.stack([m.imag for m in mxy], axis=-1),
-                    np.stack(mz, axis=-1)], axis=-2)
-    return SliceProfile(z, rot)
+    return SliceProfile(z, *cayley_klein(pulse, b1_scale, z))
 
 
 def integrated_transverse_curve(pulse: RfPulse, b1_scales,
@@ -340,29 +348,18 @@ def integrated_transverse_curve(pulse: RfPulse, b1_scales,
 
 
 def rephased(profile: SliceProfile, pulse: RfPulse) -> SliceProfile:
-    """Apply the ideal slice-refocusing lobe to a profile.
-
-    A slice-selective excitation leaves the through-slice linear phase
-    ``+slice_gradient*z*duration/2`` on the transverse components; the
-    standard refocusing gradient lobe (half the slice-select area, reversed)
-    removes it.  Returns a profile whose rotations are ``Rz(-g*z*tau/2) @
-    R(z)``.  No-op for gradient-free pulses.
-    """
-    if pulse.slice_gradient == 0.0:
-        return profile
-    z = profile.z_samples
-    phi = -pulse.slice_gradient * z * (pulse.duration / 2.0)
-    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    rot = profile.rotations.copy()
-    x, y = rot[:, 0], rot[:, 1]
-    rot[:, 0], rot[:, 1] = c * x - s * y, s * x + c * y
-    return SliceProfile(z, rot)
+    """Apply the ideal slice-refocusing lobe (half the slice-select area,
+    reversed), a z-rotation by ``phi = -g*z*tau/2`` that removes the
+    excitation's linear phase: alpha turns by ``exp(-i*phi/2)``, beta by
+    ``exp(+i*phi/2)``."""
+    half = np.exp(0.5j * _lobe_phase(pulse, profile.z_samples))
+    return SliceProfile(profile.z_samples, profile.alpha * half.conj(),
+                        profile.beta * half)
 
 
 def transverse_response(profile: SliceProfile) -> np.ndarray:
-    """Complex transverse magnetization per unit +z magnetization, per z."""
-    r = profile.rotations
-    return r[:, 0, 2] + 1j * r[:, 1, 2]
+    """Transverse magnetization ``2*conj(alpha)*beta`` per unit +z, per z."""
+    return 2.0 * profile.alpha.conj() * profile.beta
 
 
 def integrate_slice(values, z_samples) -> complex:

@@ -28,15 +28,6 @@ class TissueParams:
     def __post_init__(self):
         check_tissues([astuple(self)])
 
-    @property
-    def m0(self):
-        return self.water_amp + self.fat_amp
-
-    @property
-    def fat_fraction(self):
-        total = self.water_amp + self.fat_amp
-        return self.fat_amp / total if total > 0 else 0.0
-
 
 TISSUE_FIELDS = tuple(f.name for f in fields(TissueParams))
 

@@ -32,16 +32,14 @@ def echo_attenuation(n: int, theta):
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta)
     if n == 1:
-        out = (1.0 - c) / 2.0
-    elif n == 2:
-        out = (1.0 - c) ** 2 / 4.0
-    elif n == 3:
-        out = ((1.0 - c) ** 3 / 8.0
-               + (1.0 - c) * (1.0 + c) ** 2 / 8.0
-               + c * np.sin(theta) ** 2 / 2.0)
-    else:
-        raise ValueError("echo index n must be 1, 2, or 3")
-    return out if out.ndim else float(out)
+        return (1.0 - c) / 2.0
+    if n == 2:
+        return (1.0 - c) ** 2 / 4.0
+    if n == 3:
+        return ((1.0 - c) ** 3 / 8.0
+                + (1.0 - c) * (1.0 + c) ** 2 / 8.0
+                + c * np.sin(theta) ** 2 / 2.0)
+    raise ValueError("echo index n must be 1, 2, or 3")
 
 
 def echo_basis(weights, theta, z) -> np.ndarray:

@@ -72,17 +72,14 @@ class WfConfig:
 
 def init_offres(i1, i3, dt13: float):
     """Off-resonance initializer from the phase advance between the first
-    and third acquisitions: angle(i3 * conj(i1)) / dt13, per pixel for
-    arrays.  Scalars take the array loop too: numpy's scalar product can
-    differ from it in the last bit.
+    and third acquisitions: angle(i3 * conj(i1)) / dt13, per pixel.
 
     Sign convention: a signal obeying the forward model with positive
     d_omega0 and no fat yields a positive output.
     """
     if dt13 <= 0:
         raise ValueError("dt13 must be positive")
-    out = np.angle(np.atleast_1d(i3) * np.conj(np.atleast_1d(i1))) / dt13
-    return out if np.ndim(i1) else float(out[0])
+    return np.angle(np.atleast_1d(i3) * np.conj(np.atleast_1d(i1))) / dt13
 
 
 def wf_design(times, t2s_water: float, t2s_fat: float, d_omega0: float,
@@ -287,6 +284,5 @@ def echo_time_scale(w, f, t2s_water, t2s_fat, echo_time: float,
     amps = np.stack([np.abs(w), np.abs(f)], axis=-1)
     total = amps[..., 0] + amps[..., 1]
     cols = wf_design(echo_time, t2s_water, t2s_fat, 0.0, omega_cs)
-    out = np.divide(np.abs(np.sum(cols * amps, axis=-1)), total,
-                    out=np.ones_like(total), where=total != 0)
-    return out if out.ndim else float(out)
+    return np.divide(np.abs(np.sum(cols * amps, axis=-1)), total,
+                     out=np.ones_like(total), where=total != 0)

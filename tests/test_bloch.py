@@ -86,6 +86,29 @@ def test_rephased_removes_linear_phase():
         bloch.transverse_response(raw)[center]))) > 1.0
 
 
+def test_profile_is_its_cayley_klein_pair_and_the_lobe_turns_it():
+    pulse = bloch.hamming_sinc_pulse(np.pi / 2, 1e-3, 4e-3, phase=-np.pi / 2)
+    z = bloch.default_z_grid(4e-3, n=33)
+    alpha, beta = bloch.cayley_klein(pulse, 1.13, z)
+    prof = bloch.slice_profile(pulse, 1.13, z)
+    assert list(vars(prof)) == ["z_samples", "alpha", "beta"]
+    _assert_bit_equal(prof.alpha, alpha)
+    _assert_bit_equal(prof.beta, beta)
+    # Rephasing is the 3x3 z-rotation by the lobe phase, applied after R.
+    phi = -pulse.slice_gradient * z * pulse.duration / 2.0
+    turn = np.zeros((z.size, 3, 3))
+    turn[:, 0, 0] = turn[:, 1, 1] = np.cos(phi)
+    turn[:, 1, 0], turn[:, 0, 1], turn[:, 2, 2] = np.sin(phi), -np.sin(phi), 1
+    fixed = bloch.rephased(prof, pulse)
+    npt.assert_allclose(fixed.rotations, turn @ prof.rotations, rtol=0,
+                        atol=1e-12)
+    npt.assert_allclose(bloch.transverse_response(fixed),
+                        bloch.transverse(pulse, alpha, beta, z), rtol=0,
+                        atol=1e-12)
+    with pytest.raises(ValueError, match="shape"):
+        bloch.SliceProfile(z, alpha, beta[1:])
+
+
 def test_riemann_sum_linear_ramp():
     z = np.linspace(-0.008, 0.008, 129)
     h = z[1] - z[0]

@@ -478,6 +478,37 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_CHAIN = """
+import sys
+from pathlib import Path
+from qmapkit import formats, maskgen, phantom, pipeline, seqsim
+out = Path(sys.argv[1])
+pm = phantom.make_bottle_phantom(32, 32)
+formats.write_imageset(seqsim.simulate_scan(pm), out / "images")
+images = formats.read_imageset(out / "images")
+mask = maskgen.make_mask(maskgen.mean_image(images))
+formats.write_maps(pipeline.estimate_all(images, mask), out / "maps")
+formats.compare_maps(formats.read_maps(out / "maps"),
+                     phantom.phantom_truth_arrays(pm), mask)
+formats.write_mask(mask, out / "mask.pbm")
+formats.read_mask(out / "mask.pbm")
+print(sorted(m for m in sys.modules if (m + ".").startswith(
+    ("scipy.", "numpy.random.", "numpy.ma."))))
+"""
+
+
+def test_a_noiseless_chain_leaves_scipy_and_slow_numpy_parts_unloaded(
+        tmp_path):
+    # Not only the import: a first call that loads numpy.ma (np.union1d
+    # does) or numpy.random costs every first loop 10-20 ms.  Exact names,
+    # since numpy.matrixlib shares numpy.ma's first letters.
+    proc = subprocess.run([sys.executable, "-c", _CHAIN, str(tmp_path)],
+                          env=os.environ.copy(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_io_errors_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -84,8 +84,8 @@ def test_one_pixel_water_fat_fit_at_the_default_grid():
 
 
 def test_pixel_profiles_hold_one_pass_of_scales():
-    # 944 distinct scales: 2.86 MB, one pass of 25 scales plus the fields:
-    # +10%.
+    # 944 distinct scales: 2.36 MB, one pass of 25 scales plus the fields
+    # they make: +10%.
     pulses = seqsim.build_pulses()
     ks = np.linspace(0.2, 1.8, 944)
-    assert _peak_mb(seqsim.pixel_profiles, pulses, ks) < 2.86 * 1.1
+    assert _peak_mb(seqsim.pixel_profiles, pulses, ks) < 2.36 * 1.1

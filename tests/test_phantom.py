@@ -47,9 +47,12 @@ def test_zero_b1_scale_is_valid():
 def test_fat_fraction_property():
     p = phantom.TissueParams(water_amp=0.6, fat_amp=0.4, t1=1, t2=0.1,
                              t2s_water=0.05, t2s_fat=0.03)
-    assert p.fat_fraction == pytest.approx(0.4)
-    assert p.m0 == pytest.approx(1.0)
-    assert phantom.BACKGROUND.fat_fraction == 0.0
+    pm = phantom.make_disc_phantom(32, 32, p, radius_frac=0.25)
+    truth, inside = phantom.phantom_truth_arrays(pm), pm.label > 0
+    npt.assert_allclose(truth["fat_fraction"][inside], 0.4)
+    npt.assert_allclose(truth["m0"][inside], 1.0)
+    # The background carries no signal.
+    assert np.all(truth["fat_fraction"][~inside] == 0.0)
 
 
 def test_bottle_phantom_layout():
