@@ -45,6 +45,20 @@ class RatioTable:
         object.__setattr__(self, "ratios", r)
 
 
+def check_grid(k_min: float, k_max: float, step: float,
+               prefix: str = "") -> None:
+    """Raise ValueError, naming ``<prefix><key>``, unless the transmit-scale
+    grid is finite with 0 < k_min < k_max and step > 0."""
+    for key, value in {"k_min": k_min, "k_max": k_max, "step": step}.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{prefix}{key} must be finite")
+    if not 0 < k_min < k_max:
+        raise ValueError(f"{prefix}k_min {k_min} must be in "
+                         f"(0, k_max {k_max})")
+    if not step > 0:
+        raise ValueError(f"{prefix}step must be > 0, not {step}")
+
+
 def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
                       k_max: float = B1_K_MAX,
                       step: float = 0.002) -> RatioTable:
@@ -62,8 +76,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     The raw ratio is non-monotone once the doubled flip passes the null, so
     the table keeps only the initial decreasing branch.
     """
-    if not (0 < k_min < k_max < np.inf and 0 < step < np.inf):
-        raise ValueError("need finite 0 < k_min < k_max and step > 0")
+    check_grid(k_min, k_max, step)
     n = int(round((k_max - k_min) / step)) + 1
     k_axis = k_min + step * np.arange(n)
     img, series = pulses.imaging, pulses.series(k_max)

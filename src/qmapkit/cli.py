@@ -1,10 +1,11 @@
 """Command line: simulate a scan, build a mask, estimate maps, compare
 against ground truth, and dump the transmit-scale lookup table.
 
-All commands read one JSON config document, whole, each flag given in
-place of its key, through one table of its sections (``_CONFIG``): every
-command rejects an unknown key or a value of the wrong kind, naming it.
-Exit codes: 0 success, 1 validation failure, 2 I/O failure.
+Every command's only input besides its paths is one JSON config document,
+read and checked whole through one table of its sections (``_CONFIG``):
+every command refuses an unknown key, a value of the wrong kind or out of
+its range, naming ``config <section> <key>``.  Exit codes: 0 success, 1
+validation failure, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import formats, maskgen, phantom, pipeline, seqsim
+from . import b1map, formats, maskgen, phantom, pipeline, seqsim, waterfat
 from .phantom import number, whole_number
 
 
@@ -43,17 +44,15 @@ _CONFIG = {
 
 
 def _load_config(args) -> dict:
-    """The config document of ``args.config`` ({} without one), with each
-    flag given whose dest is ``<section>.<key>`` in place of that key, read
-    whole: the ``timing`` and ``pulses`` sections come back built."""
+    """The config document of ``args.config`` ({} without one), read whole,
+    the ``timing`` and ``pulses`` sections built, and every section checked
+    by the range rules that the library applies to it."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    for dest, value in vars(args).items():
-        section, _, key = dest.partition(".")
-        # A document or section that is no object is left for the read.
-        if key and value is not None and isinstance(doc, dict) and \
-                isinstance(doc.get(section, {}), dict):
-            doc[section] = {**doc.get(section, {}), key: value}
-    return phantom.read(doc, _CONFIG, "config")
+    cfg = phantom.read(doc, _CONFIG, "config")
+    seqsim.check_noise("config noise ", **cfg.get("noise", {}))
+    maskgen.check_options("config mask ", **cfg.get("mask", {}))
+    _options_from_config(cfg)
+    return cfg
 
 
 def _pulses(cfg: dict) -> seqsim.SequencePulses:
@@ -64,15 +63,22 @@ def _pulses(cfg: dict) -> seqsim.SequencePulses:
 
 
 def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
-    """The estimate options that a read config sets."""
+    """The estimate options that a read config sets, each section checked
+    first by the rule that the options apply, naming its config key."""
+    defaults = vars(pipeline.EstimateOptions())
     kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
     kw.update(cfg.get("wf", {}))
-    defaults = pipeline.EstimateOptions()
     for stage in ("t2", "t1"):
-        low, high = getattr(defaults, f"{stage}_bounds")
+        low, high = defaults[f"{stage}_bounds"]
         given = cfg.get(stage, {})
         kw[f"{stage}_bounds"] = (given.get("min", low),
                                  given.get("max", high))
+        pipeline.check_bounds(*kw[f"{stage}_bounds"],
+                              f"config {stage} min and max ")
+    opts = {**defaults, **kw}
+    b1map.check_grid(opts["b1_k_min"], opts["b1_k_max"], opts["b1_step"],
+                     "config b1 ")
+    waterfat.check_grid(opts, "config wf ")
     return pipeline.EstimateOptions(**kw)
 
 
@@ -142,42 +148,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a scan into a directory")
-    sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--t-sat", dest="timing.t_sat", type=float)
-    sim.add_argument("--tr", dest="timing.tr", type=float)
-    sim.add_argument("--noise-sigma", dest="noise.sigma", type=float)
-    sim.add_argument("--seed", dest="noise.seed", type=int)
     sim.set_defaults(func=cmd_simulate)
 
     msk = sub.add_parser("mask", help="build the processing mask")
-    msk.add_argument("--config", help="JSON config file")
     msk.add_argument("--images", required=True, help="image-set directory")
     msk.add_argument("--out", required=True, help="output PBM path")
     msk.set_defaults(func=cmd_mask)
 
     est = sub.add_parser("estimate", help="estimate parameter maps")
-    est.add_argument("--config", help="JSON config file")
     est.add_argument("--images", required=True, help="image-set directory")
     est.add_argument("--out", required=True, help="output directory")
     est.add_argument("--mask", help="PBM mask (default: derive from images)")
     est.set_defaults(func=cmd_estimate)
-    for cmd in (msk, est):
-        cmd.add_argument("--threshold", dest="mask.threshold", type=float)
-        cmd.add_argument("--close-radius", dest="mask.close_radius", type=int)
-        cmd.add_argument("--erode-radius", dest="mask.erode_radius", type=int)
 
     cmp_ = sub.add_parser("compare", help="compare maps to phantom truth")
-    cmp_.add_argument("--config", help="JSON config with the phantom section")
     cmp_.add_argument("--maps", required=True, help="QuantMaps directory")
     cmp_.add_argument("--mask", help="PBM mask (default: the maps' own)")
     cmp_.add_argument("--json", help="also write the report as JSON here")
     cmp_.set_defaults(func=cmd_compare)
 
     lut = sub.add_parser("lut", help="emit the transmit-scale ratio table")
-    lut.add_argument("--config", help="JSON config file")
     lut.add_argument("--out", help="output JSON path (default: stdout)")
     lut.set_defaults(func=cmd_lut)
+    for cmd in (sim, msk, est, cmp_, lut):
+        cmd.add_argument("--config", help="JSON config document")
     return parser
 
 

@@ -41,10 +41,21 @@ class Mask:
         return int(self.bits.sum())
 
 
+def check_options(prefix: str = "", **given) -> None:
+    """Raise ValueError, naming ``<prefix><key>``, unless each given option
+    of :func:`make_mask` or :func:`disc_element` is in range: the threshold
+    a fraction in (0, 1), each radius >= 0."""
+    for key, value in given.items():
+        if key == "threshold" and not 0.0 < value < 1.0:
+            raise ValueError(f"{prefix}threshold must be a fraction in "
+                             f"(0, 1), not {value!r}")
+        if key != "threshold" and value < 0:
+            raise ValueError(f"{prefix}{key} must be >= 0, not {value!r}")
+
+
 def disc_element(radius: int) -> np.ndarray:
     """Discrete disc: offsets whose center distance is <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    check_options(radius=radius)
     span = np.arange(-radius, radius + 1)
     dx, dy = np.meshgrid(span, span, indexing="ij")
     return (dx * dx + dy * dy) <= radius * radius
@@ -80,10 +91,8 @@ def make_mask(mean: np.ndarray, threshold: float = 0.1,
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 2 or mean.size == 0:
         raise ValueError("mean image must be 2-d and non-empty")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be a fraction in (0, 1)")
-    if close_radius < 0 or erode_radius < 0:
-        raise ValueError("close and erode radii must be >= 0")
+    check_options(threshold=threshold, close_radius=close_radius,
+                  erode_radius=erode_radius)
     # One corrupt sample must not become a NaN peak and empty the mask.
     mean = np.where(np.isfinite(mean), mean, 0.0)
     peak = float(mean.max())

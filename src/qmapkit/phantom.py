@@ -119,6 +119,21 @@ def _paint_disc(pm: PhantomMap, cx: float, cy: float, radius: float,
     pm.label[inside] = label
 
 
+def check_sizes(prefix: str = "phantom ", **given) -> None:
+    """Raise ValueError, naming ``<prefix><key>``, unless each given size is
+    in range: a width or height of at least 32 pixels, a radius_frac in
+    (0, 0.5], six bottles; other keys are ignored."""
+    for key, value in given.items():
+        if key in ("width", "height") and not value >= 32:
+            raise ValueError(f"{prefix}{key} must be at least 32, not {value}")
+        if key == "radius_frac" and not 0.0 < value <= 0.5:
+            raise ValueError(f"{prefix}radius_frac must be in (0, 0.5], "
+                             f"not {value}")
+        if key == "bottles" and len(value) != 6:
+            raise ValueError(f"{prefix}bottles must be six tissues, "
+                             f"not {len(value)}")
+
+
 def make_bottle_phantom(width: int, height: int, bottles=None,
                         b1_scale: float = 1.0) -> PhantomMap:
     """Six equal discs in two rows of three, radius 0.12*min(width, height).
@@ -128,13 +143,10 @@ def make_bottle_phantom(width: int, height: int, bottles=None,
     and the default recipe's.  Labels run 1..6 in reading order (top row
     left-to-right, then bottom).
     """
-    if width < 32 or height < 32:
-        raise ValueError("phantom must be at least 32x32")
     if bottles is None:
         bottles = [replace(b, b1_scale=b1_scale) for b in DEFAULT_BOTTLES]
     bottles = tuple(bottles)
-    if len(bottles) != 6:
-        raise ValueError("exactly six bottle recipes required")
+    check_sizes(width=width, height=height, bottles=bottles)
     radius = 0.12 * min(width, height)
     xs = [0.25 * width, 0.50 * width, 0.75 * width]
     ys = [height / 3.0, 2.0 * height / 3.0]
@@ -149,10 +161,7 @@ def make_bottle_phantom(width: int, height: int, bottles=None,
 def make_disc_phantom(width: int, height: int, params: TissueParams,
                       radius_frac: float = 0.35) -> PhantomMap:
     """Single centered disc of uniform parameters; handy for round trips."""
-    if width < 32 or height < 32:
-        raise ValueError("phantom must be at least 32x32")
-    if not 0.0 < radius_frac <= 0.5:
-        raise ValueError(f"radius_frac must be in (0, 0.5], got {radius_frac}")
+    check_sizes(width=width, height=height, radius_frac=radius_frac)
     pm = _blank_map(width, height)
     pm.b1_scale[:] = params.b1_scale
     radius = radius_frac * min(width, height)
@@ -234,35 +243,47 @@ _FOREIGN_KEYS = {"bottles": {"disc", "radius_frac"}, "disc": {"bottles"}}
 
 
 def read_phantom(cfg, name: str = "phantom") -> dict:
-    """A phantom recipe read through ``PHANTOM_KINDS``, without building
-    it.  An unknown type, or a key of the other type, raises ValueError."""
+    """A phantom recipe read through ``PHANTOM_KINDS`` and checked whole,
+    its sizes by :func:`check_sizes` and its tissues by ``TissueParams``,
+    without building its arrays.  An unknown type, or a key of the other
+    type, raises ValueError too; every error starts ``<name>``."""
     cfg = read(cfg, PHANTOM_KINDS, name)
     kind = cfg.get("type", "bottles")
     if not isinstance(kind, str) or kind not in _FOREIGN_KEYS:
-        raise ValueError(f"unknown phantom type: {kind!r}")
+        raise ValueError(f"{name} type must be 'bottles' or 'disc', "
+                         f"not {kind!r}")
     foreign = sorted(_FOREIGN_KEYS[kind] & set(cfg))
     if foreign:
         raise ValueError(f"{name} type {kind!r} takes no keys {foreign}")
+    check_sizes(f"{name} ", **cfg)
+    _recipe_tissues(cfg, name)
     return cfg
 
 
-def bottle_from_dict(d: dict) -> TissueParams:
-    return replace(DEFAULT_BOTTLES[0], **read(d, _TISSUE_KINDS, "bottle"))
+def bottle_from_dict(d: dict, name: str = "bottle") -> TissueParams:
+    """Bottle 1 with the fields of ``d``; each error names ``<name>``."""
+    given = read(d, _TISSUE_KINDS, name)
+    return read({**vars(DEFAULT_BOTTLES[0]), **given}, TissueParams, name)
+
+
+def _recipe_tissues(cfg: dict, name: str) -> list:
+    """A read recipe's tissues: its bottles, else its disc, each b1_scale
+    that it leaves unset the phantom's."""
+    b1_scale = cfg.get("b1_scale", 1.0)
+    return [bottle_from_dict({"b1_scale": b1_scale, **tissue}, name)
+            for tissue in cfg.get("bottles", [cfg.get("disc", {})])]
 
 
 def phantom_from_config(cfg: dict) -> PhantomMap:
     """Build a phantom from a recipe that ``read_phantom`` accepts."""
     cfg = read_phantom(cfg)
     width, height = cfg.get("width", 64), cfg.get("height", 64)
-    b1_scale = cfg.get("b1_scale", 1.0)
+    tissues = _recipe_tissues(cfg, "phantom")
     if cfg.get("type", "bottles") == "bottles":
-        bottles = cfg.get("bottles")
-        if bottles is not None:
-            bottles = [bottle_from_dict({"b1_scale": b1_scale, **b})
-                       for b in bottles]
-        return make_bottle_phantom(width, height, bottles, b1_scale=b1_scale)
-    params = bottle_from_dict({"b1_scale": b1_scale, **cfg.get("disc", {})})
-    return make_disc_phantom(width, height, params,
+        return make_bottle_phantom(
+            width, height, tissues if "bottles" in cfg else None,
+            b1_scale=cfg.get("b1_scale", 1.0))
+    return make_disc_phantom(width, height, tissues[0],
                              radius_frac=cfg.get("radius_frac", 0.35))
 
 

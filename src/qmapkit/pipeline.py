@@ -53,10 +53,10 @@ class QuantMaps:
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Stage configuration; defaults match the standard protocol.  Grid
-    values and fit bounds (0 < low < high) must be finite; checked here.
-    The ``b1_*`` grid only builds the ratio table when none is given: a
-    given table sets the B1 stage's range and grid."""
+    """Stage configuration; defaults match the standard protocol.  The B1
+    and water/fat grids and the fit bounds are checked by their stages'
+    rules.  The ``b1_*`` grid only builds the ratio table when none is
+    given: a given table sets the B1 stage's range and grid."""
 
     b1_k_min: float = 0.2
     b1_k_max: float = B1_K_MAX
@@ -70,15 +70,17 @@ class EstimateOptions:
     t1_bounds: tuple = (0.05, 5.0)
 
     def __post_init__(self):
-        for name in ("b1_k_min", "b1_k_max", "b1_step", "t2s_min", "t2s_max",
-                     "d_omega_step", "omega_bound"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("t2_bounds", "t1_bounds"):
-            lo, hi = getattr(self, name)
-            if not 0.0 < lo < hi < np.inf:
-                raise ValueError(
-                    f"{name} {(lo, hi)}: need finite 0 < low < high")
+        b1map.check_grid(self.b1_k_min, self.b1_k_max, self.b1_step, "b1_")
+        waterfat.check_grid(vars(self))
+        check_bounds(*self.t2_bounds, "t2_bounds ")
+        check_bounds(*self.t1_bounds, "t1_bounds ")
+
+
+def check_bounds(low: float, high: float, prefix: str = "") -> None:
+    """Raise ValueError, starting ``<prefix>``, unless a fit's bounds are
+    finite with 0 < low < high."""
+    if not 0.0 < low < high < np.inf:
+        raise ValueError(f"{prefix}{(low, high)}: need finite 0 < low < high")
 
 
 def _ratio_table(pulses: SequencePulses, opts: EstimateOptions):

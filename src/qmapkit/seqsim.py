@@ -317,6 +317,15 @@ class ImageSet:
         return self.data.shape[3]
 
 
+def check_noise(prefix: str = "noise ", **given) -> None:
+    """Raise ValueError, naming ``<prefix><key>``, unless the given noise
+    ``sigma`` and ``seed`` are each finite and >= 0."""
+    for key, value in given.items():
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{prefix}{key} must be finite and >= 0, "
+                             f"not {value!r}")
+
+
 def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
                   pulses: SequencePulses = None, noise_sigma: float = 0.0,
                   seed: int = 0, omega_cs: float = OMEGA_CS) -> ImageSet:
@@ -334,10 +343,7 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     seeded by ``seed`` (>= 0) straight into the image buffer, so the result
     is independent of pixel evaluation order.
     """
-    if not 0.0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise sigma must be finite and >= 0: {noise_sigma}")
-    if seed < 0:
-        raise ValueError(f"noise seed must be >= 0: {seed}")
+    check_noise(sigma=noise_sigma, seed=seed)
     pulses = pulses or build_pulses(timing=timing)
     if timing not in (None, pulses.timing):
         raise ValueError("the pulse set was built for another schedule")

@@ -32,6 +32,24 @@ from . import fitcore
 from .constants import GAMMA, OMEGA_CS
 
 
+def check_grid(grid: dict, prefix: str = "") -> None:
+    """Raise ValueError, naming ``<prefix><key>``, unless the search grid
+    that ``grid`` maps is finite, with 0 < t2s_min < t2s_max, t2s_points
+    >= 2 and 0 < d_omega_step <= omega_bound; other keys are ignored."""
+    for key in ("t2s_min", "t2s_max", "d_omega_step", "omega_bound"):
+        if not np.isfinite(grid[key]):
+            raise ValueError(f"{prefix}{key} must be finite")
+    if not 0 < grid["t2s_min"] < grid["t2s_max"]:
+        raise ValueError(f"{prefix}t2s_min {grid['t2s_min']} must be in "
+                         f"(0, t2s_max {grid['t2s_max']})")
+    if grid["t2s_points"] < 2:
+        raise ValueError(f"{prefix}t2s_points must be at least 2, not "
+                         f"{grid['t2s_points']}")
+    if not 0 < grid["d_omega_step"] <= grid["omega_bound"]:
+        raise ValueError(f"{prefix}d_omega_step {grid['d_omega_step']} must "
+                         f"be in (0, omega_bound {grid['omega_bound']}]")
+
+
 @dataclass(frozen=True)
 class WfConfig:
     """Grid and model constants for the water/fat search."""
@@ -48,14 +66,9 @@ class WfConfig:
         times = tuple(float(t) for t in self.times)
         if len(times) != 5 or list(times) != sorted(times) or times[0] <= 0:
             raise ValueError("times must be five increasing positive values")
-        if not 0 < self.t2s_min < self.t2s_max < np.inf:
-            raise ValueError("need finite 0 < t2s_min < t2s_max")
+        check_grid(vars(self))
         if np.exp(-2.0 * times[0] / self.t2s_min) == 0.0:
             raise ValueError("t2s_min leaves no signal at the first time")
-        if self.t2s_points < 2:
-            raise ValueError("t2s_points must be at least 2")
-        if not 0 < self.d_omega_step <= self.omega_bound < np.inf:
-            raise ValueError("need finite 0 < d_omega_step <= omega_bound")
         if not np.isfinite(self.omega_cs):
             raise ValueError("omega_cs must be finite")
         object.__setattr__(self, "times", times)

@@ -101,13 +101,12 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
     assert cli.main(["simulate", "--config", str(cfg2),
                      "--out", str(tmp_path / "o")]) == 1
 
-    # A negative noise sigma, from the flag or the config, writes nothing.
-    assert cli.main(["simulate", "--noise-sigma=-1e-3",
-                     "--out", str(tmp_path / "o")]) == 1
+    # A negative noise sigma writes nothing.
     cfg3 = _write_config(tmp_path, {"noise": {"sigma": -0.001}})
     assert cli.main(["simulate", "--config", cfg3,
                      "--out", str(tmp_path / "o")]) == 1
-    assert "noise sigma" in capsys.readouterr().err
+    assert "config noise sigma must be finite and >= 0" in \
+        capsys.readouterr().err
     # A fractional grid side is an error, not a truncated phantom.
     cfg4 = _write_config(tmp_path, {"phantom": {"type": "disc",
                                                 "width": 32.9}})
@@ -126,10 +125,11 @@ def test_validation_errors_exit_1(tmp_path, water_scan, capsys):
 
     images_dir = str(tmp_path / "images")
     formats.write_imageset(water_scan, images_dir)
-    for flag in ("--close-radius", "--erode-radius"):
-        assert cli.main(["mask", "--images", images_dir, flag, "-1",
+    for key in ("close_radius", "erode_radius"):
+        cfg7 = _write_config(tmp_path, {"mask": {key: -1}})
+        assert cli.main(["mask", "--config", cfg7, "--images", images_dir,
                          "--out", str(tmp_path / "m.pbm")]) == 1
-        assert "radii must be >= 0" in capsys.readouterr().err
+        assert f"config mask {key} must be >= 0" in capsys.readouterr().err
     for key, value in (("close_radius", 2.7), ("erode_radius", 1.9)):
         cfg7 = _write_config(tmp_path, {"mask": {key: value}})
         assert cli.main(["mask", "--config", cfg7, "--images", images_dir,
@@ -244,7 +244,10 @@ def test_non_finite_grid_option_exits_1(tmp_path, water_scan, capsys, text,
     out = tmp_path / "maps"
     assert cli.main(["estimate", "--config", str(cfg), "--images",
                      images_dir, "--out", str(out)]) == 1
-    assert f"{name} must be finite" in capsys.readouterr().err
+    # The error names the config's section and key, not the option's name.
+    section = next(iter(json.loads(text)))
+    assert (f"error: config {section} {name.removeprefix('b1_')} must be "
+            "finite") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -403,10 +406,25 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, cfg, message):
     ("mask", {"t1": {"mn": 1}}, ["t1.mn"]),
     ("estimate", {"pulses": {"n_piece": 3}}, ["pulses.n_piece"]),
     ("compare", {"noise": {"sigm": 1}, "wf": {"t2s_pts": 3}, "nosie": {}},
-     ["['noise.sigm', 'nosie', 'wf.t2s_pts']"])])
+     ["['noise.sigm', 'nosie', 'wf.t2s_pts']"])] + [
+    (command, cfg, [f"error: config {key}"])
+    for command in ("simulate", "mask", "estimate", "compare", "lut")
+    for cfg, key in (({"wf": {"t2s_points": 1}}, "wf t2s_points"),
+                     ({"wf": {"t2s_min": 0.2}}, "wf t2s_min"),
+                     ({"t1": {"min": 5, "max": 0.05}}, "t1 min"),
+                     ({"phantom": {"width": 8}}, "phantom width"),
+                     ({"noise": {"sigma": -1}}, "noise sigma"),
+                     ({"mask": {"threshold": 2}}, "mask threshold"),
+                     ({"b1": {"k_min": 1.5, "k_max": 1.2}}, "b1 k_min"),
+                     ({"t2": {"min": 0}}, "t2 min"),
+                     ({"phantom": {"bottles": [{}]}}, "phantom bottles"),
+                     ({"phantom": {"type": "disc", "disc": {"t2s_water": 1}}},
+                      "phantom t2s_water"))])
 def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
                                                command, cfg, names):
     # The first three once exited 0: each command read only its sections.
+    # Of the out-of-range values, each command once refused only those of
+    # the sections it used, naming the library's parameter.
     images_dir = str(tmp_path / "images")
     formats.write_imageset(water_scan, images_dir)
     maps_dir = tmp_path / "maps"
@@ -521,10 +539,16 @@ def test_io_errors_exit_2(tmp_path):
                      "--out", str(blocker / "t.json")]) == 2
 
 
-def test_usage_errors_raise_systemexit():
+def test_usage_errors_raise_systemexit(tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 1
     with pytest.raises(SystemExit) as err:
         cli.main(["simulate", "--no-such-flag"])
     assert err.value.code == 1
+    # The config document is the only way to set a value.
+    out = tmp_path / "images"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--seed", "3", "--out", str(out)])
+    assert err.value.code == 1
+    assert not out.exists()

@@ -362,6 +362,16 @@ def test_estimate_options_reject_bad_fit_bounds():
         pipeline.EstimateOptions(t2_bounds=(0.0, 3.0))
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"b1_k_min": 1.5, "b1_k_max": 1.2}, "b1_k_min 1.5 must be in"),
+    ({"b1_step": 0.0}, "b1_step must be > 0"),
+    ({"b1_k_min": -0.1}, "b1_k_min -0.1 must be in")])
+def test_estimate_options_check_the_b1_grid(options, message):
+    # The ratio-table build once refused these, after the images were read.
+    with pytest.raises(ValueError, match=message):
+        pipeline.EstimateOptions(**options)
+
+
 @pytest.mark.parametrize("name, bounds", [
     ("t2_bounds", (0.005, np.inf)), ("t1_bounds", (0.05, np.inf)),
     ("t2_bounds", (np.nan, 3.0)), ("t1_bounds", (0.05, np.nan))])
