@@ -62,9 +62,11 @@ def _pulses(cfg: dict) -> seqsim.SequencePulses:
                                cfg.get("timing"))
 
 
-def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
+def _options_from_config(cfg: dict, timing=None) -> pipeline.EstimateOptions:
     """The estimate options that a read config sets, each section checked
-    first by the rule that the options apply, naming its config key."""
+    first by the rule that the options apply, naming its config key.  The
+    water/fat grid must leave signal at the first FID time of ``timing``
+    (default: the config's own schedule)."""
     defaults = vars(pipeline.EstimateOptions())
     kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
     kw.update(cfg.get("wf", {}))
@@ -79,6 +81,9 @@ def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
     b1map.check_grid(opts["b1_k_min"], opts["b1_k_max"], opts["b1_step"],
                      "config b1 ")
     waterfat.check_grid(opts, "config wf ")
+    timing = timing or cfg.get("timing") or seqsim.default_timing()
+    waterfat.check_first_time(opts["t2s_min"], timing.fid_times[0],
+                              "config wf ")
     return pipeline.EstimateOptions(**kw)
 
 
@@ -108,7 +113,8 @@ def cmd_estimate(args, cfg: dict) -> int:
     images = formats.read_imageset(args.images)
     mask = formats.read_mask(args.mask) if args.mask else \
         maskgen.make_mask(maskgen.mean_image(images), **cfg.get("mask", {}))
-    maps = pipeline.estimate_all(images, mask, _options_from_config(cfg))
+    maps = pipeline.estimate_all(images, mask,
+                                 _options_from_config(cfg, images.timing))
     formats.write_maps(maps, args.out)
     print(f"estimated {int(maps.mask.sum())} masked pixels, "
           f"{int(maps.valid['t1'].sum())} with a valid T1 -> {args.out}")

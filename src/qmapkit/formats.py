@@ -24,7 +24,7 @@ import numpy as np
 from .maskgen import Mask
 from .phantom import number, read, whole_number
 from .pipeline import MAP_NAMES, QuantMaps
-from .seqsim import ImageSet, PulseParams, SequenceTiming
+from .seqsim import ImageSet, PulseParams, SequenceTiming, check_noise
 
 FORMAT_VERSION = 3
 
@@ -199,6 +199,11 @@ def read_imageset(in_dir) -> ImageSet:
     straight into it: the payload's own precision."""
     manifest, chunks = _read_set(in_dir, "imageset", _IMAGESET_KINDS,
                                  "images.f32", "<c8", 1, 22)
+    try:
+        check_noise("manifest ", noise_sigma=manifest["noise_sigma"],
+                    seed=manifest["seed"])
+    except ValueError as exc:
+        raise FieldError(str(exc)) from None
     [data] = chunks  # asks for a second chunk: the payload is checked
     return ImageSet(
         data=data.reshape(2, 11, *data.shape[1:]), timing=manifest["timing"],

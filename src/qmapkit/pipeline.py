@@ -17,7 +17,7 @@ import numpy as np
 from . import b1map, maskgen, t1fit, t2fit, waterfat
 from .maskgen import Mask
 from .seqsim import (B1_K_MAX, ImageSet, SequencePulses, build_pulses,
-                     pixel_profiles)
+                     distinct_rows, pixel_profiles)
 
 MAP_NAMES = ("b1", "t2", "t2s_water", "t2s_fat", "d_omega0", "delta_b0",
              "fat_fraction", "t1", "m0", "t1_over_m0")
@@ -102,11 +102,11 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     """Run every stage over the masked pixels of an image set.
 
     The masked pixels are gathered once; the B1, T2, water/fat and T1 stages
-    are one array call each over them, in that order, and each map is
-    scattered back once at the end.  A given ``ratio_table`` (else one built
-    from the ``b1_*`` options) sets the B1 range and grid: k-hat snaps to its
-    grid, where the table's series (the pulse set's own for a hand-made
-    table) gives the slice profiles.
+    are one array call each over the distinct ones, in that order, and each
+    map is scattered back once at the end.  A given ``ratio_table`` (else
+    one built from the ``b1_*`` options) sets the B1 range and grid: k-hat
+    snaps to its grid, where the table's series (the pulse set's own for a
+    hand-made table) gives the slice profiles.
     """
     data = images.data
     h, w = data.shape[2], data.shape[3]
@@ -123,10 +123,14 @@ def estimate_all(images: ImageSet, mask: Mask = None,
         ratio_table = _ratio_table(pulses, opts)
 
     # A pixel with any non-finite sample stays in the mask but reads 0 and
-    # invalid in every map; no solver sees it.
+    # invalid in every map; no solver sees it.  Each distinct pixel is
+    # solved once, its maps scattered to every pixel byte-equal to it: a
+    # row's bits depend on no other row.
     rows, cols = np.nonzero(mask.bits & np.all(np.isfinite(data),
                                                axis=(0, 1)))
-    px = data.transpose(2, 3, 0, 1)[rows, cols].astype(complex, copy=False)
+    px, which = distinct_rows(data.transpose(2, 3, 0, 1)[rows, cols]
+                              .astype(complex, copy=False).reshape(-1, 22))
+    px = px.reshape(-1, 2, 11)
     est, ok = {}, {}
 
     # B1 from the double-angle pair I8; the slice profiles are read at k-hat
@@ -169,6 +173,6 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     out = QuantMaps.zeros((h, w))
     out.mask = mask.bits.copy()
     for name in MAP_NAMES:
-        getattr(out, name)[rows, cols] = est[name]
-        out.valid[name][rows, cols] = ok[name]
+        getattr(out, name)[rows, cols] = est[name][which]
+        out.valid[name][rows, cols] = ok[name][which]
     return out

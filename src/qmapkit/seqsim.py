@@ -326,6 +326,15 @@ def check_noise(prefix: str = "noise ", **given) -> None:
                              f"not {value!r}")
 
 
+def distinct_rows(a):
+    """The distinct rows of a 2-D array, compared by their bytes, and the
+    index of each row among them: ``rows[which]`` is ``a``, bit for bit."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], which
+
+
 def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
                   pulses: SequencePulses = None, noise_sigma: float = 0.0,
                   seed: int = 0, omega_cs: float = OMEGA_CS) -> ImageSet:
@@ -353,12 +362,8 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
             else np.zeros((2, 11, h, w), dtype=complex))
     data *= noise_sigma
     signal = pm.water_amp + pm.fat_amp != 0.0
-    stacked = np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1)
-    order = np.lexsort(stacked.T[::-1])  # np.unique(axis=0)'s, faster
-    stacked = stacked[order]
-    new = np.ones(len(order), dtype=bool)  # rows unlike the row before
-    new[1:] = np.any(stacked[1:] != stacked[:-1], axis=1)
-    tissues, which = stacked[new], (np.cumsum(new) - 1)[np.argsort(order)]
+    tissues, which = distinct_rows(
+        np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1))
     check_tissues(tissues)
     sims = simulate_tissues(tissues, pulses.timing,
                             pixel_profiles(pulses, tissues[:, -1]), omega_cs)

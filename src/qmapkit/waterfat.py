@@ -15,8 +15,8 @@ initializer and bounded by a search half-width.
 The search needs only each candidate's residual, |b|^2 minus the energy
 x^H P x of the demodulated data x in the span of the pair's design (P from
 a two-column Gram-Schmidt; no LAPACK call).  The offset enters only through
-the time lags t_n - t_m, so a complex product over the pairs and a real one
-with a lag table score a pixel's candidates.  :func:`fit_waterfat_pixels`
+the time lags t_n - t_m, so two real products, one over the pairs and one
+with a lag table, score a pixel's candidates.  :func:`fit_waterfat_pixels`
 scores pixels in blocks and does the rest as arrays over all of them.
 """
 
@@ -50,6 +50,16 @@ def check_grid(grid: dict, prefix: str = "") -> None:
                          f"be in (0, omega_bound {grid['omega_bound']}]")
 
 
+def check_first_time(t2s_min: float, first_time: float,
+                     prefix: str = "") -> None:
+    """Raise ValueError, naming ``<prefix>t2s_min``, if the shortest T2*
+    leaves no signal at the first FID time (the fit's squared decay
+    underflows)."""
+    if np.exp(-2.0 * first_time / t2s_min) == 0.0:
+        raise ValueError(f"{prefix}t2s_min {t2s_min} leaves no signal at the "
+                         f"first time {first_time} s")
+
+
 @dataclass(frozen=True)
 class WfConfig:
     """Grid and model constants for the water/fat search."""
@@ -67,8 +77,7 @@ class WfConfig:
         if len(times) != 5 or list(times) != sorted(times) or times[0] <= 0:
             raise ValueError("times must be five increasing positive values")
         check_grid(vars(self))
-        if np.exp(-2.0 * times[0] / self.t2s_min) == 0.0:
-            raise ValueError("t2s_min leaves no signal at the first time")
+        check_first_time(self.t2s_min, times[0])
         if not np.isfinite(self.omega_cs):
             raise ValueError("omega_cs must be finite")
         object.__setattr__(self, "times", times)
@@ -184,12 +193,22 @@ def _pair_decomposition(cfg: WfConfig):
 
 def _lag_gram(x, norm_b, proj, lag_of) -> np.ndarray:
     """S of n pixels' demodulated data x (n, 5), (n, n_pair, 2 n_lag) real,
-    |b|^2 in S_0's imaginary part: times the lag table, the scores."""
-    lags = np.zeros((len(x), 15, lag_of.max() + 1), dtype=complex)
-    lags[:, np.arange(15), lag_of] = x[:, _PAIRS[0]].conj() * x[:, _PAIRS[1]]
-    gram = proj @ lags
-    gram[..., 0] += 1j * norm_b[:, None]
-    return gram.view(float)
+    |b|^2 in S_0's imaginary part: times the lag table, the scores.
+
+    One real product: rows 2j and 2j+1 of a pixel's lag matrix hold (Re d_j,
+    Im d_j) and (-Im d_j, Re d_j) in lag L(j)'s columns, so the projectors'
+    (Re P_j, Im P_j) columns give (Re S_L, Im S_L).  OpenBLAS runs a real
+    product this small on the calling thread, but hands the complex
+    (n_pair, 15) @ (15, n_lag) product to its thread pool."""
+    d = x[:, _PAIRS[0]].conj() * x[:, _PAIRS[1]]
+    lags = np.zeros((len(x), 15, 2, lag_of.max() + 1, 2))
+    j = np.arange(15)
+    lags[:, j, 0, lag_of, 0] = lags[:, j, 1, lag_of, 1] = d.real
+    lags[:, j, 0, lag_of, 1] = d.imag
+    lags[:, j, 1, lag_of, 0] = -d.imag
+    gram = proj.view(float) @ lags.reshape(len(x), 30, -1)
+    gram[..., 1] += norm_b[:, None]
+    return gram
 
 
 def _solve_winners(a, b):

@@ -419,7 +419,10 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, cfg, message):
                      ({"t2": {"min": 0}}, "t2 min"),
                      ({"phantom": {"bottles": [{}]}}, "phantom bottles"),
                      ({"phantom": {"type": "disc", "disc": {"t2s_water": 1}}},
-                      "phantom t2s_water"))])
+                      "phantom t2s_water"))] + [
+    # A t2s_min that leaves no signal at the default first FID time.
+    (command, {"wf": {"t2s_min": 1e-6}}, ["error: config wf t2s_min"])
+    for command in ("simulate", "mask", "estimate", "compare", "lut")])
 def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
                                                command, cfg, names):
     # The first three once exited 0: each command read only its sections.
@@ -440,6 +443,25 @@ def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
     for name in names:
         assert name in err
     assert not (tmp_path / "out").exists()
+
+
+def test_estimate_checks_t2s_min_at_the_image_sets_first_time(
+        tmp_path, water_scan, capsys):
+    # The config's own first FID time (0.2 ms) leaves signal at this
+    # t2s_min, the image set's (2 ms) does not.  This once exited 1 with a
+    # message naming no key.
+    images_dir = str(tmp_path / "images")
+    formats.write_imageset(water_scan, images_dir)
+    cfg = _write_config(tmp_path, {
+        "timing": {"fid_times": [0.0002, 0.004, 0.006, 0.008, 0.010]},
+        "wf": {"t2s_min": 5e-6}})
+    assert cli.main(["lut", "--config", cfg, "--out",
+                     str(tmp_path / "lut.json")]) == 0
+    out = tmp_path / "maps"
+    assert cli.main(["estimate", "--config", cfg, "--images", images_dir,
+                     "--out", str(out)]) == 1
+    assert "error: config wf t2s_min" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_config_loads_and_its_table_names_every_key(tmp_path):

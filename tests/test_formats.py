@@ -115,6 +115,19 @@ def test_imageset_fractional_counts_are_rejected(water_scan, tmp_path, key,
         formats.read_imageset(tmp_path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_sigma", -1.0), ("noise_sigma", float("inf")), ("seed", -1)])
+def test_imageset_noise_fields_out_of_range_name_their_key(
+        water_scan, tmp_path, key, value):
+    # The manifest's noise fields obey simulate_scan's rule: these once
+    # read back as valid.
+    formats.write_imageset(water_scan, tmp_path)
+    _edit_manifest(tmp_path, lambda m: m.update({key: value}))
+    with pytest.raises(formats.FieldError,
+                       match=f"manifest {key} must be finite and >= 0"):
+        formats.read_imageset(tmp_path)
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda m: m.update(omega_cs="x"), "manifest omega_cs must be a number"),
     (lambda m: m.update(noise_sigma=True),

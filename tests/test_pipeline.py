@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -123,12 +127,11 @@ def test_estimate_all_computes_profiles_once(monkeypatch):
     bits[16, 12:20] = True
     maps = pipeline.estimate_all(images, maskgen.Mask(bits=bits), opts,
                                  ratio_table=table)
-    # One call with the 8 pixels' snapped scales, read at the 2 distinct
-    # ones.
-    assert len(calls) == 1 and calls[0].shape == (8,)
-    npt.assert_allclose(calls[0], np.where(np.arange(8) < 4, 0.9, 1.0),
-                        atol=0.005)
-    assert np.unique(calls[0]).size == 2 and reads == [(5, 2)]
+    # The 8 noiseless pixels are 2 distinct rows: one call with their
+    # snapped scales, read at both.
+    assert len(calls) == 1 and calls[0].shape == (2,)
+    npt.assert_allclose(np.sort(calls[0]), [0.9, 1.0], atol=0.005)
+    assert reads == [(5, 2)]
     npt.assert_allclose(maps.b1[bits], np.where(np.arange(8) < 4, 0.9, 1.0),
                         atol=0.005)
 
@@ -260,7 +263,16 @@ def test_a_pixel_reads_the_same_in_any_stratum(noisy_bottles):
                                full.valid[name][bits])
 
 
+@pytest.fixture(scope="module")
+def noisy_water(water_disc, water_scan):
+    # Every masked pixel of the noisy disc is a distinct row; every one of
+    # the noiseless disc's is the same row.
+    mask = maskgen.make_mask(maskgen.mean_image(water_scan))
+    return seqsim.simulate_scan(water_disc, noise_sigma=1e-4, seed=1), mask
+
+
 def test_estimate_all_fits_t2_and_t1_in_one_call_each(water_scan,
+                                                      noisy_water,
                                                       monkeypatch):
     calls = []
     original = fitcore.fit_scaled_column
@@ -276,13 +288,14 @@ def test_estimate_all_fits_t2_and_t1_in_one_call_each(water_scan,
         bits[h // 2, 12:12 + n] = True
         calls.clear()
         pipeline.estimate_all(water_scan, maskgen.Mask(bits=bits))
-        assert calls == [n, n]
+        assert calls == [1, 1]
     calls.clear()
-    maps = pipeline.estimate_all(water_scan)
+    maps = pipeline.estimate_all(*noisy_water)
     assert calls == [maps.mask.sum()] * 2 and calls[0] > 100
 
 
-def test_estimate_all_fits_waterfat_in_one_call(water_scan, monkeypatch):
+def test_estimate_all_fits_waterfat_in_one_call(water_scan, noisy_water,
+                                                monkeypatch):
     calls = []
     original = waterfat.fit_waterfat_pixels
 
@@ -301,9 +314,9 @@ def test_estimate_all_fits_waterfat_in_one_call(water_scan, monkeypatch):
         bits[h // 2, 12:12 + n] = True
         calls.clear()
         maps = pipeline.estimate_all(water_scan, maskgen.Mask(bits=bits))
-        assert calls == [n] and maps.valid["fat_fraction"][bits].all()
+        assert calls == [1] and maps.valid["fat_fraction"][bits].all()
     calls.clear()
-    maps = pipeline.estimate_all(water_scan)
+    maps = pipeline.estimate_all(*noisy_water)
     assert calls == [maps.mask.sum()] == [153]
 
 
@@ -513,3 +526,82 @@ def test_non_finite_sample_keeps_derived_mask(water_scan):
         npt.assert_array_equal(maps.valid[name][others],
                                clean.valid[name][others])
         assert not maps.valid[name][16, 16]
+
+
+_POOL_SCRIPT = r"""
+import os, time
+from qmapkit import phantom, pipeline, seqsim
+
+
+def worker_ticks():
+    # utime + stime of every thread but the main one, in clock ticks.
+    ticks, workers = 0, 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        ticks, workers = ticks + int(fields[11]) + int(fields[12]), workers + 1
+    return ticks, workers
+
+
+pm = phantom.phantom_from_config({"type": "bottles", "width": 32,
+                                  "height": 32})
+images = seqsim.simulate_scan(pm, noise_sigma=1e-4, seed=1)
+time.sleep(1.0)
+before, workers = worker_ticks()
+pipeline.estimate_all(images)
+time.sleep(0.3)
+print(workers, before, worker_ticks()[0])
+"""
+
+
+def _numpy_blas_is_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs per-thread CPU times in /proc")
+@pytest.mark.skipif(not _numpy_blas_is_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS")
+def test_estimate_never_wakes_the_blas_thread_pool():
+    # Every product of the estimate is small enough for OpenBLAS to run on
+    # the calling thread, so its worker threads log no CPU time.  A woken
+    # pool burns a core, and a worker that waits for one stalls the product.
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = os.environ.copy()
+    env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    workers, before, after = map(int, proc.stdout.split())
+    if workers == 0:
+        pytest.skip("OpenBLAS started no worker thread")
+    assert after == before
+
+
+def test_every_pixel_reads_as_its_own_one_pixel_estimate():
+    # A noiseless disc with two B1 regions is two distinct rows, each solved
+    # once; every pixel's maps and flags are byte-equal to estimating it
+    # alone.
+    pm = phantom.make_disc_phantom(32, 32, WATER, radius_frac=0.2)
+    pm.b1_scale[:, :16] = 0.9
+    images = seqsim.simulate_scan(pm)
+    opts = pipeline.EstimateOptions(b1_k_min=0.7, b1_k_max=1.3,
+                                    t2s_points=8)
+    table = pipeline._ratio_table(seqsim.build_pulses(), opts)
+    full = pipeline.estimate_all(images, opts=opts, ratio_table=table)
+    assert full.mask.sum() > 90 and full.valid["t1"][full.mask].all()
+    assert np.unique(full.b1[full.mask]).size == 2
+    for r, c in zip(*np.nonzero(full.mask)):
+        bits = np.zeros(pm.shape, dtype=bool)
+        bits[r, c] = True
+        one = pipeline.estimate_all(images, maskgen.Mask(bits=bits), opts,
+                                    ratio_table=table)
+        for name in pipeline.MAP_NAMES:
+            assert getattr(one, name)[r, c].tobytes() == \
+                getattr(full, name)[r, c].tobytes(), (name, r, c)
+            assert one.valid[name][r, c] == full.valid[name][r, c]

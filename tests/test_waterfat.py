@@ -280,8 +280,9 @@ print(digest.hexdigest())
 
 
 def test_fit_is_byte_identical_across_blas_threads():
-    # The default 40-point search makes a product large enough for a
-    # multi-threaded BLAS to split it.
+    # At the default 40-point search every product of the fit is small
+    # enough for OpenBLAS to run on the calling thread at either count; this
+    # holds the bits should a product grow large enough to be split.
     src = str(Path(waterfat.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
