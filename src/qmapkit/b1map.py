@@ -45,10 +45,18 @@ class RatioTable:
         object.__setattr__(self, "ratios", r)
 
 
+# Most points of a transmit-scale grid (327 times the default's 801).  The
+# table build holds about 24 float64 words a point at its peak (the grid,
+# both segments' scales, their series arguments and Clenshaw terms), so a
+# grid within the cap allocates at most about 50 MB.
+_MAX_POINTS = 1 << 18
+
+
 def check_grid(k_min: float, k_max: float, step: float,
-               prefix: str = "") -> None:
-    """Raise ValueError, naming ``<prefix><key>``, unless the transmit-scale
-    grid is finite with 0 < k_min < k_max and step > 0."""
+               prefix: str = "") -> int:
+    """The number of points of the transmit-scale grid, or ValueError,
+    naming ``<prefix><key>``, unless the grid is finite with 0 < k_min <
+    k_max, step > 0 and 2 to ``_MAX_POINTS`` points."""
     for key, value in {"k_min": k_min, "k_max": k_max, "step": step}.items():
         if not np.isfinite(value):
             raise ValueError(f"{prefix}{key} must be finite")
@@ -57,6 +65,12 @@ def check_grid(k_min: float, k_max: float, step: float,
                          f"(0, k_max {k_max})")
     if not step > 0:
         raise ValueError(f"{prefix}step must be > 0, not {step}")
+    points = np.round((k_max - k_min) / step) + 1.0
+    if not 2 <= points <= _MAX_POINTS:
+        raise ValueError(f"{prefix}step {step} gives {points:g} points from "
+                         f"k_min {k_min} to k_max {k_max}, not 2 to "
+                         f"{_MAX_POINTS}")
+    return int(points)
 
 
 def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
@@ -76,8 +90,7 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     The raw ratio is non-monotone once the doubled flip passes the null, so
     the table keeps only the initial decreasing branch.
     """
-    check_grid(k_min, k_max, step)
-    n = int(round((k_max - k_min) / step)) + 1
+    n = check_grid(k_min, k_max, step)
     k_axis = k_min + step * np.arange(n)
     img, series = pulses.imaging, pulses.series(k_max)
     z, nodes = series.z_samples, series.scales
@@ -88,13 +101,15 @@ def build_ratio_table(pulses: SequencePulses, k_min: float = 0.2,
     lo, hi = np.abs(ks * bloch.clenshaw(coef, series.argument(ks))).reshape(
         2, n)
     if np.any(lo <= 0):
-        raise ValueError("single-pulse response vanished inside the k range")
+        raise ValueError(f"the single-pulse response vanishes between k_min "
+                         f"{k_min} and k_max {k_max}")
     ratios = hi / lo
     # Keep the decreasing branch only: stop before the first uptick.
     upticks = np.flatnonzero(np.diff(ratios) >= 0)
     keep = upticks[0] + 1 if upticks.size else n
     if keep < 2:
-        raise ValueError("ratio curve has no decreasing branch")
+        raise ValueError(f"the ratio curve has no decreasing branch from "
+                         f"k_min {k_min} to k_max {k_max}")
     return RatioTable(k_values=k_axis[:keep], ratios=ratios[:keep],
                       series=series)
 

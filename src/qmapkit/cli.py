@@ -37,22 +37,20 @@ _CONFIG = {
              "erode_radius": whole_number},
     "b1": dict.fromkeys(("k_min", "k_max", "step"), number),
     "t2": dict.fromkeys(("min", "max"), number),
-    "wf": {"t2s_min": number, "t2s_max": number, "t2s_points": whole_number,
-           "d_omega_step": number, "omega_bound": number},
+    "wf": waterfat.WfGrid,
     "t1": dict.fromkeys(("min", "max"), number),
 }
 
 
-def _load_config(args) -> dict:
+def _load_config(args) -> tuple:
     """The config document of ``args.config`` ({} without one), read whole,
-    the ``timing`` and ``pulses`` sections built, and every section checked
-    by the range rules that the library applies to it."""
+    its dataclass sections built, every section checked by the range rules
+    that the library applies to it, and the estimate options it sets."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     cfg = phantom.read(doc, _CONFIG, "config")
     seqsim.check_noise("config noise ", **cfg.get("noise", {}))
     maskgen.check_options("config mask ", **cfg.get("mask", {}))
-    _options_from_config(cfg)
-    return cfg
+    return cfg, _options_from_config(cfg)
 
 
 def _pulses(cfg: dict) -> seqsim.SequencePulses:
@@ -62,14 +60,12 @@ def _pulses(cfg: dict) -> seqsim.SequencePulses:
                                cfg.get("timing"))
 
 
-def _options_from_config(cfg: dict, timing=None) -> pipeline.EstimateOptions:
+def _options_from_config(cfg: dict) -> pipeline.EstimateOptions:
     """The estimate options that a read config sets, each section checked
-    first by the rule that the options apply, naming its config key.  The
-    water/fat grid must leave signal at the first FID time of ``timing``
-    (default: the config's own schedule)."""
+    first by the rule that the options apply, naming its config key, and
+    ``wf t2s_min`` against the first FID time of the config's schedule."""
     defaults = vars(pipeline.EstimateOptions())
     kw = {f"b1_{key}": value for key, value in cfg.get("b1", {}).items()}
-    kw.update(cfg.get("wf", {}))
     for stage in ("t2", "t1"):
         low, high = defaults[f"{stage}_bounds"]
         given = cfg.get(stage, {})
@@ -80,14 +76,13 @@ def _options_from_config(cfg: dict, timing=None) -> pipeline.EstimateOptions:
     opts = {**defaults, **kw}
     b1map.check_grid(opts["b1_k_min"], opts["b1_k_max"], opts["b1_step"],
                      "config b1 ")
-    waterfat.check_grid(opts, "config wf ")
-    timing = timing or cfg.get("timing") or seqsim.default_timing()
-    waterfat.check_first_time(opts["t2s_min"], timing.fid_times[0],
-                              "config wf ")
-    return pipeline.EstimateOptions(**kw)
+    grid = cfg.get("wf", waterfat.WfGrid())
+    timing = cfg.get("timing") or seqsim.default_timing()
+    waterfat.check_first_time(grid.t2s_min, timing.fid_times[0], "config wf ")
+    return pipeline.EstimateOptions(**kw, **vars(grid))
 
 
-def cmd_simulate(args, cfg: dict) -> int:
+def cmd_simulate(args, cfg: dict, opts) -> int:
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     noise = cfg.get("noise", {})
     images = seqsim.simulate_scan(
@@ -99,7 +94,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_mask(args, cfg: dict) -> int:
+def cmd_mask(args, cfg: dict, opts) -> int:
     images = formats.read_imageset(args.images)
     mask = maskgen.make_mask(maskgen.mean_image(images),
                              **cfg.get("mask", {}))
@@ -109,19 +104,20 @@ def cmd_mask(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_estimate(args, cfg: dict) -> int:
+def cmd_estimate(args, cfg: dict, opts) -> int:
     images = formats.read_imageset(args.images)
+    waterfat.check_first_time(opts.t2s_min, images.timing.fid_times[0],
+                              "config wf ")
     mask = formats.read_mask(args.mask) if args.mask else \
         maskgen.make_mask(maskgen.mean_image(images), **cfg.get("mask", {}))
-    maps = pipeline.estimate_all(images, mask,
-                                 _options_from_config(cfg, images.timing))
+    maps = pipeline.estimate_all(images, mask, opts)
     formats.write_maps(maps, args.out)
     print(f"estimated {int(maps.mask.sum())} masked pixels, "
           f"{int(maps.valid['t1'].sum())} with a valid T1 -> {args.out}")
     return 0
 
 
-def cmd_compare(args, cfg: dict) -> int:
+def cmd_compare(args, cfg: dict, opts) -> int:
     maps = formats.read_maps(args.maps)
     pm = phantom.phantom_from_config(cfg.get("phantom", {}))
     truth = phantom.phantom_truth_arrays(pm)
@@ -134,8 +130,8 @@ def cmd_compare(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_lut(args, cfg: dict) -> int:
-    table = pipeline._ratio_table(_pulses(cfg), _options_from_config(cfg))
+def cmd_lut(args, cfg: dict, opts) -> int:
+    table = pipeline._ratio_table(_pulses(cfg), opts)
     doc = {"k_values": [float(v) for v in table.k_values],
            "ratios": [float(v) for v in table.ratios]}
     if args.out:
@@ -186,8 +182,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _load_config(args))
-    except (formats.FormatError, ValueError, KeyError, TypeError) as exc:
+        return args.func(args, *_load_config(args))
+    except (formats.FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

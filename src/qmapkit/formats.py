@@ -111,8 +111,9 @@ def _read_set(in_dir, kind: str, kinds: dict, payload: str, dtype: str,
     ``payload`` as ``chunks`` reads of ``planes`` (height, width) planes of
     ``dtype``, each into one reused buffer, hashed as it goes.  The file's
     size is checked before anything is allocated, so that a manifest cannot
-    ask for more memory than its file holds; after the last chunk, the
-    generator raises if the file does not match its size or checksum."""
+    ask for more memory than its file holds; the generator raises before
+    it yields the last chunk if the file does not match its size or
+    checksum."""
     path = Path(in_dir) / "manifest.json"
     if not path.is_file():
         raise ManifestNotFoundError(f"no manifest at {path}")
@@ -158,15 +159,17 @@ def _read_set(in_dir, kind: str, kinds: dict, payload: str, dtype: str,
 def _chunks(file, buffer, chunks: int, payload: str, stored):
     digest, got = hashlib.sha256(), 0
     with open(file, "rb") as stream:  # the file may have changed since
-        for _ in range(chunks):
+        for left in range(chunks - 1, -1, -1):
             got += stream.readinto(buffer)
             digest.update(buffer)
+            if not left:  # the payload is checked before its last chunk
+                got += len(stream.read(1))
+                _check_size(payload, got, chunks * buffer.nbytes)
+                if digest.hexdigest() != stored:
+                    raise ChecksumError(
+                        f"checksum mismatch for {payload}: manifest sha256 "
+                        f"{stored}, computed {digest.hexdigest()}")
             yield buffer
-        got += len(stream.read(1))
-    _check_size(payload, got, chunks * buffer.nbytes)
-    if digest.hexdigest() != stored:
-        raise ChecksumError(f"checksum mismatch for {payload}: manifest "
-                            f"sha256 {stored}, computed {digest.hexdigest()}")
 
 
 def _check_size(name: str, size: int, expected: int) -> None:
@@ -204,7 +207,7 @@ def read_imageset(in_dir) -> ImageSet:
                     seed=manifest["seed"])
     except ValueError as exc:
         raise FieldError(str(exc)) from None
-    [data] = chunks  # asks for a second chunk: the payload is checked
+    [data] = chunks
     return ImageSet(
         data=data.reshape(2, 11, *data.shape[1:]), timing=manifest["timing"],
         pulse_params=manifest["pulse_params"], omega_cs=manifest["omega_cs"],
@@ -233,7 +236,6 @@ def read_maps(in_dir) -> QuantMaps:
     out = QuantMaps.zeros((manifest["height"], manifest["width"]))
     targets = [t for name in MAP_NAMES
                for t in (getattr(out, name), out.valid[name])] + [out.mask]
-    # Chunks first: zip's 22nd ask makes their generator check the payload.
     for [plane], target in zip(chunks, targets):
         np.copyto(target, plane > 0.5 if target.dtype == bool else plane)
     return out

@@ -41,16 +41,24 @@ class Mask:
         return int(self.bits.sum())
 
 
+# Largest radius of a disc element: its 12,853 offsets take 206 KB as
+# index pairs, and each is one shift of the whole image.
+_MAX_RADIUS = 64
+
+
 def check_options(prefix: str = "", **given) -> None:
     """Raise ValueError, naming ``<prefix><key>``, unless each given option
     of :func:`make_mask` or :func:`disc_element` is in range: the threshold
-    a fraction in (0, 1), each radius >= 0."""
+    a fraction in (0, 1), each radius in [0, ``_MAX_RADIUS``]."""
     for key, value in given.items():
         if key == "threshold" and not 0.0 < value < 1.0:
             raise ValueError(f"{prefix}threshold must be a fraction in "
                              f"(0, 1), not {value!r}")
         if key != "threshold" and value < 0:
             raise ValueError(f"{prefix}{key} must be >= 0, not {value!r}")
+        if key != "threshold" and value > _MAX_RADIUS:
+            raise ValueError(f"{prefix}{key} must be at most {_MAX_RADIUS}, "
+                             f"not {value!r}")
 
 
 def disc_element(radius: int) -> np.ndarray:

@@ -10,12 +10,13 @@ does not depend on that stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import b1map, maskgen, t1fit, t2fit, waterfat
 from .maskgen import Mask
+from .phantom import number
 from .seqsim import (B1_K_MAX, ImageSet, SequencePulses, build_pulses,
                      distinct_rows, pixel_profiles)
 
@@ -52,28 +53,32 @@ class QuantMaps:
 
 
 @dataclass(frozen=True)
-class EstimateOptions:
-    """Stage configuration; defaults match the standard protocol.  The B1
-    and water/fat grids and the fit bounds are checked by their stages'
-    rules.  The ``b1_*`` grid only builds the ratio table when none is
-    given: a given table sets the B1 stage's range and grid."""
+class EstimateOptions(waterfat.WfGrid):
+    """Stage configuration: the water/fat search grid (``WfGrid``'s fields),
+    the B1 grid and the fit bounds, each checked by its stage's rule and
+    each error naming its field.  Defaults match the standard protocol.
+    The ``b1_*`` grid only builds the ratio table when none is given: a
+    given table sets the B1 stage's range and grid."""
 
     b1_k_min: float = 0.2
     b1_k_max: float = B1_K_MAX
     b1_step: float = 0.002
     t2_bounds: tuple = (0.005, 3.0)
-    t2s_min: float = 0.003
-    t2s_max: float = 0.150
-    t2s_points: int = 40
-    d_omega_step: float = 2.0 * np.pi * 1.0
-    omega_bound: float = 2.0 * np.pi * 60.0
     t1_bounds: tuple = (0.05, 5.0)
 
     def __post_init__(self):
+        super().__post_init__()
+        for name in ("b1_k_min", "b1_k_max", "b1_step"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         b1map.check_grid(self.b1_k_min, self.b1_k_max, self.b1_step, "b1_")
-        waterfat.check_grid(vars(self))
-        check_bounds(*self.t2_bounds, "t2_bounds ")
-        check_bounds(*self.t1_bounds, "t1_bounds ")
+        for name in ("t2_bounds", "t1_bounds"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+                raise ValueError(f"{name} must be a (low, high) pair, not "
+                                 f"{bounds!r}")
+            bounds = tuple(number(v, name) for v in bounds)
+            check_bounds(*bounds, f"{name} ")
+            object.__setattr__(self, name, bounds)
 
 
 def check_bounds(low: float, high: float, prefix: str = "") -> None:
@@ -113,8 +118,8 @@ def estimate_all(images: ImageSet, mask: Mask = None,
     timing = images.timing
     pulses = build_pulses(images.pulse_params, timing)
     wf_cfg = waterfat.WfConfig(
-        timing.fid_times, images.omega_cs, opts.t2s_min, opts.t2s_max,
-        opts.t2s_points, opts.d_omega_step, opts.omega_bound)
+        times=timing.fid_times, omega_cs=images.omega_cs,
+        **{f.name: getattr(opts, f.name) for f in fields(waterfat.WfGrid)})
     if mask is None:
         mask = maskgen.make_mask(maskgen.mean_image(images))
     if mask.bits.shape != (h, w):

@@ -23,31 +23,14 @@ scores pixels in blocks and does the rest as arrays over all of them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fitcore
 from .constants import GAMMA, OMEGA_CS
-
-
-def check_grid(grid: dict, prefix: str = "") -> None:
-    """Raise ValueError, naming ``<prefix><key>``, unless the search grid
-    that ``grid`` maps is finite, with 0 < t2s_min < t2s_max, t2s_points
-    >= 2 and 0 < d_omega_step <= omega_bound; other keys are ignored."""
-    for key in ("t2s_min", "t2s_max", "d_omega_step", "omega_bound"):
-        if not np.isfinite(grid[key]):
-            raise ValueError(f"{prefix}{key} must be finite")
-    if not 0 < grid["t2s_min"] < grid["t2s_max"]:
-        raise ValueError(f"{prefix}t2s_min {grid['t2s_min']} must be in "
-                         f"(0, t2s_max {grid['t2s_max']})")
-    if grid["t2s_points"] < 2:
-        raise ValueError(f"{prefix}t2s_points must be at least 2, not "
-                         f"{grid['t2s_points']}")
-    if not 0 < grid["d_omega_step"] <= grid["omega_bound"]:
-        raise ValueError(f"{prefix}d_omega_step {grid['d_omega_step']} must "
-                         f"be in (0, omega_bound {grid['omega_bound']}]")
+from .phantom import number, whole_number
 
 
 def check_first_time(t2s_min: float, first_time: float,
@@ -60,27 +43,46 @@ def check_first_time(t2s_min: float, first_time: float,
                          f"first time {first_time} s")
 
 
-@dataclass(frozen=True)
-class WfConfig:
-    """Grid and model constants for the water/fat search."""
+# Most candidates, t2s_points^2 pairs x offsets, that a grid may search
+# (5.5 times the default's 190,400).  The search allocates about 480 B a
+# pair (designs, Gram-Schmidt columns, projectors) and 200 B an offset (lag
+# table), so a grid within the cap holds at most about 0.5 GB.
+_MAX_CANDIDATES = 1 << 20
 
-    times: tuple                      # five acquisition times, s
-    omega_cs: float = OMEGA_CS        # chemical shift, rad/s
-    t2s_min: float = 0.003
-    t2s_max: float = 0.150
+
+@dataclass(frozen=True)
+class WfGrid:
+    """The water/fat search grid; each error names its field."""
+
+    t2s_min: float = 0.003            # s
+    t2s_max: float = 0.150            # s
     t2s_points: int = 40
-    d_omega_step: float = 2.0 * np.pi * 1.0
-    omega_bound: float = 2.0 * np.pi * 60.0
+    d_omega_step: float = 2.0 * np.pi * 1.0     # rad/s
+    omega_bound: float = 2.0 * np.pi * 60.0     # rad/s
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if len(times) != 5 or list(times) != sorted(times) or times[0] <= 0:
-            raise ValueError("times must be five increasing positive values")
-        check_grid(vars(self))
-        check_first_time(self.t2s_min, times[0])
-        if not np.isfinite(self.omega_cs):
-            raise ValueError("omega_cs must be finite")
-        object.__setattr__(self, "times", times)
+        for f in fields(WfGrid):
+            kind = whole_number if f.name == "t2s_points" else number
+            value = kind(getattr(self, f.name), f.name)
+            if not -np.inf < value < np.inf:  # exact for any int
+                raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, value)
+        if not 0 < self.t2s_min < self.t2s_max:
+            raise ValueError(f"t2s_min {self.t2s_min} must be in "
+                             f"(0, t2s_max {self.t2s_max})")
+        if self.t2s_points < 2:
+            raise ValueError(f"t2s_points must be at least 2, not "
+                             f"{self.t2s_points}")
+        if not 0 < self.d_omega_step <= self.omega_bound:
+            raise ValueError(f"d_omega_step {self.d_omega_step} must be in "
+                             f"(0, omega_bound {self.omega_bound}]")
+        offsets = 2 * float(np.ceil(self.omega_bound / self.d_omega_step)) - 1
+        if self.t2s_points ** 2 > _MAX_CANDIDATES / offsets:
+            raise ValueError(
+                f"t2s_points {self.t2s_points} with {offsets:g} offsets "
+                f"(d_omega_step {self.d_omega_step}, omega_bound "
+                f"{self.omega_bound}) searches more than {_MAX_CANDIDATES} "
+                f"candidates (t2s_points^2 x offsets)")
 
     def t2s_axis(self) -> np.ndarray:
         return np.geomspace(self.t2s_min, self.t2s_max, self.t2s_points)
@@ -90,6 +92,24 @@ class WfConfig:
         +/- omega_bound."""
         n = int(np.ceil(self.omega_bound / self.d_omega_step)) - 1
         return self.d_omega_step * np.arange(-n, n + 1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class WfConfig(WfGrid):
+    """A search grid at five FID times (s) and a chemical shift (rad/s)."""
+
+    times: tuple
+    omega_cs: float = OMEGA_CS
+
+    def __post_init__(self):
+        super().__post_init__()
+        times = tuple(float(t) for t in self.times)
+        if len(times) != 5 or list(times) != sorted(times) or times[0] <= 0:
+            raise ValueError("times must be five increasing positive values")
+        check_first_time(self.t2s_min, times[0])
+        if not np.isfinite(self.omega_cs):
+            raise ValueError("omega_cs must be finite")
+        object.__setattr__(self, "times", times)
 
 
 def init_offres(i1, i3, dt13: float):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -149,3 +150,24 @@ def test_build_table_rejects_non_finite_ranges(bad):
     kwargs = {"k_min": 0.2, "k_max": 1.8, "step": 0.002, **bad}
     with pytest.raises(ValueError, match="finite"):
         b1map.build_ratio_table(_HARD, **kwargs)
+
+
+@pytest.mark.parametrize("step, points", [(5.0, "1"), (1e-9, "1.6e+09"),
+                                          (1e-320, "inf")])
+def test_grid_needs_two_to_max_points(step, points):
+    # A one-point grid once failed in the build with a message naming no
+    # key, and a 1e-9 step with a MemoryError for 11.9 GiB.
+    with pytest.raises(ValueError, match=rf"^b1_step {step} gives "
+                                         rf"{re.escape(points)} points"):
+        b1map.check_grid(0.2, 1.8, step, "b1_")
+    assert b1map.check_grid(0.2, 1.8, 0.002) == 801
+    assert b1map.check_grid(0.2, 0.2 + (b1map._MAX_POINTS - 1) * 1e-5,
+                            1e-5) == b1map._MAX_POINTS
+
+
+def test_table_past_the_decreasing_branch_names_its_range():
+    # Past the null of the doubled flip the ratio rises.  This once raised
+    # a message naming no key.
+    with pytest.raises(ValueError, match="no decreasing branch from k_min "
+                                         "1.7 to k_max 1.8"):
+        b1map.build_ratio_table(seqsim.build_pulses(), 1.7, 1.8, 0.002)

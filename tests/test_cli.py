@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qmapkit import (b1map, cli, formats, maskgen, phantom, pipeline,
-                     seqsim)
+                     seqsim, waterfat)
 
 CHAIN_CONFIG = {
     "phantom": {
@@ -422,7 +422,22 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, cfg, message):
                       "phantom t2s_water"))] + [
     # A t2s_min that leaves no signal at the default first FID time.
     (command, {"wf": {"t2s_min": 1e-6}}, ["error: config wf t2s_min"])
-    for command in ("simulate", "mask", "estimate", "compare", "lut")])
+    for command in ("simulate", "mask", "estimate", "compare", "lut")] + [
+    # Grids of one point or past their caps: lut and estimate once failed
+    # naming no key, or with a MemoryError or numpy's TypeError.
+    (command, cfg, [f"error: config {key}"])
+    for command in ("simulate", "mask", "estimate", "compare", "lut")
+    for cfg, key in (({"b1": {"step": 5}}, "b1 step 5.0 gives 1 points"),
+                     ({"b1": {"step": 1e-9}}, "b1 step 1e-09 gives 1.6e+09"),
+                     ({"wf": {"t2s_points": 1000}}, "wf t2s_points 1000 "),
+                     ({"wf": {"d_omega_step": 1e-4}}, "wf t2s_points 40 "),
+                     ({"mask": {"close_radius": 1e30}},
+                      "mask close_radius must be at most 64"))] + [
+    # Past the ratio's decreasing branch: only the commands that build the
+    # table can tell.
+    (command, {"b1": {"k_min": 1.7, "k_max": 1.8}},
+     ["no decreasing branch from k_min 1.7 to k_max 1.8"])
+    for command in ("estimate", "lut")])
 def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
                                                command, cfg, names):
     # The first three once exited 0: each command read only its sections.
@@ -470,8 +485,13 @@ def test_readme_config_loads_and_its_table_names_every_key(tmp_path):
     doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
     args = cli.build_parser().parse_args(
         ["lut", "--config", _write_config(tmp_path, doc)])
-    assert cli._load_config(args) == {
-        **doc, "timing": seqsim.SequenceTiming(**doc["timing"])}
+    cfg, opts = cli._load_config(args)
+    assert cfg == {**doc, "timing": seqsim.SequenceTiming(**doc["timing"]),
+                   "wf": waterfat.WfGrid(**doc["wf"])}
+    assert opts == pipeline.EstimateOptions(
+        **{f"b1_{key}": value for key, value in doc["b1"].items()},
+        t2_bounds=(doc["t2"]["min"], doc["t2"]["max"]),
+        t1_bounds=(doc["t1"]["min"], doc["t1"]["max"]), **doc["wf"])
     rows = set(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, re.M))
     schema = {(name, key) for name, kinds in cli._CONFIG.items()
               for key in (phantom.PHANTOM_KINDS if name == "phantom"
@@ -547,6 +567,17 @@ def test_a_noiseless_chain_leaves_scipy_and_slow_numpy_parts_unloaded(
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_an_internal_error_is_a_traceback_not_a_refusal(monkeypatch):
+    # main once mapped every KeyError and TypeError to exit 1, so that a
+    # bug read as a validation failure.
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(pipeline, "_ratio_table", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["lut"])
 
 
 def test_io_errors_exit_2(tmp_path):

@@ -40,6 +40,28 @@ def test_imageset_corrupt_payload(water_scan, tmp_path):
         formats.read_imageset(tmp_path)
 
 
+@pytest.mark.parametrize("kind", ["imageset", "quantmaps"])
+def test_a_reader_taking_exactly_its_chunks_checks_the_payload(
+        water_scan, tmp_path, kind):
+    # The payload was once checked only when its reader asked for one chunk
+    # more than it holds.
+    if kind == "imageset":
+        formats.write_imageset(water_scan, tmp_path)
+        args = (formats._IMAGESET_KINDS, "images.f32", "<c8", 1, 22)
+    else:
+        formats.write_maps(QuantMaps.zeros((4, 3)), tmp_path)
+        args = (formats._MAPS_KINDS, "maps.f32", "<f4", 21, 1)
+    payload = tmp_path / args[1]
+    blob = bytearray(payload.read_bytes())
+    blob[0] ^= 1
+    payload.write_bytes(bytes(blob))
+    _, chunks = formats._read_set(tmp_path, kind, *args)
+    for _ in range(args[3] - 1):
+        next(chunks)
+    with pytest.raises(formats.ChecksumError):
+        next(chunks)
+
+
 def test_imageset_missing_pieces(water_scan, tmp_path):
     with pytest.raises(formats.ManifestNotFoundError):
         formats.read_imageset(tmp_path / "nowhere")

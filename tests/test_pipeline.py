@@ -405,6 +405,29 @@ def test_estimate_options_reject_non_finite_grid_values(name, value):
         pipeline.EstimateOptions(**{name: value})
 
 
+def test_estimate_options_convert_numbers_as_config_values_do(water_scan):
+    # A float t2s_points once passed the options and then raised TypeError
+    # in the water/fat stage; a string step or bound raised numpy's or
+    # Python's TypeError.
+    opts = pipeline.EstimateOptions(t2s_points=16.0, b1_step="0.002",
+                                    t1_bounds=("0.05", 5))
+    assert opts == pipeline.EstimateOptions(t2s_points=16)
+    assert type(opts.t2s_points) is int and opts.t1_bounds == (0.05, 5.0)
+    maps = pipeline.estimate_all(water_scan, opts=opts)
+    assert maps.valid["t2s_water"][maps.mask].all()
+
+
+@pytest.mark.parametrize("options, name", [
+    ({"b1_k_min": "x"}, "b1_k_min"), ({"b1_k_max": None}, "b1_k_max"),
+    ({"b1_step": "x"}, "b1_step"), ({"t1_bounds": ("x", 5.0)}, "t1_bounds"),
+    ({"t2_bounds": 3.0}, "t2_bounds"),
+    ({"t2_bounds": (0.005, 1.0, 3.0)}, "t2_bounds"),
+    ({"t2s_points": "16.5"}, "t2s_points")])
+def test_estimate_options_name_a_value_of_the_wrong_kind(options, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        pipeline.EstimateOptions(**options)
+
+
 @pytest.mark.parametrize("images, opts", [
     ({}, {"t2s_min": 0.1, "t2s_max": 0.05}), ({}, {"t2s_points": 1}),
     ({}, {"d_omega_step": 10.0, "omega_bound": 5.0}),

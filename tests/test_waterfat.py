@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import fitcore, waterfat
+from qmapkit import fitcore, pipeline, waterfat
 from qmapkit.constants import GAMMA, OMEGA_CS
 
 TIMES = (0.002, 0.004, 0.006, 0.008, 0.010)
@@ -41,6 +41,37 @@ def test_config_validation():
         for value in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 waterfat.WfConfig(times=TIMES, **{name: value})
+
+
+def test_the_grid_is_declared_once():
+    # EstimateOptions and WfConfig take their five water/fat fields, with
+    # their defaults and rules, from WfGrid.
+    names = [f.name for f in dataclasses.fields(waterfat.WfGrid)]
+    for holder in (pipeline.EstimateOptions(), waterfat.WfConfig(times=TIMES)):
+        assert isinstance(holder, waterfat.WfGrid)
+        assert {n: getattr(holder, n) for n in names} == \
+            vars(waterfat.WfGrid())
+
+
+def test_grid_values_convert_as_config_values_do():
+    # A float t2s_points once reached np.geomspace and raised TypeError.
+    grid = waterfat.WfGrid(t2s_min="0.003", t2s_points=40.0)
+    assert grid == waterfat.WfGrid() and type(grid.t2s_points) is int
+    assert waterfat.WfGrid(t2s_points=93).t2s_points == 93  # 93^2 x 119
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"t2s_min": "x"}, "^t2s_min must be a number, not 'x'$"),
+    ({"t2s_points": 2.5}, "^t2s_points must be a whole number"),
+    ({"t2s_points": 94}, "^t2s_points 94 with 119 offsets"),
+    ({"t2s_points": 10 ** 30}, "^t2s_points 1000000000000000000000000000000 "),
+    ({"d_omega_step": 1e-3}, "^t2s_points 40 with 753983 offsets"),
+    ({"d_omega_step": 1e-300, "omega_bound": 1e300}, "with inf offsets")])
+def test_grid_values_are_typed_and_capped(kw, message):
+    # A string once raised numpy's isfinite TypeError, and a grid past the
+    # cap was built: t2s_points^2 projector rows, an offset axis as long.
+    with pytest.raises(ValueError, match=message):
+        waterfat.WfConfig(times=TIMES, **kw)
 
 
 def test_axes():
