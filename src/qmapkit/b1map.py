@@ -56,7 +56,8 @@ def check_grid(k_min: float, k_max: float, step: float,
                prefix: str = "") -> int:
     """The number of points of the transmit-scale grid, or ValueError,
     naming ``<prefix><key>``, unless the grid is finite with 0 < k_min <
-    k_max, step > 0 and 2 to ``_MAX_POINTS`` points."""
+    k_max, step > 0 and 2 to ``_MAX_POINTS`` points, the last of which is
+    not past k_max by more than rounding."""
     for key, value in {"k_min": k_min, "k_max": k_max, "step": step}.items():
         if not np.isfinite(value):
             raise ValueError(f"{prefix}{key} must be finite")
@@ -70,6 +71,10 @@ def check_grid(k_min: float, k_max: float, step: float,
         raise ValueError(f"{prefix}step {step} gives {points:g} points from "
                          f"k_min {k_min} to k_max {k_max}, not 2 to "
                          f"{_MAX_POINTS}")
+    last = k_min + (points - 1.0) * step
+    if last > k_max * (1.0 + 1e-9):
+        raise ValueError(f"{prefix}step {step} ends the grid at {last:g}, "
+                         f"past k_max {k_max}")
     return int(points)
 
 

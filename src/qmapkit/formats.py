@@ -180,9 +180,10 @@ def _check_size(name: str, size: int, expected: int) -> None:
 
 def write_imageset(images: ImageSet, out_dir) -> None:
     """Manifest plus ``images.f32``: the 2 x 11 images, segment-major, each
-    cast to complex64 as it is written, (real, imaginary) interleaved."""
+    cast to complex64 (if it is not) as it is written, (real, imaginary)
+    interleaved."""
     _write_set(out_dir, "imageset", "images.f32", (
-        image.astype(np.complex64).view(np.float32)
+        image.astype(np.complex64, copy=False).view(np.float32)
         for segment in images.data for image in segment), {
         "width": int(images.width), "height": int(images.height),
         "acq_times": list(images.timing.acq_times),

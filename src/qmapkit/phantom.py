@@ -119,13 +119,23 @@ def _paint_disc(pm: PhantomMap, cx: float, cy: float, radius: float,
     pm.label[inside] = label
 
 
+# Largest width or height.  simulate holds 280 bytes a pixel at its peak:
+# 22 complex64 images (176 B), the phantom's eight float64 fields and int32
+# labels (68 B) and one complex128 image in the making (16 B).  compare
+# holds 240: the phantom, ten float64 truth maps and the read maps (both by
+# tracemalloc at 512 x 512).  So a phantom within the cap asks for at most
+# about 300 MB.
+_MAX_SIDE = 1024
+
+
 def check_sizes(prefix: str = "phantom ", **given) -> None:
     """Raise ValueError, naming ``<prefix><key>``, unless each given size is
-    in range: a width or height of at least 32 pixels, a radius_frac in
-    (0, 0.5], six bottles; other keys are ignored."""
+    in range: a width or height of 32 to ``_MAX_SIDE`` pixels, a radius_frac
+    in (0, 0.5], six bottles; other keys are ignored."""
     for key, value in given.items():
-        if key in ("width", "height") and not value >= 32:
-            raise ValueError(f"{prefix}{key} must be at least 32, not {value}")
+        if key in ("width", "height") and not 32 <= value <= _MAX_SIDE:
+            raise ValueError(f"{prefix}{key} must be from 32 to {_MAX_SIDE}, "
+                             f"not {value}")
         if key == "radius_frac" and not 0.0 < value <= 0.5:
             raise ValueError(f"{prefix}radius_frac must be in (0, 0.5], "
                              f"not {value}")

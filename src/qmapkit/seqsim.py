@@ -36,6 +36,16 @@ B1_K_MAX = 1.8  # the default B1 table's k_max: pixel_profiles' first panel
 # Pulses x scales x z values of one pass of pixel_profiles (256 KiB complex
 # (alpha, beta) arrays, so that a pass stays in a 2-4 MiB L2 cache).
 _PASS_ELEMENTS = 1 << 14
+# Largest flip (two turns) and largest ratio of a flip to imaging_flip, by
+# magnitude.  Each pulse is the imaging shape times its ratio, and the set's
+# series has 8 + ceil(A K) nodes, A the shape's nutation area and K = k_max
+# |flip| / |imaging_flip|: A K is about 1.14 k_max |flip| for the default
+# sinc, so 34 nodes at the cap and the default k_max (15 by default).
+_MAX_FLIP, _MAX_FLIP_RATIO = 4.0 * np.pi, 1e3
+# Most pieces of the shape and samples of the z grid (16 and about 32 times
+# the defaults): the series build propagates each piece at each node and
+# |z|, 8.4 s at every cap against 6 ms by default (on a 2-CPU machine).
+_MAX_SAMPLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,18 @@ class SequenceTiming:
             # the shape by (and a zero imaging flip leaves no shape).
             if name.endswith("_flip") and value == 0.0:
                 raise ValueError(f"{name} must be non-zero")
+            if name.endswith("_flip") and not abs(value) <= _MAX_FLIP:
+                raise ValueError(f"{name} must be at most 4 pi "
+                                 f"({_MAX_FLIP:.6g}) in magnitude, not "
+                                 f"{value!r}")
             object.__setattr__(self, name, value)
+        widest = max(abs(self.probe_flip), abs(self.inversion_flip),
+                     abs(self.sat_flip))
+        if not widest <= _MAX_FLIP_RATIO * abs(self.imaging_flip):
+            raise ValueError(f"imaging_flip must be at least 1/"
+                             f"{_MAX_FLIP_RATIO:g} of the largest flip "
+                             f"({widest:g}) in magnitude, not "
+                             f"{self.imaging_flip!r}")
         te, t_sat = self.echo_time, self.t_sat
         probe = "probe_times" if self.probe_times else "thirds of t_sat"
         events = [(0.0, "the saturation pulse")]
@@ -137,9 +158,11 @@ class PulseParams:
             object.__setattr__(self, name, value)
         for name, least in (("n_pieces", 2), ("z_count", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least
+            if not (isinstance(value, (int, np.integer))
+                    and least <= value <= _MAX_SAMPLES
                     and not isinstance(value, bool)):
-                raise ValueError(f"{name} must be an integer >= {least}")
+                raise ValueError(f"{name} must be an integer from {least} "
+                                 f"to {_MAX_SAMPLES}, not {value!r}")
         if not isinstance(self.hard, (bool, np.bool_)):
             raise ValueError("hard must be true or false")
         object.__setattr__(self, "hard", bool(self.hard))
@@ -299,9 +322,10 @@ def simulate_pixel(p: TissueParams, timing: SequenceTiming,
 
 @dataclass
 class ImageSet:
-    """The 22 complex images plus everything needed to estimate from them."""
+    """The 22 complex images plus everything needed to estimate from them:
+    complex64 from :func:`simulate_scan` and ``formats.read_imageset``."""
 
-    data: np.ndarray                  # (2, 11, h, w) complex
+    data: np.ndarray                  # (2, 11, h, w) complex64
     timing: SequenceTiming
     pulse_params: PulseParams
     omega_cs: float = OMEGA_CS
@@ -348,26 +372,31 @@ def simulate_scan(pm: PhantomMap, timing: SequenceTiming = None,
     default table propagates nothing for tissues at k <= ``B1_K_MAX``.
 
     Noise is complex white Gaussian with per-channel standard deviation
-    ``noise_sigma`` (finite, >= 0), drawn in one bulk pass from a generator
-    seeded by ``seed`` (>= 0) straight into the image buffer, so the result
-    is independent of pixel evaluation order.
+    ``noise_sigma`` (finite, >= 0) from one generator seeded by ``seed``
+    (>= 0), drawn image by image in (segment, acquisition) order: the
+    stream of one (2, 11, h, w, 2) draw, independent of pixel evaluation
+    order.  Each image is built in float64 and stored once as complex64,
+    the payload's precision, so the set is its written copy, bit for bit.
     """
     check_noise(sigma=noise_sigma, seed=seed)
     pulses = pulses or build_pulses(timing=timing)
     if timing not in (None, pulses.timing):
         raise ValueError("the pulse set was built for another schedule")
     h, w = pm.shape
-    data = (np.random.default_rng(seed).standard_normal((2, 11, h, w, 2))
-            .view(complex)[..., 0] if noise_sigma > 0.0
-            else np.zeros((2, 11, h, w), dtype=complex))
-    data *= noise_sigma
     signal = pm.water_amp + pm.fat_amp != 0.0
     tissues, which = distinct_rows(
         np.stack([getattr(pm, n)[signal] for n in TISSUE_FIELDS], -1))
     check_tissues(tissues)
     sims = simulate_tissues(tissues, pulses.timing,
                             pixel_profiles(pulses, tissues[:, -1]), omega_cs)
-    data[:, :, signal] += np.moveaxis(sims[which], 0, -1)
+    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
+    data = np.empty((2, 11, h, w), dtype=np.complex64)
+    for s, a in np.ndindex(2, 11):
+        image = (np.zeros((h, w), dtype=complex) if rng is None else
+                 rng.standard_normal((h, w, 2)).view(complex)[..., 0])
+        image *= noise_sigma
+        image[signal] += sims[which, s, a]
+        data[s, a] = image
     return ImageSet(data=data, timing=pulses.timing,
                     pulse_params=pulses.params, omega_cs=omega_cs,
                     noise_sigma=noise_sigma, seed=seed)

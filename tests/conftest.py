@@ -26,6 +26,19 @@ def water_scan(water_disc):
     return seqsim.simulate_scan(water_disc)
 
 
+@pytest.fixture(scope="session", params=["noisy bottles", "noiseless disc"])
+def loop_scan(request):
+    """The benchmark's two loop scans: 64x64 bottles at sigma 1e-4 (seed
+    1), and a noiseless 48x48 water/fat disc at k 0.85 and 25 Hz."""
+    if request.param == "noisy bottles":
+        return seqsim.simulate_scan(phantom.make_bottle_phantom(64, 64),
+                                    noise_sigma=1e-4, seed=1)
+    disc = phantom.TissueParams(
+        water_amp=0.8, fat_amp=0.2, t1=0.8, t2=0.08, t2s_water=0.045,
+        t2s_fat=0.025, d_omega0=2.0 * np.pi * 25.0, b1_scale=0.85)
+    return seqsim.simulate_scan(phantom.make_disc_phantom(48, 48, disc))
+
+
 @pytest.fixture(scope="session")
 def hard_pulses():
     return seqsim.build_pulses(seqsim.PulseParams(hard=True),

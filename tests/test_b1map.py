@@ -165,6 +165,19 @@ def test_grid_needs_two_to_max_points(step, points):
                             1e-5) == b1map._MAX_POINTS
 
 
+@pytest.mark.parametrize("step, last", [(3.0, "3.2"), (0.9, "2"),
+                                        (0.0021, "1.8002")])
+def test_grid_ends_within_k_max(step, last):
+    # The point count is rounded, so a step of 3 once gave the two points
+    # 0.2 and 3.2, and the table build refused the range, not the step.
+    with pytest.raises(ValueError, match=rf"^b1_step {step} ends the grid at "
+                                         rf"{re.escape(last)}, past k_max"):
+        b1map.check_grid(0.2, 1.8, step, "b1_")
+    for grid, points in (((0.2, 1.8, 0.002), 801), ((0.7, 1.3, 0.002), 301),
+                         ((0.9, 1.1, 0.01), 21), ((0.2, 1.8, 0.8), 3)):
+        assert b1map.check_grid(*grid) == points
+
+
 def test_table_past_the_decreasing_branch_names_its_range():
     # Past the null of the doubled flip the ratio rises.  This once raised
     # a message naming no key.

@@ -437,7 +437,20 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, cfg, message):
     # table can tell.
     (command, {"b1": {"k_min": 1.7, "k_max": 1.8}},
      ["no decreasing branch from k_min 1.7 to k_max 1.8"])
-    for command in ("estimate", "lut")])
+    for command in ("estimate", "lut")] + [
+    # A grid past k_max, sizes past their caps, and a flip that once ended
+    # in an OverflowError traceback: each once failed naming no key.
+    (command, cfg, [f"error: config {key}"])
+    for command in ("simulate", "mask", "estimate", "compare", "lut")
+    for cfg, key in (({"b1": {"step": 3}}, "b1 step 3.0 ends the grid at 3.2"),
+                     ({"phantom": {"width": 1e30}}, "phantom width"),
+                     ({"phantom": {"height": 2 ** 63}}, "phantom height"),
+                     ({"phantom": {"width": 10 ** 5}}, "phantom width"),
+                     ({"timing": {"imaging_flip": 1e-320}},
+                      "timing imaging_flip"),
+                     ({"timing": {"sat_flip": 1e30}}, "timing sat_flip"),
+                     ({"pulses": {"n_pieces": 2 ** 63}}, "pulses n_pieces"),
+                     ({"pulses": {"z_count": 2 ** 63}}, "pulses z_count"))])
 def test_every_command_checks_the_whole_config(tmp_path, water_scan, capsys,
                                                command, cfg, names):
     # The first three once exited 0: each command read only its sections.

@@ -30,6 +30,15 @@ def test_imageset_round_trip(water_scan, tmp_path):
     assert back.seed == water_scan.seed
 
 
+def test_a_simulated_scan_is_its_written_copy(loop_scan, tmp_path):
+    # The simulator once returned complex128, which the writer rounded.
+    assert loop_scan.data.dtype == np.complex64
+    formats.write_imageset(loop_scan, tmp_path)
+    back = formats.read_imageset(tmp_path)
+    npt.assert_array_equal(back.data.view(np.uint32),
+                           loop_scan.data.view(np.uint32))
+
+
 def test_imageset_corrupt_payload(water_scan, tmp_path):
     formats.write_imageset(water_scan, tmp_path)
     target = tmp_path / "images.f32"

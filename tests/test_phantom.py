@@ -133,6 +133,17 @@ def test_non_integral_grid_side_is_rejected(key):
     assert pm.shape == ((40, 64) if key == "height" else (64, 40))
 
 
+@pytest.mark.parametrize("value", [1025, 10 ** 5, 2 ** 63, 1e30])
+@pytest.mark.parametrize("key", ["width", "height"])
+def test_grid_side_is_capped(key, value):
+    # Numpy once refused the largest naming no key, and 10**5 asked a scan
+    # for tens of GB.  The recipe is checked before any array is built.
+    with pytest.raises(ValueError, match=f"^phantom {key} must be from 32 "
+                                         f"to 1024, not {int(value)}$"):
+        phantom.read_phantom({key: value})
+    assert phantom.read_phantom({key: 1024}) == {key: 1024}
+
+
 def test_whole_number_keeps_integers_exact():
     for value in (2 ** 60 + 1, np.int64(2 ** 60 + 1)):
         assert phantom.whole_number(value, "seed") == 2 ** 60 + 1

@@ -8,10 +8,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qmapkit import (b1map, bloch, fitcore, maskgen, phantom, pipeline,
-                     seqsim, t2fit, waterfat)
+from qmapkit import (b1map, bloch, fitcore, formats, maskgen, phantom,
+                     pipeline, seqsim, t2fit, waterfat)
 
 from conftest import WATER
+
+
+def test_a_scan_and_its_written_copy_estimate_to_the_same_maps(loop_scan,
+                                                                tmp_path):
+    formats.write_imageset(loop_scan, tmp_path)
+    kept, read = (pipeline.estimate_all(images) for images in
+                  (loop_scan, formats.read_imageset(tmp_path)))
+    assert kept.mask.tobytes() == read.mask.tobytes()
+    for name in pipeline.MAP_NAMES:
+        assert getattr(kept, name).tobytes() == getattr(read, name).tobytes()
+        assert kept.valid[name].tobytes() == read.valid[name].tobytes()
 
 
 def test_closed_loop_water_disc(water_disc, water_scan):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -57,6 +58,26 @@ def test_timing_validation():
         seqsim.SequenceTiming(imaging_flip=0.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"sat_flip": 1e30}, "sat_flip must be at most 4 pi"),
+    ({"inversion_flip": -13.0}, "inversion_flip must be at most 4 pi"),
+    ({"imaging_flip": 1e30}, "imaging_flip must be at most 4 pi"),
+    ({"imaging_flip": 1e-320}, "imaging_flip must be at least 1/1000 of the "
+                               "largest flip (3.14159)"),
+    ({"imaging_flip": 3e-3}, "imaging_flip must be at least 1/1000"),
+    ({"imaging_flip": 1e-3, "inversion_flip": 1.0},
+     "imaging_flip must be at least 1/1000 of the largest flip (1.5708)")])
+def test_flips_are_capped(bad, message):
+    # A flip sizes the pulse set's series: an imaging_flip of 1e-320 once
+    # ended its build in an OverflowError, and a flip of 1e30 in numpy's
+    # size error, naming no key.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        seqsim.SequenceTiming(**bad)
+    for good in ({"inversion_flip": -4.0 * np.pi}, {"imaging_flip": 4e-3},
+                 {"imaging_flip": np.pi * 1e-3, "inversion_flip": 1.0}):
+        seqsim.SequenceTiming(**good)
+
+
 @pytest.mark.parametrize("bad", [
     {"slice_thickness": float("nan")}, {"slice_thickness": 0.0},
     {"duration": -1e-3}, {"duration": float("inf")},
@@ -65,13 +86,16 @@ def test_timing_validation():
     {"n_pieces": 256.0}, {"z_count": 0}, {"z_count": 3.5},
     {"hard": "false"}, {"hard": 0}, {"hard": None},
     {"duration": "x"}, {"slice_thickness": None}, {"z_half_span": [2.0]},
+    {"n_pieces": 2 ** 63}, {"n_pieces": 4097}, {"z_count": 2 ** 63},
+    {"z_count": 4097},
 ])
 def test_pulse_params_reject_invalid_values(bad):
     # A negative span would build a reversed grid and negate every slice
     # integral; a NaN thickness would give non-finite images.
     with pytest.raises(ValueError, match="^" + next(iter(bad))):
         seqsim.PulseParams(**bad)
-    for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)}):
+    for good in ({"n_pieces": 2, "z_count": 1}, {"n_pieces": np.int64(3)},
+                 {"n_pieces": 4096, "z_count": 4096}):
         assert seqsim.PulseParams(**good).hard is False
     # A numeric string converts, as in the timing's tuple fields.
     assert seqsim.PulseParams(duration="0.002").duration == 0.002
@@ -395,7 +419,9 @@ def test_simulate_scan_computes_profiles_once(monkeypatch):
         ref = seqsim.simulate_pixel(
             _params_at(pm, r, c), seqsim.SequenceTiming(),
             original(pulses, pm.b1_scale[r, c]))
-        npt.assert_array_equal(plain.data[:, :, r, c], ref)
+        got = np.ascontiguousarray(plain.data[:, :, r, c])
+        npt.assert_array_equal(got.view(np.uint32),
+                               ref.astype(np.complex64).view(np.uint32))
 
 
 def _params_at(pm, r, c):
@@ -440,8 +466,10 @@ def test_simulate_scan_equals_the_pixel_oracle_everywhere():
             profiles[k] = seqsim.pixel_profiles(pulses, k)
         ref = seqsim.simulate_pixel(_params_at(pm, r, c), timing,
                                     profiles[k])
+        # The complex128 oracle, rounded once to the set's complex64.
         got = np.ascontiguousarray(scan.data[:, :, r, c])
-        npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        npt.assert_array_equal(got.view(np.uint32),
+                               ref.astype(np.complex64).view(np.uint32))
     assert not np.any(scan.data[:, :, ~signal])
 
 
@@ -576,10 +604,12 @@ def test_phantom_without_signal_gives_zeros_or_pure_noise(monkeypatch):
     calls = _counting_simulate_pixel(monkeypatch)
     clean = seqsim.simulate_scan(pm)
     assert clean.data.shape == (2, 11, 64, 64) and not np.any(clean.data)
+    # The images draw one at a time; their stream is this single draw.
     noisy = seqsim.simulate_scan(pm, noise_sigma=1e-4, seed=4)
     draw = np.random.default_rng(4).standard_normal((2, 11, 64, 64, 2))
-    npt.assert_array_equal(noisy.data,
-                           0.0 + 1e-4 * (draw[..., 0] + 1j * draw[..., 1]))
+    ref = (0.0 + 1e-4 * (draw[..., 0] + 1j * draw[..., 1])).astype(
+        np.complex64)
+    npt.assert_array_equal(noisy.data.view(np.uint32), ref.view(np.uint32))
     assert calls == []
 
 
